@@ -1,4 +1,5 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of the paper's design choices (the *paper ablation* fields
+//! of `hts_core::Config`):
 //!
 //! * **A1 — tag-only commits (piggyback)**: carrying the value again in
 //!   the `write` ring message makes every payload cross every link twice,

@@ -1,11 +1,11 @@
 //! Benchmark harness regenerating every table and figure of the paper.
 //!
 //! Each binary in `src/bin/` prints the rows/series of one paper artifact
-//! (see DESIGN.md §5 for the experiment index); the [`harness`] module
-//! holds the shared machinery: simulated cluster builders for the ring
-//! protocol and every baseline, warm-up/measure windowing, and throughput
-//! (Mbit/s of client payload, as the paper reports) and latency
-//! extraction.
+//! (the table below is the index; `EXPERIMENTS.md` has the commands and
+//! expected shapes); the [`harness`] module holds the shared machinery:
+//! simulated cluster builders for the ring protocol and every baseline,
+//! warm-up/measure windowing, and throughput (Mbit/s of client payload,
+//! as the paper reports) and latency extraction.
 //!
 //! Quick orientation:
 //!
@@ -27,7 +27,6 @@
 
 pub mod harness;
 pub mod report;
-pub mod tcp;
 
 pub use harness::{
     latency_ring, run_abd, run_chain, run_ring, run_ring_detailed, run_tob, Measurement, Params,
@@ -37,4 +36,3 @@ pub use report::{
     histogram_latency_object, json_f64, json_string, json_string_array, latency_object,
     percentile_ms, write_report,
 };
-pub use tcp::{run_tcp, TcpMeasurement, TcpParams};

@@ -11,8 +11,8 @@
 //!
 //! * **L1 `no_panic`** — no `unwrap`/`expect`/`panic!`/`assert!`-family
 //!   in non-test protocol code; errors must propagate.
-//! * **L2 `no_sleep`** — no `thread::sleep` (event loops, writers and
-//!   client attempt paths must block on condvars or deadlines).
+//! * **L2 `no_sleep`** — no `thread::sleep` (event loops and client
+//!   attempt paths must block on readiness or deadlines).
 //! * **L3 `guard_across_io`** — no lock guard bound live across a
 //!   `write`/`flush`/`sync` call in the same block.
 //! * **L4 `message_catch_all`** — no `_ =>` catch-all when matching on
@@ -32,10 +32,8 @@
 //! new violations fail CI, fixed ones shrink the ratchet. Run with
 //! `cargo run -p hts-check -- --ci`.
 //!
-//! The companion *runtime* checks — the lock-order race detector the CI
-//! `lockorder` job enables, and the `hts-mc` model checker the
-//! `modelcheck` job runs — live in `hts_types::sync` (behind the
-//! `lock-order` feature) and `crates/mc`.
+//! The companion *runtime* check — the `hts-mc` model checker the CI
+//! `modelcheck` job runs — lives in `crates/mc`.
 
 pub mod baseline;
 pub mod lexer;

@@ -78,8 +78,8 @@ pub struct BatchConfig {
     /// coalesces small frames (tag-only write notices, small values)
     /// aggressively while letting large values travel essentially alone.
     pub max_bytes: usize,
-    /// How long the outbound writer may wait for more frames after
-    /// draining fewer than `max_frames` (real runtime only; the
+    /// How long the outbound link may hold back a batch of fewer than
+    /// `max_frames` frames waiting for more (real runtime only; the
     /// simulator's event loop batches whatever is queued at TX-idle
     /// time). Zero — the default — never delays a ready frame.
     pub linger: Nanos,
@@ -116,7 +116,7 @@ impl BatchConfig {
 
     /// Clamps the knobs into the range the wire format supports — the
     /// transports call this before building batches, so a hostile or
-    /// typo'd config degrades instead of panicking the writer or
+    /// typo'd config degrades instead of panicking the sender or
     /// tripping the receiver's frame-size cap:
     ///
     /// * `max_frames` into `[1, MAX_BATCH_FRAMES]` (the batch count
@@ -135,67 +135,56 @@ impl BatchConfig {
 }
 
 /// Protocol options. [`Config::default`] is the paper-faithful,
-/// full-performance configuration; every deviation is an explicitly
-/// documented ablation (see DESIGN.md §4).
+/// full-performance configuration. Every field is one of two kinds, and
+/// its doc says which: a **paper ablation** switches one design choice
+/// of the algorithm off (or on) so an experiment can show what it buys;
+/// an **operator knob** is a deployment setting two real deployments
+/// would set differently.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
-    /// Carry the value in steady-state `write` ring messages instead of
-    /// resolving it from the pending cache (ablation A1). Doubles ring
-    /// bandwidth per write; the paper's measured 81 Mbit/s write throughput
-    /// on 100 Mbit/s links is impossible with this on.
+    /// *Paper ablation* (A1). Carry the value in steady-state `write`
+    /// ring messages instead of resolving it from the pending cache.
+    /// Doubles ring bandwidth per write; the paper's measured 81 Mbit/s
+    /// write throughput on 100 Mbit/s links is impossible with this on.
     pub write_carries_value: bool,
-    /// Let a read return immediately when the locally stored tag already
-    /// dominates every pending pre-write (ablation A2). The paper always
-    /// waits for the next `write` message. The TCP runtime additionally
-    /// gates its reader-thread snapshot shortcut on this: with the flag
-    /// on, an unblocked read is answered from the seqlock snapshot cell
-    /// right on the connection's reader thread; off, every read takes
-    /// the event-loop hop.
+    /// *Paper ablation* (A2). Let a read return immediately when the
+    /// locally stored tag already dominates every pending pre-write.
+    /// The paper always waits for the next `write` message. The TCP
+    /// runtime additionally gates its snapshot shortcut on this: with
+    /// the flag on, an unblocked read is answered from the seqlock
+    /// snapshot cell by whichever lane read the request, without
+    /// entering the protocol core; off, every read goes through the
+    /// core.
     pub read_fast_path: bool,
-    /// Scheduling of local writes vs. forwarded traffic.
+    /// *Paper ablation* (A3). Scheduling of local writes vs. forwarded
+    /// traffic; anything but [`FairnessMode::Fair`] starves one side.
     pub fairness: FairnessMode,
-    /// Reply to an unblocked read with the value of the unblocking `write`
-    /// *message* — the conference pseudo-code's literal line 82 — instead
-    /// of the (≥) locally stored value. Exists to demonstrate the
-    /// read-inversion anomaly this allows when concurrent writes overtake
-    /// each other on the ring; see DESIGN.md §4.9. **Unsafe**; tests only.
+    /// *Paper ablation*. Reply to an unblocked read with the value of
+    /// the unblocking `write` *message* — the conference pseudo-code's
+    /// literal line 82 — instead of the (≥) locally stored value. When
+    /// concurrent writes overtake each other on the ring, the message
+    /// that unblocks a read can carry an older value than one a previous
+    /// read already returned: a read inversion. Exists to demonstrate
+    /// that anomaly. **Unsafe**; tests only.
     pub unblock_replies_message_value: bool,
-    /// Complete writes orphaned by the crash of their originating server
-    /// (surrogate-origin adoption, DESIGN.md §4.10). Without it, readers
-    /// can block forever on a pre-write whose `write` phase died with its
-    /// origin.
+    /// *Paper ablation*. Complete writes orphaned by the crash of their
+    /// originating server: the dead origin's first alive successor
+    /// re-issues them under their original tags (surrogate-origin
+    /// adoption). Without it, readers can block forever on a pre-write
+    /// whose `write` phase died with its origin.
     pub adopt_orphans: bool,
-    /// How long a client waits for a reply before re-issuing the request
-    /// to the next server.
+    /// *Operator knob*. How long a client waits for a reply before
+    /// re-issuing the request to the next server.
     pub client_timeout: Nanos,
-    /// Persistence of committed writes (crash-stop vs crash-recovery).
+    /// *Operator knob*. Persistence of committed writes (crash-stop vs
+    /// crash-recovery).
     pub durability: Durability,
-    /// Ring frame coalescing (see [`BatchConfig`]). The default batches
-    /// up to 64 frames per wire message; this changes scheduling
-    /// granularity only, never protocol semantics.
+    /// *Operator knob*. Ring frame coalescing (see [`BatchConfig`]).
+    /// The default batches up to 64 frames per wire message; this
+    /// changes scheduling granularity only, never protocol semantics.
     pub batching: BatchConfig,
-    /// Zero-copy inbound decode in the `hts-net` runtime (default on).
-    /// Each received wire message lands in one refcounted buffer and its
-    /// values are decoded as **views** of it; with this off, the server
-    /// re-decodes through the copying path (one fresh allocation and
-    /// copy per value) — the pre-zero-copy runtime, kept as the fig1
-    /// ablation baseline. Wire format and protocol semantics are
-    /// identical either way; simulators ignore the flag (they pass
-    /// values by refcount already).
-    pub zero_copy: bool,
-    /// Readiness-driven (epoll reactor) runtime in `hts-net` (default
-    /// on under Linux, off elsewhere). On, each lane's event loop is a
-    /// reactor that owns its sockets directly — accepting, reading,
-    /// coalescing and writing on epoll readiness — so a node runs on
-    /// `lanes + 1` threads regardless of connection count. Off, the
-    /// thread-per-socket backend (spawned reader per inbound
-    /// connection, writer thread per client and ring peer) runs
-    /// instead — kept verbatim as the fig1 ablation baseline and the
-    /// non-Linux fallback. Wire format and protocol semantics are
-    /// byte-identical either way; simulators ignore the flag.
-    pub reactor: bool,
-    /// Parallel ring **lanes** (default 1). Objects are partitioned
-    /// across `lanes` fully independent ring instances
+    /// *Operator knob*. Parallel ring **lanes** (default 1). Objects
+    /// are partitioned across `lanes` fully independent ring instances
     /// ([`LaneMap`](crate::LaneMap) placement): each lane owns its own
     /// protocol cores, its own successor link (a separate TCP stream in
     /// `hts-net`, a separate ring NIC in the simulator), and — with a
@@ -203,8 +192,8 @@ pub struct Config {
     /// across cores/links instead of funneling every object through a
     /// single event loop. Per-object semantics are untouched: an object
     /// lives on exactly one lane, and each lane preserves the per-link
-    /// FIFO the rejoin/resync protocol depends on. `1` is today's
-    /// single-ring runtime, bit for bit.
+    /// FIFO the rejoin/resync protocol depends on. `1` is the paper's
+    /// single ring.
     pub lanes: u16,
 }
 
@@ -219,8 +208,6 @@ impl Default for Config {
             client_timeout: Nanos::from_millis(250),
             durability: Durability::Volatile,
             batching: BatchConfig::default(),
-            zero_copy: true,
-            reactor: cfg!(target_os = "linux"),
             lanes: 1,
         }
     }
@@ -247,10 +234,6 @@ mod tests {
         assert!(c.adopt_orphans);
         assert_eq!(c.durability, Durability::Volatile);
         assert!(!c.durability.is_persistent());
-        assert!(c.zero_copy);
-        // The reactor changes scheduling, never semantics: it defaults
-        // on exactly where its epoll substrate exists.
-        assert_eq!(c.reactor, cfg!(target_os = "linux"));
         assert_eq!(c.lanes, 1);
         assert_eq!(c, Config::paper());
     }

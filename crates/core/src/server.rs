@@ -18,7 +18,8 @@
 //! write notice at or above that tag arrives (this is what prevents the
 //! read-inversion anomaly). Failure handling splices the ring, retransmits
 //! in-flight state, and *adopts* writes orphaned by their coordinator's
-//! crash. See DESIGN.md §4 for the resolved pseudo-code ambiguities.
+//! crash. Where the conference pseudo-code is ambiguous, the comment at
+//! the resolving code says which reading was taken and why.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -514,7 +515,7 @@ impl ServerCore {
         if self.config.adopt_orphans && self.ring.is_adopter_of(s) {
             // Writes initiated by the dead server that never committed
             // would block readers forever; as its first alive successor we
-            // complete them under their original tags (DESIGN.md §4.10).
+            // complete them under their original tags.
             let orphans = self.pending.with_origin(s);
             let mut resend = Vec::new();
             for (tag, value) in orphans {
@@ -810,8 +811,8 @@ impl ServerCore {
             }
         }
 
-        // Subsumption (DESIGN.md §4.2): a committed tag proves every lower
-        // pre-write can never be read again.
+        // Subsumption: a committed tag proves every lower pre-write can
+        // never be read again.
         self.pending.remove_le(tag);
         self.adopted.retain(|t, _| *t > tag);
 
@@ -869,10 +870,12 @@ impl ServerCore {
     }
 
     /// Unblocks reads whose target the committed `tag` satisfies (paper
-    /// line 81). Replies carry the *stored* value — see DESIGN.md §4.9 for
-    /// why the pseudo-code's literal reply (the message value) admits a
-    /// read inversion when ring writes overtake each other; that behaviour
-    /// is available as the `unblock_replies_message_value` ablation.
+    /// line 81). Replies carry the *stored* value: the pseudo-code's
+    /// literal reply (the message value) admits a read inversion when
+    /// ring writes overtake each other — the unblocking message can carry
+    /// an older value than one a previous read already returned. That
+    /// behaviour is available as the `unblock_replies_message_value`
+    /// ablation.
     fn check_waiting_reads(
         &mut self,
         tag: Tag,

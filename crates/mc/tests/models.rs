@@ -19,10 +19,6 @@
 //!   capacity, and a concurrent `snapshot` never observes a torn slot
 //!   (every event's payload passes the consistency checks).
 //! * [`Histogram`] / [`Counter`] — concurrent recording loses nothing.
-//!
-//! The RingShared drain/linger/shutdown model lives next to the code it
-//! checks: `crates/net/src/server.rs` (`cargo test -p hts-net
-//! --features model-check`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

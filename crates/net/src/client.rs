@@ -256,7 +256,6 @@ impl Client {
         // A previous attempt's stale-reply handling may have left a
         // shrunken read timeout on this reused connection.
         stream.set_read_timeout(Some(*timeout))?;
-        hts_types::sync::blocking_syscall("client request send");
         write_message_with(stream, msg, scratch)?;
         loop {
             match reader.read(stream) {
@@ -364,7 +363,6 @@ fn await_stats_reply(
         return Err(io::Error::other("connection lost between ensure and send"));
     };
     stream.set_read_timeout(Some(timeout))?;
-    hts_types::sync::blocking_syscall("client stats send");
     write_message_with(stream, &Message::StatsRequest { request }, scratch)?;
     let timed_out = || io::Error::new(io::ErrorKind::TimedOut, "no stats reply within the timeout");
     loop {

@@ -2,10 +2,10 @@
 //!
 //! Every wire message is a `u32` big-endian length followed by the codec
 //! bytes. The write paths thread a reusable scratch [`BytesMut`] so the
-//! hot loops (the coalescing ring writer, client-reply flushing, the
-//! blocking client) never allocate a fresh buffer per message, and
-//! [`write_ring_frames`] turns a whole frame batch into **one** buffer
-//! fill, one `write_all`, one flush.
+//! hot loops (ring-batch staging, client-reply flushing, the blocking
+//! client) never allocate a fresh buffer per message, and
+//! [`encode_ring_frames`] turns a whole frame batch into **one** wire
+//! message.
 
 use std::io::{self, Read, Write};
 
@@ -55,32 +55,12 @@ pub fn write_message<W: Write>(writer: &mut W, msg: &Message) -> io::Result<()> 
     write_message_with(writer, msg, &mut scratch)
 }
 
-/// Writes a coalesced batch of ring frames as **one** wire message with
-/// one flush: a lone frame travels as [`Message::Ring`], several as
+/// Encodes a coalesced batch of ring frames as **one** wire message: a
+/// lone frame travels as [`Message::Ring`], several as
 /// [`Message::RingBatch`] (frames keep their order — the batch is the
-/// FIFO link's contents). An empty batch writes nothing.
-///
-/// # Errors
-///
-/// Propagates socket errors; the caller treats any error as a dead peer
-/// and owns re-sending `frames` elsewhere.
-pub fn write_ring_frames<W: Write>(
-    writer: &mut W,
-    frames: &[RingFrame],
-    scratch: &mut BytesMut,
-) -> io::Result<()> {
-    if frames.is_empty() {
-        return Ok(());
-    }
-    encode_ring_frames(frames, scratch);
-    writer.write_all(scratch)?;
-    writer.flush()
-}
-
-/// The encode half of [`write_ring_frames`]: clears `scratch` and fills
-/// it with the complete wire bytes (length prefix included) of the
-/// batch. The reactor backend uses this to stage a batch into its
-/// per-connection write buffer and let epoll writability drive the
+/// FIFO link's contents). Clears `scratch` and fills it with the
+/// complete wire bytes, length prefix included; the lane stages them in
+/// its per-connection write buffer and lets epoll writability drive the
 /// actual sends. An empty batch encodes to nothing.
 pub(crate) fn encode_ring_frames(frames: &[RingFrame], scratch: &mut BytesMut) {
     scratch.clear();
@@ -112,30 +92,6 @@ pub(crate) fn encode_ring_frames(frames: &[RingFrame], scratch: &mut BytesMut) {
 /// undecodable frames, otherwise the underlying socket error.
 pub fn read_message<R: Read>(reader: &mut R) -> io::Result<Message> {
     MessageReader::new().read(reader)
-}
-
-/// The pre-zero-copy inbound path, kept verbatim as the
-/// `Config::zero_copy = false` ablation baseline: a fresh allocation
-/// per message and a copying decode (one more allocation + copy per
-/// contained value). Benchmarked against [`MessageReader`] by fig1.
-///
-/// # Errors
-///
-/// `UnexpectedEof` on clean peer shutdown, `InvalidData` on oversized or
-/// undecodable frames, otherwise the underlying socket error.
-pub fn read_message_copied<R: Read>(reader: &mut R) -> io::Result<Message> {
-    let mut len_bytes = [0u8; 4];
-    reader.read_exact(&mut len_bytes)?;
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    codec::decode(&body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// The zero-copy inbound path: reads each length-prefixed message into a
@@ -206,14 +162,11 @@ pub enum MessagePoll {
     Closed,
 }
 
-/// Nonblocking twin of [`MessageReader`] for the reactor backend: the
+/// Nonblocking twin of [`MessageReader`] for epoll-driven loops: the
 /// same zero-copy decode and spare-buffer recycling, but assembled
 /// across any number of partial reads instead of `read_exact`. Call
 /// [`poll`] in a loop on each readability report until it returns
 /// `Pending`.
-///
-/// With `zero_copy` false it decodes through the copying
-/// [`codec::decode`] instead, as the ablation baseline.
 ///
 /// [`poll`]: NbMessageReader::poll
 pub struct NbMessageReader {
@@ -221,18 +174,16 @@ pub struct NbMessageReader {
     filled: usize,
     body: BytesMut,
     in_body: bool,
-    zero_copy: bool,
 }
 
 impl NbMessageReader {
-    /// An empty reader; `zero_copy` picks the decode path.
-    pub fn new(zero_copy: bool) -> NbMessageReader {
+    /// An empty reader.
+    pub fn new() -> NbMessageReader {
         NbMessageReader {
             header: [0; 4],
             filled: 0,
             body: BytesMut::new(),
             in_body: false,
-            zero_copy,
         }
     }
 
@@ -288,21 +239,15 @@ impl NbMessageReader {
             }
             self.in_body = false;
             self.filled = 0;
-            let msg = if self.zero_copy {
-                let bytes = std::mem::take(&mut self.body).freeze();
-                let msg = codec::decode_shared(&bytes)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
-                // Value-free message (or failed decode): reclaim the
-                // allocation for the next frame, like MessageReader.
-                if let Ok(reclaimed) = bytes.try_into_mut() {
-                    self.body = reclaimed;
-                }
-                msg?
-            } else {
-                codec::decode(&self.body)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-            };
-            return Ok(MessagePoll::Msg(msg));
+            let bytes = std::mem::take(&mut self.body).freeze();
+            let msg = codec::decode_shared(&bytes)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
+            // Value-free message (or failed decode): reclaim the
+            // allocation for the next frame, like MessageReader.
+            if let Ok(reclaimed) = bytes.try_into_mut() {
+                self.body = reclaimed;
+            }
+            return Ok(MessagePoll::Msg(msg?));
         }
     }
 }
@@ -350,9 +295,8 @@ mod tests {
 
         // One frame: travels as a plain Ring message.
         let single = [RingFrame::write(ObjectId(1), tag)];
-        let mut buf = Vec::new();
-        write_ring_frames(&mut buf, &single, &mut scratch).unwrap();
-        let mut cursor = &buf[..];
+        encode_ring_frames(&single, &mut scratch);
+        let mut cursor = &scratch[..];
         assert_eq!(
             read_message(&mut cursor).unwrap(),
             Message::Ring(single[0].clone())
@@ -364,15 +308,13 @@ mod tests {
             RingFrame::write(ObjectId(2), tag),
             RingFrame::write(ObjectId(3), tag),
         ];
-        let mut buf = Vec::new();
-        write_ring_frames(&mut buf, &many, &mut scratch).unwrap();
-        let mut cursor = &buf[..];
+        encode_ring_frames(&many, &mut scratch);
+        let mut cursor = &scratch[..];
         assert_eq!(read_message(&mut cursor).unwrap(), Message::RingBatch(many));
 
         // Empty batch: nothing on the wire.
-        let mut buf = Vec::new();
-        write_ring_frames(&mut buf, &[], &mut scratch).unwrap();
-        assert!(buf.is_empty());
+        encode_ring_frames(&[], &mut scratch);
+        assert!(scratch.is_empty());
     }
 
     #[test]

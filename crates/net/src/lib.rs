@@ -1,13 +1,9 @@
 //! Real TCP runtime for the `hts` atomic storage.
 //!
 //! The same sans-io cores (`hts-core`) that drive the simulator run here
-//! over real sockets, on one machine or a LAN. Two wire-identical
-//! backends serve a node's sockets: the **reactor** (default on Linux) —
-//! one epoll-driven thread per ring lane owns every connection, so a
-//! node runs on `lanes + 1` threads regardless of connection count —
-//! and the **threaded** baseline (`Config::reactor = false`, or any
-//! non-Linux host), one OS thread per connection with blocking I/O.
-//! Either way:
+//! over real sockets, on one machine or a LAN. One epoll-driven thread
+//! per ring lane owns every connection (`hts-poll`; Linux only), so a
+//! node runs on `lanes + 1` threads regardless of connection count:
 //!
 //! * each server listens on one address; clients and the ring predecessor
 //!   connect to it (a 3-byte [`Hello`](hts_types::codec::Hello) handshake
@@ -18,25 +14,25 @@
 //!   perfect failure detector — the predecessor splices the lane's ring
 //!   and retransmits, the successor-side adopter completes orphaned
 //!   writes;
-//! * ring frames are pulled from the core one at a time as the previous
-//!   frame drains into the socket, which is where the fairness rule runs
-//!   (the kernel's send buffer plays the role of the NIC TX queue);
+//! * ring frames are pulled from the core a batch at a time as the
+//!   previous batch drains into the socket, which is where the fairness
+//!   rule runs (the kernel's send buffer plays the role of the NIC TX
+//!   queue);
 //! * with `lanes = R > 1`, objects partition across `R` independent ring
 //!   instances (`hts_core::LaneMap` placement), each lane owning its own
-//!   event-loop thread, outbound coalescing writer, inbound stream and
-//!   WAL directory — one node then scales across cores instead of
-//!   serializing every object through one event loop;
+//!   event-loop thread, outbound link, inbound stream and WAL directory
+//!   — one node then scales across cores instead of serializing every
+//!   object through one event loop;
 //! * clients come in two shapes: the sequential [`Client`] (one
 //!   operation in flight, the paper's §3 client) and the pipelined
 //!   [`Session`] (a window of many concurrent operations multiplexed
-//!   over one socket per server, replies matched out of order by a
-//!   dedicated reader thread, requests coalesced into one flush per
-//!   burst).
+//!   over one socket per server, replies matched out of order by one
+//!   poller thread, requests coalesced into one flush per burst).
 //!
-//! Performance experiments live on the simulator (`hts-bench`), where
-//! bandwidth is controlled; this runtime demonstrates the protocol
-//! end-to-end — see `examples/quickstart.rs` and the crash-recovery
-//! integration tests.
+//! The paper's figures are reproduced on the simulator (`hts-bench`),
+//! where bandwidth is controlled; this runtime is measured by the
+//! repo's benchmark (`benchmark/`) — see also `examples/quickstart.rs`
+//! and the crash-recovery integration tests.
 //!
 //! # Examples
 //!
@@ -64,8 +60,6 @@ mod session;
 
 pub use client::Client;
 pub use cluster::Cluster;
-pub use framing::{
-    read_message, read_message_copied, write_message, MessageReader, MAX_FRAME_BYTES,
-};
+pub use framing::{read_message, write_message, MessageReader, MAX_FRAME_BYTES};
 pub use server::{Server, ServerConfig};
 pub use session::Session;

@@ -1,21 +1,18 @@
-//! The readiness-driven (epoll reactor) backend: one poller thread per
-//! ring lane owns every socket.
+//! The server's I/O runtime: one epoll poller thread per ring lane owns
+//! every socket.
 //!
-//! Where the threaded backend spends a thread per connection (reader
-//! per inbound stream, writer per client and ring peer), this backend
-//! runs each lane as a single epoll-driven loop that accepts the same
-//! events — client requests, inbound ring frames, outbound write
-//! readiness, connect completions — as readiness reports on one
-//! `epoll` instance (`hts-poll`). A node therefore runs on exactly
-//! `lanes + 1` threads (the `+ 1` is the shared acceptor) regardless
-//! of how many clients or peers connect.
+//! Each lane is a single loop that takes client requests, inbound ring
+//! frames, outbound write readiness and connect completions as
+//! readiness reports on one `epoll` instance (`hts-poll`). A node
+//! therefore runs on exactly `lanes + 1` threads (the `+ 1` is the
+//! shared acceptor) regardless of how many clients or peers connect.
 //!
-//! Wire behaviour is byte-identical to the threaded backend: the same
-//! handshakes, the same `RingBatch` coalescing and linger rules, the
-//! same TxDone-equivalent pipeline pacing (credit on full drain of a
-//! staged batch), and the same one-fresh-connection-retry crash
-//! verdict. The equivalence tests in `tests/` run the whole suite
-//! under both backends.
+//! Ring-link rules: frames to the successor coalesce into `RingBatch`
+//! messages under `BatchConfig` (a partial batch may linger, a full one
+//! ships at once); at most two batches are claimed from the core ahead
+//! of a full socket drain (pipeline credit returns when a staged batch
+//! has entirely left the write buffer); and a failed link gets one
+//! retry over a fresh connection before its peer is declared crashed.
 //!
 //! Thread roles:
 //!
@@ -35,7 +32,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -56,7 +53,7 @@ use hts_wal::{Recovery, Wal};
 use crate::framing::{encode_ring_frames, frame_into, MessagePoll, NbMessageReader};
 use crate::server::{
     action_into_message, build_core, drain_batch, note_crash_verdict, persist_commits,
-    recover_lanes, LaneConfig, Server, ServerConfig, ThreadTally,
+    recover_lanes, LaneConfig, ServerConfig, ThreadTally,
 };
 
 /// Token 0 is every poller's eventfd waker.
@@ -66,13 +63,14 @@ const LISTENER_TOKEN: u64 = 1;
 /// How long a nonblocking connect may stay in progress before the
 /// attempt counts as failed.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
-/// Pause between successor connect attempts (mirrors the threaded
-/// writer's condvar backoff).
+/// Pause between successor connect attempts.
 const CONNECT_BACKOFF: Duration = Duration::from_millis(50);
-/// Connect attempts for a normal successor link (threaded parity).
+/// Connect attempts for a normal successor link: 40 × 50 ms outlasts a
+/// peer that is still booting (or restarting) before it counts as down.
 const CONNECT_ATTEMPTS: u32 = 40;
 /// Connect attempts for the one-fresh-connection retry after a write
-/// failure (threaded parity).
+/// failure: the peer was reachable moments ago, so a short budget keeps
+/// the crash verdict prompt.
 const RETRY_ATTEMPTS: u32 = 3;
 
 /// Handle to a running reactor: the shared shutdown flag plus one waker
@@ -84,26 +82,24 @@ pub(crate) struct ReactorHandle {
 }
 
 impl ReactorHandle {
-    /// Signals every thread and (with `join`) waits them out. Safe to
-    /// call more than once: joined handles drain on the first call.
-    pub(crate) fn stop(&mut self, join: bool) {
+    /// Signals every thread and waits them out.
+    pub(crate) fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         for waker in &self.wakers {
             waker.wake();
         }
-        if join {
-            for handle in self.handles.drain(..) {
-                let _ = handle.join();
-            }
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
         }
     }
 }
 
-/// Spawns the reactor backend for `config`: binds the listen address,
-/// recovers every lane's WAL, and starts `lanes` poller threads plus
-/// the acceptor. All pollers, wakers and channels are created before
-/// any thread spawns, so setup errors abort cleanly.
-pub(crate) fn spawn(config: ServerConfig) -> io::Result<Server> {
+/// Spawns the runtime for `config`: binds the listen address, recovers
+/// every lane's WAL, and starts `lanes` poller threads plus the
+/// acceptor. All pollers, wakers and channels are created before any
+/// thread spawns, so setup errors abort cleanly. Returns the handle and
+/// the bound listen address.
+pub(crate) fn spawn(config: ServerConfig) -> io::Result<(ReactorHandle, SocketAddr)> {
     let lanes = usize::from(config.config.lanes.max(1));
     let wal_states = recover_lanes(&config)?;
     let listen = config.addrs[config.id.index()];
@@ -178,7 +174,7 @@ pub(crate) fn spawn(config: ServerConfig) -> io::Result<Server> {
         handles.push(thread::spawn(move || acceptor.run()));
     }
 
-    Ok(Server::from_reactor(
+    Ok((
         ReactorHandle {
             shutdown,
             wakers,
@@ -192,14 +188,18 @@ pub(crate) fn spawn(config: ServerConfig) -> io::Result<Server> {
 enum Inject {
     /// A handshaken inbound ring stream from server `s`.
     NewRing(ServerId, TcpStream),
-    /// A handshaken client connection this lane will own.
-    NewClient(ClientId, TcpStream),
-    /// A client connected somewhere: its socket lives on `home` lane
-    /// (sent to every *other* lane before the home lane learns of the
-    /// socket, so reply routes always exist before requests route).
-    ClientUp(ClientId, u16),
-    /// A client's connection died; drop its reply route.
-    ClientDown(ClientId),
+    /// A handshaken client connection this lane will own, with the
+    /// acceptor's token for it: unique per accepted socket, so two
+    /// connections under one client id can be told apart.
+    NewClient(ClientId, u64, TcpStream),
+    /// A client connected somewhere: its socket (acceptor token last)
+    /// lives on `home` lane. Sent to every *other* lane before the home
+    /// lane learns of the socket, so reply routes always exist before
+    /// requests route.
+    ClientUp(ClientId, u16, u64),
+    /// The client connection with this acceptor token died; drop its
+    /// reply route unless a newer connection already replaced it.
+    ClientDown(ClientId, u64),
     /// A request from client `c` for one of this lane's objects,
     /// forwarded by the lane that owns the socket.
     FromClient(ClientId, Message),
@@ -215,15 +215,18 @@ enum SlotKind {
     RingOut(ServerId),
 }
 
-/// Where a client's replies go: a socket on this lane, or a sibling
-/// lane that owns the socket.
+/// Where a client's replies go: a socket on this lane (by poller
+/// token), or a sibling lane that owns the socket (with the socket's
+/// acceptor token).
 enum ClientRoute {
     Local(u64),
-    Remote(u16),
+    Remote(u16, u64),
 }
 
 struct ClientConn {
     token: u64,
+    /// The acceptor's token for this socket (see [`Inject::NewClient`]).
+    accepted: u64,
     stream: TcpStream,
     id: ClientId,
     reader: NbMessageReader,
@@ -253,8 +256,8 @@ enum OutState {
 
 /// One outbound ring connection. At most one encoded batch is staged
 /// in `out` at a time: `unacked` holds its frames until the buffer
-/// fully drains (the TxDone-equivalent moment — pipeline credit and
-/// strike clearing happen there), `pending` holds frames the pump has
+/// fully drains (pipeline credit and strike clearing happen at that
+/// moment), `pending` holds frames the pump has
 /// claimed from the core but not yet staged.
 struct OutConn {
     token: u64,
@@ -269,8 +272,7 @@ struct OutConn {
     writing: bool,
     /// When the currently staged batch was encoded (`now_nanos`; 0 =
     /// none staged). Feeds `hts_net_ring_write_nanos`: the wall time a
-    /// batch takes to fully drain into the socket, the reactor's
-    /// equivalent of the threaded writer's per-batch send time.
+    /// batch takes to fully drain into the socket.
     staged_at: u64,
 }
 
@@ -331,7 +333,8 @@ impl Lane {
         let linger = Duration::from_nanos(batching.linger.as_nanos());
         // Frames the lane may hand its staged/pending buffers ahead of
         // drain acknowledgement: one batch on the wire, one queued
-        // behind it (threaded parity).
+        // behind it, so the socket never idles while the core is asked
+        // for more and the fairness rule still runs close to the wire.
         let pipeline_cap = batching.max_frames.max(1) * 2;
         let cell = Arc::clone(&plumbing.cells[usize::from(lc.lane)]);
         let (core, wal) = build_core(lc.id, n, lc.config.clone(), wal_state, cell);
@@ -469,9 +472,11 @@ impl Lane {
     fn on_client_msg(&mut self, conn: &mut ClientConn, msg: Message) {
         let c = conn.id;
         match msg {
-            // The lock-free read fast path, same predicate and counters
-            // as the threaded reader thread: answer from the published
-            // snapshot cell without touching the protocol core.
+            // The lock-free read fast path: answer from the published
+            // snapshot cell without touching the protocol core. The
+            // cell's blocked bit follows the predicate `on_client_read`
+            // uses, and a core republishes before its acks flush, so
+            // this never returns less than a client has already seen.
             Message::ReadReq { object, request } if self.lc.config.read_fast_path => {
                 let lane = usize::from(self.map.lane_of(object));
                 if let Some((_, value)) = self.cells[lane].try_read(object) {
@@ -578,7 +583,7 @@ impl Lane {
         }
         for lane in 0..self.peers.len() {
             if lane != usize::from(self.lc.lane) {
-                self.send_inject(lane, Inject::ClientDown(conn.id));
+                self.send_inject(lane, Inject::ClientDown(conn.id, conn.accepted));
             }
         }
     }
@@ -681,8 +686,8 @@ impl Lane {
             return true;
         }
         // The successor never sends data back on this link: anything
-        // readable is EOF or an error — eager failure detection the
-        // threaded writer only got on its next write.
+        // readable is EOF or an error, caught here without waiting
+        // for the next write to fail.
         if ev.readable() && !self.drain_out_readable(conn) {
             return false;
         }
@@ -694,7 +699,7 @@ impl Lane {
 
     /// Resumes the staged batch after write readiness, crediting the
     /// pipeline and clearing the retry strike each time the buffer
-    /// fully drains (the TxDone-equivalent moment), then stages the
+    /// fully drains (the link is proven healthy), then stages the
     /// next batch while the socket keeps accepting. Hot: alloc-free —
     /// staging happens in [`Lane::encode_next`].
     fn resume_write(&mut self, conn: &mut OutConn) -> io::Result<()> {
@@ -724,9 +729,9 @@ impl Lane {
 
     /// Stages the next coalesced batch into `conn.out` (one encoded
     /// batch at a time, hello bytes may precede the first). Honors the
-    /// linger window exactly like the threaded writer: a partial batch
-    /// waits up to `linger` for company, but one that fills ships at
-    /// once. Returns `false` when nothing was staged.
+    /// linger window: a partial batch waits up to `linger` for company,
+    /// but one that fills ships at once. Returns `false` when nothing
+    /// was staged.
     fn encode_next(&mut self, conn: &mut OutConn) -> bool {
         if !matches!(conn.state, OutState::Ready(_))
             || !conn.unacked.is_empty()
@@ -840,8 +845,8 @@ impl Lane {
 
     /// A nonblocking connect completed: become `Ready` and stage the
     /// lane-tagged handshake. The first full drain of the buffer then
-    /// clears any retry strike — the zero-frame-TxDone equivalent: the
-    /// link is proven healthy by connect + handshake alone.
+    /// clears any retry strike: the link is proven healthy by connect +
+    /// handshake alone, even if no frame follows for a while.
     fn finish_connect(&mut self, conn: &mut OutConn) {
         let placeholder = OutState::Waiting {
             retry_at: Instant::now(),
@@ -903,9 +908,11 @@ impl Lane {
         }
     }
 
-    /// The strike logic, mirroring the threaded backend's
-    /// `RingWriteFailed` handling: first failure retries every lost
-    /// frame over one fresh connection; a second failure on that fresh
+    /// The strike logic. A failed link is not yet a crash verdict: a
+    /// parked connection may simply predate the peer's restart (a
+    /// non-adjacent server never observes the crash of a peer it was
+    /// not connected to). The first failure retries every lost frame
+    /// over one fresh connection; a second failure on that fresh
     /// connection is a crash verdict (the lost frames are covered by
     /// the splice-retransmission in `on_server_crashed`).
     fn fail_out(&mut self, mut conn: OutConn) {
@@ -981,8 +988,8 @@ impl Lane {
         self.active_out = Some(next);
     }
 
-    /// Drains the core's batch scheduler into the active link and kicks
-    /// a flush — the reactor twin of the threaded event loop's `pump`.
+    /// Drains the core's batch scheduler into the active link, up to
+    /// the pipeline cap, and kicks a flush.
     fn pump(&mut self) {
         self.ensure_ring_out();
         let Some(active) = self.active_out else {
@@ -1072,13 +1079,18 @@ impl Lane {
         while let Ok(inj) = self.injects.try_recv() {
             match inj {
                 Inject::NewRing(s, stream) => self.add_ring_in(s, stream),
-                Inject::NewClient(c, stream) => self.add_client(c, stream),
-                Inject::ClientUp(c, home) => {
-                    self.clients.insert(c, ClientRoute::Remote(home));
+                Inject::NewClient(c, accepted, stream) => self.add_client(c, accepted, stream),
+                Inject::ClientUp(c, home, accepted) => {
+                    self.clients.insert(c, ClientRoute::Remote(home, accepted));
                 }
-                Inject::ClientDown(c) => {
-                    if matches!(self.clients.get(&c), Some(ClientRoute::Remote(_))) {
-                        self.clients.remove(&c);
+                Inject::ClientDown(c, accepted) => {
+                    // A newer connection under the same id may already
+                    // own the route; only the socket that died takes
+                    // its own route down.
+                    if let Some(&ClientRoute::Remote(_, live)) = self.clients.get(&c) {
+                        if live == accepted {
+                            self.clients.remove(&c);
+                        }
                     }
                 }
                 Inject::FromClient(c, msg) => self.on_routed_request(c, msg),
@@ -1087,7 +1099,7 @@ impl Lane {
         }
     }
 
-    fn add_client(&mut self, c: ClientId, stream: TcpStream) {
+    fn add_client(&mut self, c: ClientId, accepted: u64, stream: TcpStream) {
         let token = self.next_token;
         self.next_token += 1;
         if self
@@ -1103,9 +1115,10 @@ impl Lane {
             token,
             ClientConn {
                 token,
+                accepted,
                 stream,
                 id: c,
-                reader: NbMessageReader::new(self.lc.config.zero_copy),
+                reader: NbMessageReader::new(),
                 out: WriteBuf::new(),
                 writing: false,
             },
@@ -1130,7 +1143,7 @@ impl Lane {
             RingInConn {
                 stream,
                 from: s,
-                reader: NbMessageReader::new(self.lc.config.zero_copy),
+                reader: NbMessageReader::new(),
             },
         );
     }
@@ -1146,7 +1159,7 @@ impl Lane {
                 conn.out.push(&self.scratch);
                 self.dirty.push(token);
             }
-            Some(&ClientRoute::Remote(home)) => {
+            Some(&ClientRoute::Remote(home, _)) => {
                 self.send_inject(usize::from(home), Inject::Reply(c, msg));
             }
             None => {}
@@ -1295,7 +1308,7 @@ impl Acceptor {
             if conn.filled >= need {
                 self.poller.deregister(conn.stream.as_raw_fd());
                 if let Ok(hello) = Hello::decode(&conn.buf[..need]) {
-                    self.route(hello, conn.stream);
+                    self.route(hello, token, conn.stream);
                 }
                 return;
             }
@@ -1313,9 +1326,9 @@ impl Acceptor {
         }
     }
 
-    fn route(&mut self, hello: Hello, stream: TcpStream) {
+    fn route(&mut self, hello: Hello, token: u64, stream: TcpStream) {
         match hello {
-            // Legacy server handshake = lane 0, like the threaded path.
+            // Legacy server handshake = lane 0.
             Hello::Server(s) => self.send(0, Inject::NewRing(s, stream)),
             Hello::ServerLane(s, lane) => {
                 if usize::from(lane) < self.peers.len() {
@@ -1330,10 +1343,10 @@ impl Acceptor {
                 // request's reply always finds its way back.
                 for lane in 0..self.peers.len() {
                     if lane != home {
-                        self.send(lane, Inject::ClientUp(c, home as u16));
+                        self.send(lane, Inject::ClientUp(c, home as u16, token));
                     }
                 }
-                self.send(home, Inject::NewClient(c, stream));
+                self.send(home, Inject::NewClient(c, token, stream));
             }
         }
     }

@@ -4,14 +4,13 @@
 //! [`Session`] is the transport for [`SessionCore`]: a **window** of
 //! concurrent operations multiplexed over one connection per server.
 //! Replies from every connection pump into one event channel, so
-//! completions are matched asynchronously and out of order. On Linux a
+//! completions are matched asynchronously and out of order. A
 //! **single poller thread** owns every connection's read half (epoll
 //! readiness via `hts-poll` — one thread per session, however many
-//! servers it talks to); elsewhere — or with `HTS_REACTOR=0` — the
-//! fallback spawns one reader thread per connection. The writer half
-//! runs on the caller thread either way and **coalesces** back-to-back
-//! requests into one buffered write + one flush per burst (a pipeline
-//! fill of 64 small requests costs one syscall, not 64). Every request
+//! servers it talks to). The writer half runs on the caller thread and
+//! **coalesces** back-to-back requests into one buffered write + one
+//! flush per burst (a pipeline fill of 64 small requests costs one
+//! syscall, not 64). Every request
 //! keeps its own deadline and retry budget, reusing the stall-fix
 //! machinery of the sequential [`Client`](crate::Client): a bounded
 //! `connect_timeout`, per-attempt deadlines that stale traffic cannot
@@ -31,7 +30,7 @@ use hts_poll::{Events, Interest, Poller, Token, Waker};
 use hts_types::{codec::Hello, ClientId, Message, ObjectId, RequestId, ServerId, Value};
 
 use crate::client::{validate_addrs, RETRY_CYCLES};
-use crate::framing::{frame_into, MessagePoll, MessageReader, NbMessageReader};
+use crate::framing::{frame_into, MessagePoll, NbMessageReader};
 use std::sync::Arc;
 
 /// Coalesced requests flush once this many buffered bytes accumulate
@@ -47,16 +46,8 @@ enum SessionEvent {
     Disconnected(ServerId, u64),
 }
 
-/// Where the read halves of a session's connections are pumped from.
-enum ReaderBackend {
-    /// One shared epoll poller thread owns every read half (Linux): the
-    /// session costs one thread total, however many servers it talks to.
-    Hub(ReaderHub),
-    /// One blocking reader thread per connection (non-Linux hosts, or
-    /// `HTS_REACTOR=0`).
-    Threads,
-}
-
+/// Handle to the one epoll poller thread that owns every read half: the
+/// session costs one thread total, however many servers it talks to.
 struct ReaderHub {
     ctl: Sender<HubCtl>,
     waker: Arc<Waker>,
@@ -70,27 +61,21 @@ enum HubCtl {
     Exit,
 }
 
-impl ReaderBackend {
-    /// Picks the backend: a shared poller thread where `hts-poll` is
-    /// available (and not disabled via `HTS_REACTOR=0`), else falling
-    /// back to per-connection reader threads. The poller thread spawns
-    /// eagerly — it is the session's only helper thread and parks in
-    /// `epoll_wait` until woken.
-    fn new(events: Sender<SessionEvent>) -> ReaderBackend {
-        if !crate::server::readiness_enabled() {
-            return ReaderBackend::Threads;
-        }
-        let Ok(poller) = Poller::new() else {
-            return ReaderBackend::Threads;
-        };
-        let Ok(waker) = Waker::new(&poller, Token(0)) else {
-            return ReaderBackend::Threads;
-        };
-        let waker = Arc::new(waker);
+impl ReaderHub {
+    /// Spawns the poller thread eagerly — it is the session's only
+    /// helper thread and parks in `epoll_wait` until woken.
+    ///
+    /// # Errors
+    ///
+    /// The `hts-poll` error when no poller or waker can be created
+    /// ([`io::ErrorKind::Unsupported`] on any target but Linux).
+    fn new(events: Sender<SessionEvent>) -> io::Result<ReaderHub> {
+        let poller = Poller::new()?;
+        let waker = Arc::new(Waker::new(&poller, Token(0))?);
         let (ctl_tx, ctl_rx) = unbounded();
         let hub_waker = Arc::clone(&waker);
         let handle = std::thread::spawn(move || hub_loop(poller, hub_waker, ctl_rx, events));
-        ReaderBackend::Hub(ReaderHub {
+        Ok(ReaderHub {
             ctl: ctl_tx,
             waker,
             handle: Some(handle),
@@ -168,7 +153,7 @@ fn hub_loop(
                             stream,
                             server,
                             gen,
-                            reader: NbMessageReader::new(true),
+                            reader: NbMessageReader::new(),
                         },
                     );
                 }
@@ -188,7 +173,7 @@ struct Conn {
     /// caller that sits between `begin_*` and `wait` must not make its
     /// own requests look timed out.
     buffered: Vec<RequestId>,
-    /// Reader-thread generation, to ignore stale disconnect events.
+    /// Connection generation, to ignore stale disconnect events.
     gen: u64,
 }
 
@@ -228,14 +213,13 @@ pub struct Session {
     gens: Vec<u64>,
     id: ClientId,
     timeout: Duration,
-    events_tx: Sender<SessionEvent>,
     events_rx: Receiver<SessionEvent>,
     /// Per-request retry deadline (armed when the request is flushed).
     deadlines: HashMap<RequestId, Instant>,
     /// Finished operations awaiting their `wait` call.
     completed: HashMap<RequestId, io::Result<Option<Value>>>,
     /// Who pumps replies off the sockets.
-    reader: ReaderBackend,
+    reader: ReaderHub,
 }
 
 impl Session {
@@ -245,7 +229,9 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`io::ErrorKind::InvalidInput`] if `addrs` is empty or
-    /// `window` is zero. Connections themselves are opened on first use.
+    /// `window` is zero, or the `hts-poll` error if the reply poller
+    /// cannot be created ([`io::ErrorKind::Unsupported`] on any target
+    /// but Linux). Connections themselves are opened on first use.
     pub fn connect(id: u32, addrs: Vec<SocketAddr>, window: usize) -> io::Result<Session> {
         Session::connect_preferring(id, addrs, ServerId(0), window)
     }
@@ -273,7 +259,7 @@ impl Session {
         let n = addrs.len() as u16;
         let id = ClientId(id);
         let (events_tx, events_rx) = unbounded();
-        let reader = ReaderBackend::new(events_tx.clone());
+        let reader = ReaderHub::new(events_tx)?;
         Ok(Session {
             core: SessionCore::new(id, ObjectId::SINGLE, n, preferred, window),
             conns: (0..n).map(|_| None).collect(),
@@ -281,7 +267,6 @@ impl Session {
             addrs,
             id,
             timeout: Duration::from_millis(500),
-            events_tx,
             events_rx,
             deadlines: HashMap::new(),
             completed: HashMap::new(),
@@ -483,7 +468,6 @@ impl Session {
                 buffered,
                 ..
             } = conn;
-            hts_types::sync::blocking_syscall("session coalesced send");
             let result = write_all_waiting(stream, outbuf, timeout);
             outbuf.clear();
             (result, std::mem::take(buffered))
@@ -530,8 +514,9 @@ impl Session {
         match self.events_rx.recv_timeout(budget) {
             Ok(event) => self.absorb(event)?,
             Err(RecvTimeoutError::Timeout) => {}
-            // The session holds its own event sender, so this cannot
-            // fire; report it rather than panic the caller thread.
+            // The poller thread holds the sender until drop joins it,
+            // so this fires only if that thread died; report it rather
+            // than panic the caller thread.
             Err(RecvTimeoutError::Disconnected) => {
                 return Err(io::Error::other("session event channel closed"))
             }
@@ -579,7 +564,7 @@ impl Session {
             // requests' replies are still in flight on it, and a late
             // reply to the rotated request remains a valid completion
             // (same request id; the paper's retry rule). A genuinely
-            // dead connection is the reader thread's disconnect event,
+            // dead connection is the poller thread's disconnect event,
             // which reroutes everything at once.
             match self.core.on_timeout(request) {
                 Some((server, msg)) => self.retry(request, server, &msg)?,
@@ -632,8 +617,8 @@ impl Session {
         self.dispatch(request, server, msg)
     }
 
-    /// Closes the connection to `server` (both halves; the reader thread
-    /// unblocks with an error and exits as a stale generation).
+    /// Closes the connection to `server` (both halves; the poller thread
+    /// reads EOF and reports it as a stale generation).
     fn teardown(&mut self, server: ServerId) {
         if let Some(conn) = self.conns[server.index()].take() {
             let _ = conn.stream.shutdown(Shutdown::Both);
@@ -644,8 +629,7 @@ impl Session {
     /// (Re)opens the connection to `server`, bounded by the per-attempt
     /// timeout (a SYN-blackholed server costs one attempt, not the OS
     /// connect timeout), and hands the read half to the shared poller
-    /// thread (or spawns a dedicated reader thread on the fallback
-    /// backend). Success clears any suspicion against `server` — this is
+    /// thread. Success clears any suspicion against `server` — this is
     /// how a restarted server re-earns its place in the routing map.
     fn ensure_connection(&mut self, server: ServerId) -> io::Result<()> {
         if self.conns[server.index()].is_some() {
@@ -657,22 +641,19 @@ impl Session {
         writer.write_all(&Hello::Client(self.id).encode())?;
         let gen = self.gens[server.index()];
         let reader = stream.try_clone()?;
-        match &self.reader {
-            ReaderBackend::Hub(hub) => {
-                // O_NONBLOCK lives on the shared file description, so
-                // this also makes the writer clone nonblocking —
-                // `flush_server` waits out WouldBlock explicitly.
-                reader.set_nonblocking(true)?;
-                if hub.ctl.send(HubCtl::Add(server, gen, reader)).is_err() {
-                    return Err(io::Error::other("session poller thread gone"));
-                }
-                hub.waker.wake();
-            }
-            ReaderBackend::Threads => {
-                let events = self.events_tx.clone();
-                std::thread::spawn(move || reader_loop(reader, server, gen, events));
-            }
+        // O_NONBLOCK lives on the shared file description, so this also
+        // makes the writer clone nonblocking — `flush_server` waits out
+        // WouldBlock explicitly.
+        reader.set_nonblocking(true)?;
+        if self
+            .reader
+            .ctl
+            .send(HubCtl::Add(server, gen, reader))
+            .is_err()
+        {
+            return Err(io::Error::other("session poller thread gone"));
         }
+        self.reader.waker.wake();
         self.conns[server.index()] = Some(Conn {
             stream: writer,
             outbuf: BytesMut::new(),
@@ -684,10 +665,9 @@ impl Session {
     }
 }
 
-/// `write_all` over a possibly-nonblocking socket: parks in
+/// `write_all` over the nonblocking socket: parks in
 /// [`hts_poll::wait_fd`] on `WouldBlock` instead of spinning, bounded by
-/// `timeout` per stall. On the blocking fallback backend the socket
-/// never reports `WouldBlock` and this is a plain `write_all`.
+/// `timeout` per stall.
 fn write_all_waiting(stream: &mut TcpStream, mut buf: &[u8], timeout: Duration) -> io::Result<()> {
     while !buf.is_empty() {
         match stream.write(buf) {
@@ -710,40 +690,17 @@ fn write_all_waiting(stream: &mut TcpStream, mut buf: &[u8], timeout: Duration) 
 
 impl Drop for Session {
     fn drop(&mut self) {
-        // Unblock and retire every reader (threads exit on the socket
-        // error; the hub drops each connection as it reads EOF).
+        // Close every connection (the poller thread drops each as it
+        // reads EOF).
         for i in 0..self.conns.len() {
             self.teardown(ServerId(i as u16));
         }
         // Then retire the poller thread itself, deterministically: when
         // drop returns, the session holds no threads and no sockets.
-        if let ReaderBackend::Hub(hub) = &mut self.reader {
-            let _ = hub.ctl.send(HubCtl::Exit);
-            hub.waker.wake();
-            if let Some(handle) = hub.handle.take() {
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
-/// Pumps decoded replies from one connection into the session's event
-/// channel until the connection dies. The [`MessageReader`] decodes each
-/// reply in place: a read's 64 KiB value is a view of the receive
-/// buffer, and value-free acks recycle theirs.
-fn reader_loop(mut stream: TcpStream, server: ServerId, gen: u64, events: Sender<SessionEvent>) {
-    let mut scratch = MessageReader::new();
-    loop {
-        match scratch.read(&mut stream) {
-            Ok(msg) => {
-                if events.send(SessionEvent::Reply(msg)).is_err() {
-                    return; // session gone
-                }
-            }
-            Err(_) => {
-                let _ = events.send(SessionEvent::Disconnected(server, gen));
-                return;
-            }
+        let _ = self.reader.ctl.send(HubCtl::Exit);
+        self.reader.waker.wake();
+        if let Some(handle) = self.reader.handle.take() {
+            let _ = handle.join();
         }
     }
 }

@@ -8,9 +8,7 @@
 //!   buffer's refcount block, reclaimed again by the recycler) — never
 //!   anything proportional to message size;
 //! * the seqlock [`ReadCell`] fast path answers reads with zero
-//!   allocations per op;
-//! * the copying baseline (`read_message_copied`) allocates strictly
-//!   more than the zero-copy reader on value-bearing traffic.
+//!   allocations per op.
 //!
 //! Everything runs in one `#[test]` so no parallel test thread pollutes
 //! the counts (this file is its own test binary, so the allocator hook
@@ -20,7 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hts_core::ReadCell;
-use hts_net::{read_message_copied, MessageReader};
+use hts_net::MessageReader;
 use hts_types::{codec, Message, ObjectId, RequestId, ServerId, Tag, Value};
 
 struct CountingAlloc;
@@ -129,30 +127,5 @@ fn steady_state_allocation_profile() {
         allocs, 0,
         "the seqlock read path must be allocation-free: the value clone \
          is a refcount bump"
-    );
-
-    // --- Value-bearing wire reads: zero-copy < copying, per message. ---
-    let msg = write_req(64 * 1024);
-    let mut buf = Vec::new();
-    for _ in 0..8 {
-        hts_net::write_message(&mut buf, &msg).expect("frame");
-    }
-    let mut reader = MessageReader::new();
-    let mut cursor = &buf[..];
-    let (zero_copy_allocs, ()) = allocs_during(|| {
-        for _ in 0..8 {
-            assert_eq!(reader.read(&mut cursor).expect("read"), msg);
-        }
-    });
-    let mut cursor = &buf[..];
-    let (copied_allocs, ()) = allocs_during(|| {
-        for _ in 0..8 {
-            assert_eq!(read_message_copied(&mut cursor).expect("read"), msg);
-        }
-    });
-    assert!(
-        zero_copy_allocs < copied_allocs,
-        "zero-copy reads ({zero_copy_allocs} allocs) must beat the \
-         copying baseline ({copied_allocs} allocs) on value-bearing traffic"
     );
 }

@@ -6,15 +6,17 @@
 //! each lane replays its own log on restart.
 
 use std::fs;
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hts_core::{BatchConfig, Config, LaneMap};
 use hts_lincheck::{check_conditions, History};
-use hts_net::{Client, Cluster};
+use hts_net::{read_message, write_message, Client, Cluster};
 use hts_sim::Nanos;
-use hts_types::{ClientId, ObjectId, ServerId, Value};
+use hts_types::{codec::Hello, ClientId, Message, ObjectId, RequestId, ServerId, Value};
 
 fn tmp_base(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hts-net-lanes-{name}-{}", std::process::id()));
@@ -27,7 +29,7 @@ fn nanos_since(epoch: Instant) -> u64 {
 }
 
 /// Aggressive batching + a real linger on top of multiple lanes: the
-/// coalescing writer paths all run under load, per lane.
+/// coalescing paths all run under load, per lane.
 fn laned_config(lanes: u16) -> Config {
     Config {
         lanes,
@@ -246,4 +248,57 @@ fn restarted_laned_server_resyncs_every_lane() {
 
     cluster.shutdown();
     let _ = fs::remove_dir_all(&base);
+}
+
+#[test]
+fn reconnect_keeps_cross_lane_reply_route() {
+    // Two connections under one client id (a session that tore down and
+    // reconnected): closing the OLD one must not erase the reply route
+    // the sibling lane holds for the NEW one. Client 2 lives on lane 0;
+    // the object lives on lane 1, so every reply crosses lanes.
+    let config = Config {
+        lanes: 2,
+        ..Config::default()
+    };
+    let cluster = Cluster::launch_with(2, config).expect("launch");
+    let server = cluster.addrs()[0];
+    let object = LaneMap::new(2).token_object(1);
+    let connect = || {
+        let mut stream = TcpStream::connect(server).expect("connect");
+        stream
+            .write_all(&Hello::Client(ClientId(2)).encode())
+            .expect("hello");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("timeout");
+        stream
+    };
+    let write = |stream: &mut TcpStream, request: u64| {
+        let request = RequestId(request);
+        let value = Value::from_u64(request.0);
+        write_message(
+            stream,
+            &Message::WriteReq {
+                object,
+                request,
+                value,
+            },
+        )
+        .expect("send");
+        match read_message(stream) {
+            Ok(Message::WriteAck { request: r, .. }) => assert_eq!(r, request),
+            other => panic!("write {request} was not acknowledged: {other:?}"),
+        }
+    };
+
+    let mut old = connect();
+    write(&mut old, 1);
+    let mut new = connect();
+    write(&mut new, 2);
+    drop(old);
+    // Let the server notice the close before the next request.
+    std::thread::sleep(Duration::from_millis(100));
+    write(&mut new, 3);
+
+    cluster.shutdown();
 }

@@ -35,6 +35,12 @@ fn multiple_objects_are_independent() {
     client
         .write_to(ObjectId(2), Value::from_u64(22))
         .expect("write obj2");
+    // Large enough to span many socket reads on every hop.
+    let big = Value::filled(7, 64 * 1024);
+    client
+        .write_to(ObjectId(3), big.clone())
+        .expect("write 64 KiB");
+    assert_eq!(client.read_from(ObjectId(3)).expect("read obj3"), big);
     assert_eq!(
         client.read_from(ObjectId(1)).expect("read obj1"),
         Value::from_u64(11)

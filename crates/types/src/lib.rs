@@ -42,7 +42,6 @@ pub mod codec;
 mod error;
 mod id;
 mod message;
-pub mod sync;
 mod tag;
 mod value;
 

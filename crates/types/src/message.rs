@@ -12,7 +12,7 @@
 //! one [`WriteNotice`]. In steady state a write notice is **tag-only**: the
 //! value was already disseminated by the matching pre-write and every server
 //! holds it in its pending cache, so re-sending it would double the ring's
-//! bandwidth cost (see DESIGN.md §4.3). Recovery retransmissions and the
+//! bandwidth cost. Recovery retransmissions and the
 //! `write_carries_value` ablation set [`WriteNotice::value`] to `Some`.
 
 use std::fmt;
