@@ -541,7 +541,7 @@ fn rule_l5(file: &str, toks: &[Tok<'_>], comments: &[Comment], out: &mut Vec<Vio
 /// throughput regression, not a style nit. The metrics helpers
 /// (`hts_metrics::now_nanos`, the `counter!`-family macros) are designed
 /// alloc-free and are not in the flagged construct set.
-const HOT_FUNCTIONS: [&str; 12] = [
+const HOT_FUNCTIONS: [&str; 13] = [
     "drain_batch",
     "next_frame",
     "drain_frames",
@@ -558,6 +558,9 @@ const HOT_FUNCTIONS: [&str; 12] = [
     "poll_ready",
     "dispatch_event",
     "resume_write",
+    // The session's per-reply path (it was a helper thread's loop): every
+    // reply a client receives is read, matched and completed here.
+    "drain_replies",
 ];
 
 /// `Type::new()` constructors that heap-allocate.

@@ -154,7 +154,10 @@ pub struct Config {
     /// the flag on, an unblocked read is answered from the seqlock
     /// snapshot cell by whichever lane read the request, without
     /// entering the protocol core; off, every read goes through the
-    /// core.
+    /// core and no cell is built. On, the cell registry keeps a map
+    /// copy per register created — O(registers²) memory, 14.4 MiB at
+    /// 1024 registers — until the `ReadCell` trial in ROADMAP.md
+    /// replaces or deletes it.
     pub read_fast_path: bool,
     /// *Paper ablation* (A3). Scheduling of local writes vs. forwarded
     /// traffic; anything but [`FairnessMode::Fair`] starves one side.

@@ -192,9 +192,11 @@ type Snap = HashMap<ObjectId, Arc<ReadCell>>;
 /// Snapshot reclamation: superseded snapshots are retired to a list and
 /// freed in `Drop`. Readers access snapshots only through `&self`, so
 /// every snapshot published during the registry's lifetime remains
-/// valid until the registry itself is gone — registers are created a
-/// handful of times per run, so the retained memory is a few map
-/// headers, not a leak in any practical sense.
+/// valid until the registry itself is gone. That is a whole map copied
+/// and kept per register created — O(registers²) bytes and copies,
+/// measured at 14.4 MiB for 1024 registers — which is why the runtime
+/// builds cells only where the read fast path is on; whether the
+/// registry is replaced or deleted is the `ReadCell` trial in ROADMAP.md.
 pub struct ReadCellRegistry {
     /// Address of the current `Box<Snap>`, published with `Release`.
     published: AtomicUsize,

@@ -26,8 +26,9 @@
 //! * clients come in two shapes: the sequential [`Client`] (one
 //!   operation in flight, the paper's §3 client) and the pipelined
 //!   [`Session`] (a window of many concurrent operations multiplexed
-//!   over one socket per server, replies matched out of order by one
-//!   poller thread, requests coalesced into one flush per burst).
+//!   over one socket per server; the session is its own epoll loop on
+//!   the caller's thread — replies matched out of order, requests
+//!   coalesced into one flush per burst, no helper thread).
 //!
 //! The paper's figures are reproduced on the simulator (`hts-bench`),
 //! where bandwidth is controlled; this runtime is measured by the

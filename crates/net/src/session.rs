@@ -3,178 +3,75 @@
 //!
 //! [`Session`] is the transport for [`SessionCore`]: a **window** of
 //! concurrent operations multiplexed over one connection per server.
-//! Replies from every connection pump into one event channel, so
-//! completions are matched asynchronously and out of order. A
-//! **single poller thread** owns every connection's read half (epoll
-//! readiness via `hts-poll` — one thread per session, however many
-//! servers it talks to). The writer half runs on the caller thread and
-//! **coalesces** back-to-back requests into one buffered write + one
-//! flush per burst (a pipeline fill of 64 small requests costs one
-//! syscall, not 64). Every request
-//! keeps its own deadline and retry budget, reusing the stall-fix
-//! machinery of the sequential [`Client`](crate::Client): a bounded
-//! `connect_timeout`, per-attempt deadlines that stale traffic cannot
-//! extend, and rotation to the next server believed alive.
+//! The session is its own event loop, run on the caller's thread: it
+//! owns one `hts-poll` poller and each connection's single nonblocking
+//! socket, and one pipeline turn is one `epoll_wait` that reads every
+//! reply that arrived (completions are matched asynchronously and out
+//! of order) and resumes any send the socket pushed back on. There is
+//! **no helper thread** — a session costs zero threads, however many
+//! servers it talks to. The writer **coalesces** back-to-back requests
+//! into one buffered write per burst (a pipeline fill of 64 small
+//! requests costs one syscall, not 64). Every request keeps its own
+//! deadline and retry budget, reusing the stall-fix machinery of the
+//! sequential [`Client`](crate::Client): a bounded `connect_timeout`,
+//! per-attempt deadlines that stale traffic cannot extend, and rotation
+//! to the next server believed alive.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use hts_core::SessionCore;
-use hts_poll::{Events, Interest, Poller, Token, Waker};
+use hts_poll::{Event, Events, Interest, Poller, Token};
 use hts_types::{codec::Hello, ClientId, Message, ObjectId, RequestId, ServerId, Value};
 
 use crate::client::{validate_addrs, RETRY_CYCLES};
 use crate::framing::{frame_into, MessagePoll, NbMessageReader};
-use std::sync::Arc;
 
-/// Coalesced requests flush once this many buffered bytes accumulate
-/// (bounds the scratch buffers under a pipeline of large writes).
+/// A connection holding this many unsent bytes is flushed at once, and
+/// no further operation begins until it is back under the cap (bounds
+/// the send buffers under a pipeline of large writes).
 const SEND_FLUSH_BYTES: usize = 256 * 1024;
 
-enum SessionEvent {
-    /// A reply arrived on some connection.
-    Reply(Message),
-    /// The reader for `server` (connection generation `gen`) died: the
-    /// connection is gone. Stale generations are ignored — the session
-    /// may long since have reconnected.
-    Disconnected(ServerId, u64),
-}
-
-/// Handle to the one epoll poller thread that owns every read half: the
-/// session costs one thread total, however many servers it talks to.
-struct ReaderHub {
-    ctl: Sender<HubCtl>,
-    waker: Arc<Waker>,
-    handle: Option<JoinHandle<()>>,
-}
-
-enum HubCtl {
-    /// Adopt the read half of a fresh connection to `server` at
-    /// connection generation `gen`.
-    Add(ServerId, u64, TcpStream),
-    Exit,
-}
-
-impl ReaderHub {
-    /// Spawns the poller thread eagerly — it is the session's only
-    /// helper thread and parks in `epoll_wait` until woken.
-    ///
-    /// # Errors
-    ///
-    /// The `hts-poll` error when no poller or waker can be created
-    /// ([`io::ErrorKind::Unsupported`] on any target but Linux).
-    fn new(events: Sender<SessionEvent>) -> io::Result<ReaderHub> {
-        let poller = Poller::new()?;
-        let waker = Arc::new(Waker::new(&poller, Token(0))?);
-        let (ctl_tx, ctl_rx) = unbounded();
-        let hub_waker = Arc::clone(&waker);
-        let handle = std::thread::spawn(move || hub_loop(poller, hub_waker, ctl_rx, events));
-        Ok(ReaderHub {
-            ctl: ctl_tx,
-            waker,
-            handle: Some(handle),
-        })
-    }
-}
-
-/// The session's shared reader: one epoll loop pumping every
-/// connection's replies into the event channel. Token 0 is the waker
-/// (control-channel doorbell); each adopted connection gets the next
-/// monotone token. A connection that reads EOF or an error is dropped
-/// with a [`SessionEvent::Disconnected`] carrying its generation, so
-/// the session can tell a live connection's death from a stale one's.
-fn hub_loop(
-    poller: Poller,
-    waker: Arc<Waker>,
-    ctl: Receiver<HubCtl>,
-    events: Sender<SessionEvent>,
-) {
-    struct HubConn {
-        stream: TcpStream,
-        server: ServerId,
-        gen: u64,
-        reader: NbMessageReader,
-    }
-    let mut conns: HashMap<u64, HubConn> = HashMap::new();
-    let mut next_token: u64 = 1;
-    let mut ready = Events::with_capacity(16);
-    loop {
-        if poller.wait(&mut ready, None).is_err() {
-            return;
-        }
-        for ev in ready.iter() {
-            let token = ev.token().0;
-            if token == 0 {
-                waker.drain();
-                continue;
-            }
-            let Some(conn) = conns.get_mut(&token) else {
-                continue;
-            };
-            let dead = loop {
-                match conn.reader.poll(&mut conn.stream) {
-                    Ok(MessagePoll::Msg(msg)) => {
-                        if events.send(SessionEvent::Reply(msg)).is_err() {
-                            return; // session gone
-                        }
-                    }
-                    Ok(MessagePoll::Pending) => break false,
-                    Ok(MessagePoll::Closed) | Err(_) => break true,
-                }
-            };
-            if dead {
-                if let Some(conn) = conns.remove(&token) {
-                    poller.deregister(conn.stream.as_raw_fd());
-                    let _ = events.send(SessionEvent::Disconnected(conn.server, conn.gen));
-                }
-            }
-        }
-        loop {
-            match ctl.try_recv() {
-                Ok(HubCtl::Add(server, gen, stream)) => {
-                    let token = next_token;
-                    next_token += 1;
-                    if poller
-                        .register(stream.as_raw_fd(), Token(token), Interest::READABLE)
-                        .is_err()
-                    {
-                        let _ = events.send(SessionEvent::Disconnected(server, gen));
-                        continue;
-                    }
-                    conns.insert(
-                        token,
-                        HubConn {
-                            stream,
-                            server,
-                            gen,
-                            reader: NbMessageReader::new(),
-                        },
-                    );
-                }
-                Ok(HubCtl::Exit) | Err(TryRecvError::Disconnected) => return,
-                Err(TryRecvError::Empty) => break,
-            }
-        }
-    }
-}
-
 struct Conn {
+    /// The connection's one descriptor: nonblocking, registered with the
+    /// session's poller under [`token`]`(gen, server)`.
     stream: TcpStream,
-    /// Encoded-but-unflushed requests (the coalescing writer's buffer).
-    outbuf: BytesMut,
-    /// Requests encoded in `outbuf`: their retry deadlines arm when the
-    /// buffer actually hits the wire, not when they were encoded — a
-    /// caller that sits between `begin_*` and `wait` must not make its
-    /// own requests look timed out.
-    buffered: Vec<RequestId>,
-    /// Connection generation, to ignore stale disconnect events.
+    reader: NbMessageReader,
+    /// Encoded requests (the coalescing writer's buffer); `out[..sent]`
+    /// has already left.
+    out: BytesMut,
+    sent: usize,
+    /// Requests with bytes still in `out`, oldest first, each with the
+    /// value `written` reaches as its last byte leaves. Retry deadlines
+    /// arm at that moment, not when the request was encoded — a caller
+    /// that sits between `begin_*` and `wait` must not make its own
+    /// requests look timed out.
+    staged: VecDeque<(RequestId, u64)>,
+    /// Bytes handed to the socket over the connection's lifetime.
+    written: u64,
+    /// `Some` while a send is parked on write readiness (a flush hit
+    /// `WouldBlock`; the registration carries write interest exactly
+    /// that long): the instant, one timeout after the socket last took
+    /// bytes, at which the connection counts as stalled.
+    stalls_at: Option<Instant>,
+    /// Connection generation. Readiness reports carry it, so one for a
+    /// connection replaced earlier in the same batch is ignored.
     gen: u64,
+}
+
+impl Conn {
+    fn unsent(&self) -> usize {
+        self.out.len() - self.sent
+    }
+}
+
+/// The poller token of connection generation `gen` to `server`.
+fn token(gen: u64, server: ServerId) -> Token {
+    Token(gen << 16 | u64::from(server.0))
 }
 
 /// A pipelined client of a TCP `hts` cluster: up to `window` operations
@@ -186,6 +83,15 @@ struct Conn {
 /// finish with [`wait`](Session::wait), in any order. Replies complete
 /// whichever request they name — the server is free to answer
 /// interleaved outstanding requests in any order.
+///
+/// The session runs on the thread that calls it and nowhere else.
+/// Replies are consumed only inside `begin_*` (while the window or a
+/// send buffer is full), [`wait`](Session::wait) and
+/// [`drain`](Session::drain), so at most `window` replies ever sit
+/// unread in a socket. A dead connection is noticed at the next of those
+/// calls, which is when [`believed_alive`](Session::believed_alive)
+/// moves. Dropping the session closes every socket and its poller; there
+/// is nothing to join. `Session` is [`Send`].
 ///
 /// # Examples
 ///
@@ -209,18 +115,26 @@ pub struct Session {
     core: SessionCore,
     addrs: Vec<SocketAddr>,
     conns: Vec<Option<Conn>>,
-    /// Monotone connection-generation counter per server.
-    gens: Vec<u64>,
+    /// Generation of the next connection opened.
+    next_gen: u64,
     id: ClientId,
     timeout: Duration,
-    events_rx: Receiver<SessionEvent>,
-    /// Per-request retry deadline (armed when the request is flushed).
+    poller: Poller,
+    /// Readiness reports of the last wait: one slot per server.
+    events: Events,
+    /// Per-request retry deadline, armed when the request's bytes have
+    /// left. A staged request has none: it leaves with the next flush,
+    /// or its parked connection's stall clock covers it.
     deadlines: HashMap<RequestId, Instant>,
     /// Finished operations awaiting their `wait` call.
     completed: HashMap<RequestId, io::Result<Option<Value>>>,
-    /// Who pumps replies off the sockets.
-    reader: ReaderHub,
 }
+
+// A session moves between threads freely; it is only ever driven by one.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<Session>();
+};
 
 impl Session {
     /// Connects lazily to a cluster at `addrs` (indexed by [`ServerId`]),
@@ -229,7 +143,7 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`io::ErrorKind::InvalidInput`] if `addrs` is empty or
-    /// `window` is zero, or the `hts-poll` error if the reply poller
+    /// `window` is zero, or the `hts-poll` error if the session's poller
     /// cannot be created ([`io::ErrorKind::Unsupported`] on any target
     /// but Linux). Connections themselves are opened on first use.
     pub fn connect(id: u32, addrs: Vec<SocketAddr>, window: usize) -> io::Result<Session> {
@@ -258,19 +172,17 @@ impl Session {
         }
         let n = addrs.len() as u16;
         let id = ClientId(id);
-        let (events_tx, events_rx) = unbounded();
-        let reader = ReaderHub::new(events_tx)?;
         Ok(Session {
             core: SessionCore::new(id, ObjectId::SINGLE, n, preferred, window),
             conns: (0..n).map(|_| None).collect(),
-            gens: vec![0; usize::from(n)],
+            next_gen: 0,
+            events: Events::with_capacity(addrs.len()),
             addrs,
             id,
             timeout: Duration::from_millis(500),
-            events_rx,
+            poller: Poller::new()?,
             deadlines: HashMap::new(),
             completed: HashMap::new(),
-            reader,
         })
     }
 
@@ -416,9 +328,11 @@ impl Session {
     }
 
     /// Makes room for one more operation, driving the pipeline while the
-    /// window is full.
+    /// window is full or a connection is over its send cap (`dispatch`
+    /// flushes at the cap, so only a parked send still holds that much).
     fn admit(&mut self) -> io::Result<()> {
-        while !self.core.has_capacity() {
+        let over_cap = |conn: &Conn| conn.unsent() >= SEND_FLUSH_BYTES;
+        while !self.core.has_capacity() || self.conns.iter().flatten().any(over_cap) {
             self.pump()?;
         }
         Ok(())
@@ -430,67 +344,41 @@ impl Session {
     /// request — and everything else stranded on that server — is
     /// rerouted immediately.
     fn dispatch(&mut self, request: RequestId, server: ServerId, msg: &Message) -> io::Result<()> {
-        // A conservative deadline in case the flush is deferred past the
-        // next pump; flushing re-arms it at actual wire time.
-        self.deadlines
-            .insert(request, Instant::now() + self.timeout);
-        match self.ensure_connection(server) {
-            Ok(()) => {
-                let Some(conn) = self.conns[server.index()].as_mut() else {
-                    return self.fail_server(server);
-                };
-                frame_into(&mut conn.outbuf, msg);
-                conn.buffered.push(request);
-                if conn.outbuf.len() >= SEND_FLUSH_BYTES {
-                    self.flush_server(server)?;
-                }
-                Ok(())
-            }
-            Err(_) => self.fail_server(server),
+        if self.ensure_connection(server).is_err() {
+            return self.fail_server(server);
         }
-    }
-
-    /// Writes out the coalescing buffer of `server` in one syscall, and
-    /// arms the flushed requests' retry deadlines from this instant (the
-    /// moment they are actually on the wire).
-    fn flush_server(&mut self, server: ServerId) -> io::Result<()> {
-        let timeout = self.timeout;
         let Some(conn) = self.conns[server.index()].as_mut() else {
-            return Ok(());
+            return self.fail_server(server);
         };
-        if conn.outbuf.is_empty() {
-            return Ok(());
+        // A parked send leaves a written prefix behind: reclaim it once it
+        // outweighs the rest, so the copy is paid for by bytes already gone.
+        if conn.sent > 0 && conn.sent >= conn.unsent() {
+            let rest = conn.unsent();
+            conn.out.copy_within(conn.sent.., 0);
+            conn.out.resize(rest, 0);
+            conn.sent = 0;
         }
-        let (result, flushed) = {
-            let Conn {
-                stream,
-                outbuf,
-                buffered,
-                ..
-            } = conn;
-            let result = write_all_waiting(stream, outbuf, timeout);
-            outbuf.clear();
-            (result, std::mem::take(buffered))
-        };
-        match result {
-            Ok(()) => {
-                let deadline = Instant::now() + self.timeout;
-                for request in flushed {
-                    // Still on this server and unanswered? A completed
-                    // request has no deadline to arm; a rerouted one is
-                    // owned by its new server's flush.
-                    if self.core.server_of(request) == Some(server) {
-                        self.deadlines.insert(request, deadline);
-                    }
-                }
-                Ok(())
+        frame_into(&mut conn.out, msg);
+        conn.staged
+            .push_back((request, conn.written + conn.unsent() as u64));
+        if conn.unsent() >= SEND_FLUSH_BYTES {
+            self.flush_server(server)?;
+        }
+        Ok(())
+    }
+
+    /// Starts sending what `server`'s connection has staged, unless a
+    /// send is already parked there waiting for write readiness.
+    fn flush_server(&mut self, server: ServerId) -> io::Result<()> {
+        match &self.conns[server.index()] {
+            Some(conn) if conn.unsent() > 0 && conn.stalls_at.is_none() => {
+                self.write_staged(server)
             }
-            // The stranded requests reroute through the failure path.
-            Err(_) => self.fail_server(server),
+            _ => Ok(()),
         }
     }
 
-    /// Flushes every dirty connection.
+    /// Flushes every connection that is not parked.
     fn flush_all(&mut self) -> io::Result<()> {
         for i in 0..self.conns.len() {
             self.flush_server(ServerId(i as u16))?;
@@ -498,61 +386,158 @@ impl Session {
         Ok(())
     }
 
-    /// One pipeline turn: flush buffered requests, then block for the
-    /// next event (reply or disconnect) or the earliest retry deadline,
-    /// whichever comes first.
-    fn pump(&mut self) -> io::Result<()> {
-        self.flush_all()?;
-        let now = Instant::now();
-        let next_deadline = self.deadlines.values().min().copied();
-        let budget = match next_deadline {
-            Some(at) => at.saturating_duration_since(now),
-            // Nothing in flight: nothing can wake us — the callers
-            // (admit/wait) re-check their predicates before pumping.
-            None => return Ok(()),
+    /// Hands `server`'s socket as much of the staged bytes as it takes —
+    /// never waiting: a send must not stop the session reading. What the
+    /// socket refuses stays parked under write interest and resumes from
+    /// the same `Poller::wait` that reads replies. Requests whose bytes
+    /// have entirely left get their retry deadlines armed from this
+    /// instant (the moment they are actually on the wire).
+    fn write_staged(&mut self, server: ServerId) -> io::Result<()> {
+        let Some(conn) = self.conns[server.index()].as_mut() else {
+            return Ok(());
         };
-        match self.events_rx.recv_timeout(budget) {
-            Ok(event) => self.absorb(event)?,
-            Err(RecvTimeoutError::Timeout) => {}
-            // The poller thread holds the sender until drop joins it,
-            // so this fires only if that thread died; report it rather
-            // than panic the caller thread.
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(io::Error::other("session event channel closed"))
+        let before = conn.sent;
+        let parked = loop {
+            if conn.unsent() == 0 {
+                break Ok(false);
+            }
+            match conn.stream.write(&conn.out[conn.sent..]) {
+                Ok(0) => break Err(io::Error::from(io::ErrorKind::WriteZero)),
+                Ok(n) => conn.sent += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(true),
+                Err(e) => break Err(e),
+            }
+        };
+        // The stranded requests reroute through the failure path.
+        let Ok(parked) = parked else {
+            return self.fail_server(server);
+        };
+        let now = Instant::now();
+        conn.written += (conn.sent - before) as u64;
+        while let Some(&(request, end)) = conn.staged.front() {
+            if end > conn.written {
+                break;
+            }
+            conn.staged.pop_front();
+            // Still on this server and unanswered? A completed request
+            // has no deadline to arm; a rerouted one is owned by its new
+            // server's flush.
+            if self.core.server_of(request) == Some(server) {
+                self.deadlines.insert(request, now + self.timeout);
             }
         }
-        // Drain whatever else already arrived — a burst of replies is
-        // absorbed in one turn.
-        while let Ok(event) = self.events_rx.try_recv() {
-            self.absorb(event)?;
+        let was_parked = conn.stalls_at.is_some();
+        if !parked {
+            conn.out.clear();
+            conn.sent = 0;
+            conn.stalls_at = None;
+        } else if conn.sent > before || !was_parked {
+            conn.stalls_at = Some(now + self.timeout);
         }
-        self.fire_expired()?;
+        if parked != was_parked {
+            let (fd, token) = (conn.stream.as_raw_fd(), token(conn.gen, server));
+            let interest = if parked {
+                Interest::BOTH
+            } else {
+                Interest::READABLE
+            };
+            if self.poller.reregister(fd, token, interest).is_err() {
+                return self.fail_server(server);
+            }
+        }
+        Ok(())
+    }
+
+    /// One pipeline turn: flush buffered requests, block in one
+    /// `Poller::wait` until a socket is ready or something is due (the
+    /// earliest retry deadline, or a parked send out of patience), read
+    /// every ready connection dry and resume its parked send, re-issue
+    /// what expired, flush again.
+    fn pump(&mut self) -> io::Result<()> {
+        self.flush_all()?;
+        let stalls = self.conns.iter().flatten();
+        let stalls = stalls.filter_map(|conn| conn.stalls_at);
+        // Nothing armed, nothing parked: nothing can wake us — the
+        // callers (admit/wait) re-check their predicates before pumping.
+        let Some(earliest) = self.deadlines.values().copied().chain(stalls).min() else {
+            return Ok(());
+        };
+        let budget = earliest.saturating_duration_since(Instant::now());
+        let woken = self.poller.wait(&mut self.events, Some(budget))?;
+        let mut replies = 0;
+        for i in 0..woken {
+            // By index: serving a report needs all of `self`.
+            let Some(ev) = self.events.iter().nth(i) else {
+                break;
+            };
+            replies += self.on_ready(ev)?;
+        }
+        hts_metrics::counter!("hts_net_session_wakeups_total").inc();
+        hts_metrics::histogram!("hts_net_session_replies_per_wake").record(replies);
+        self.fire_expired(earliest)?;
         self.flush_all()
     }
 
-    fn absorb(&mut self, event: SessionEvent) -> io::Result<()> {
-        match event {
-            SessionEvent::Reply(msg) => {
-                if let Some(done) = self.core.on_reply(&msg) {
-                    self.deadlines.remove(&done.request);
-                    self.completed.insert(done.request, Ok(done.value));
+    /// Serves one readiness report and returns how many replies it read.
+    fn on_ready(&mut self, ev: Event) -> io::Result<u64> {
+        let (gen, server) = (ev.token().0 >> 16, ServerId(ev.token().0 as u16));
+        // Stale: its connection was replaced earlier in this batch.
+        if !matches!(&self.conns[server.index()], Some(conn) if conn.gen == gen) {
+            return Ok(0);
+        }
+        let replies = self.drain_replies(server)?;
+        // Only a parked send asks for writability.
+        if ev.writable() {
+            self.write_staged(server)?;
+        }
+        Ok(replies)
+    }
+
+    /// Reads `server`'s socket dry, completing whichever requests the
+    /// replies name; EOF or a read error fails the server. Hot: runs
+    /// once per reply, so no clock read and no allocation of its own.
+    fn drain_replies(&mut self, server: ServerId) -> io::Result<u64> {
+        let mut replies = 0;
+        loop {
+            let Some(conn) = self.conns[server.index()].as_mut() else {
+                return Ok(replies);
+            };
+            match conn.reader.poll(&mut conn.stream) {
+                Ok(MessagePoll::Msg(msg)) => {
+                    replies += 1;
+                    if let Some(done) = self.core.on_reply(&msg) {
+                        self.deadlines.remove(&done.request);
+                        self.completed.insert(done.request, Ok(done.value));
+                    }
                 }
-                Ok(())
-            }
-            SessionEvent::Disconnected(server, gen) => {
-                if self.gens[server.index()] == gen {
+                Ok(MessagePoll::Pending) => return Ok(replies),
+                Ok(MessagePoll::Closed) | Err(_) => {
                     self.fail_server(server)?;
+                    return Ok(replies);
                 }
-                Ok(())
             }
         }
     }
 
-    /// Re-issues every request whose deadline passed, each to its next
-    /// server (independently — one slow request never stalls the rest of
-    /// the window).
-    fn fire_expired(&mut self) -> io::Result<()> {
+    /// Fails every connection whose parked send made no progress for a
+    /// whole timeout, then re-issues every request whose deadline
+    /// passed, each to its next server (independently — one slow request
+    /// never stalls the rest of the window). `earliest` is the minimum
+    /// `pump` computed before waiting: replies only remove deadlines and
+    /// whatever was armed since is a full timeout away, so before that
+    /// instant nothing is due and the scan is skipped.
+    fn fire_expired(&mut self, earliest: Instant) -> io::Result<()> {
         let now = Instant::now();
+        if now < earliest {
+            return Ok(());
+        }
+        for i in 0..self.conns.len() {
+            let stalls_at = self.conns[i].as_ref().and_then(|conn| conn.stalls_at);
+            if stalls_at.is_some_and(|at| at <= now) {
+                self.fail_server(ServerId(i as u16))?;
+            }
+        }
         let expired: Vec<RequestId> = self
             .deadlines
             .iter()
@@ -564,8 +549,8 @@ impl Session {
             // requests' replies are still in flight on it, and a late
             // reply to the rotated request remains a valid completion
             // (same request id; the paper's retry rule). A genuinely
-            // dead connection is the poller thread's disconnect event,
-            // which reroutes everything at once.
+            // dead connection reads as EOF, which reroutes everything at
+            // once.
             match self.core.on_timeout(request) {
                 Some((server, msg)) => self.retry(request, server, &msg)?,
                 None => {
@@ -579,7 +564,10 @@ impl Session {
     /// The connection to `server` failed: tear it down, mark the server
     /// suspect, and re-dispatch every request stranded on it.
     fn fail_server(&mut self, server: ServerId) -> io::Result<()> {
-        self.teardown(server);
+        // Dropping the stream, the connection's only descriptor, closes it.
+        if let Some(conn) = self.conns[server.index()].take() {
+            self.poller.deregister(conn.stream.as_raw_fd());
+        }
         for (request, next, msg) in self.core.on_server_down(server) {
             // A nested failure while re-dispatching an earlier entry of
             // this very loop may already have rerouted (or aborted) this
@@ -599,12 +587,13 @@ impl Session {
     /// [`SessionCore::attempts_of`]). Over budget, the operation is
     /// abandoned and its `wait` reports `TimedOut`.
     fn retry(&mut self, request: RequestId, server: ServerId, msg: &Message) -> io::Result<()> {
+        // Unarmed again until the new attempt's bytes have left.
+        self.deadlines.remove(&request);
         // `attempts` counts re-sends, so this bounds total sends at
         // `addrs.len() * RETRY_CYCLES` — the sequential Client's budget.
         let attempts = self.core.attempts_of(request).unwrap_or(0);
         if (attempts as usize) >= self.addrs.len() * RETRY_CYCLES {
             self.core.abort(request);
-            self.deadlines.remove(&request);
             self.completed.insert(
                 request,
                 Err(io::Error::new(
@@ -617,90 +606,34 @@ impl Session {
         self.dispatch(request, server, msg)
     }
 
-    /// Closes the connection to `server` (both halves; the poller thread
-    /// reads EOF and reports it as a stale generation).
-    fn teardown(&mut self, server: ServerId) {
-        if let Some(conn) = self.conns[server.index()].take() {
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            self.gens[server.index()] = conn.gen + 1;
-        }
-    }
-
     /// (Re)opens the connection to `server`, bounded by the per-attempt
     /// timeout (a SYN-blackholed server costs one attempt, not the OS
-    /// connect timeout), and hands the read half to the shared poller
-    /// thread. Success clears any suspicion against `server` — this is
-    /// how a restarted server re-earns its place in the routing map.
+    /// connect timeout), and registers it with the session's poller.
+    /// Success clears any suspicion against `server` — this is how a
+    /// restarted server re-earns its place in the routing map.
     fn ensure_connection(&mut self, server: ServerId) -> io::Result<()> {
         if self.conns[server.index()].is_some() {
             return Ok(());
         }
-        let stream = TcpStream::connect_timeout(&self.addrs[server.index()], self.timeout)?;
+        let mut stream = TcpStream::connect_timeout(&self.addrs[server.index()], self.timeout)?;
         stream.set_nodelay(true).ok();
-        let mut writer = stream.try_clone()?;
-        writer.write_all(&Hello::Client(self.id).encode())?;
-        let gen = self.gens[server.index()];
-        let reader = stream.try_clone()?;
-        // O_NONBLOCK lives on the shared file description, so this also
-        // makes the writer clone nonblocking — `flush_server` waits out
-        // WouldBlock explicitly.
-        reader.set_nonblocking(true)?;
-        if self
-            .reader
-            .ctl
-            .send(HubCtl::Add(server, gen, reader))
-            .is_err()
-        {
-            return Err(io::Error::other("session poller thread gone"));
-        }
-        self.reader.waker.wake();
+        stream.write_all(&Hello::Client(self.id).encode())?;
+        stream.set_nonblocking(true)?;
+        let gen = self.next_gen;
+        self.next_gen += 1;
+        self.poller
+            .register(stream.as_raw_fd(), token(gen, server), Interest::READABLE)?;
         self.conns[server.index()] = Some(Conn {
-            stream: writer,
-            outbuf: BytesMut::new(),
-            buffered: Vec::new(),
+            stream,
+            reader: NbMessageReader::new(),
+            out: BytesMut::new(),
+            sent: 0,
+            staged: VecDeque::new(),
+            written: 0,
+            stalls_at: None,
             gen,
         });
         self.core.on_server_up(server);
         Ok(())
-    }
-}
-
-/// `write_all` over the nonblocking socket: parks in
-/// [`hts_poll::wait_fd`] on `WouldBlock` instead of spinning, bounded by
-/// `timeout` per stall.
-fn write_all_waiting(stream: &mut TcpStream, mut buf: &[u8], timeout: Duration) -> io::Result<()> {
-    while !buf.is_empty() {
-        match stream.write(buf) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => buf = &buf[n..],
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if !hts_poll::wait_fd(stream.as_raw_fd(), Interest::WRITABLE, Some(timeout))? {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "session send stalled past the reply timeout",
-                    ));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-impl Drop for Session {
-    fn drop(&mut self) {
-        // Close every connection (the poller thread drops each as it
-        // reads EOF).
-        for i in 0..self.conns.len() {
-            self.teardown(ServerId(i as u16));
-        }
-        // Then retire the poller thread itself, deterministically: when
-        // drop returns, the session holds no threads and no sockets.
-        let _ = self.reader.ctl.send(HubCtl::Exit);
-        self.reader.waker.wake();
-        if let Some(handle) = self.reader.handle.take() {
-            let _ = handle.join();
-        }
     }
 }

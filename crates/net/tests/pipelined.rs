@@ -306,3 +306,76 @@ fn restarted_server_is_trusted_again_after_reprobe() {
     cluster.shutdown();
     let _ = fs::remove_dir_all(&base);
 }
+
+/// A one-connection stand-in for a server, as a slow peer would behave:
+/// strictly *read one request, write its reply*, both blocking, so it
+/// reads nothing while a reply is stuck in its send buffer. Every read
+/// is answered with a 1 MiB value.
+fn spawn_lockstep_server(reply: Value) -> std::net::SocketAddr {
+    use hts_net::{read_message, write_message};
+    use hts_types::Message;
+    use std::io::Read;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut hello = [0u8; 5];
+        stream.read_exact(&mut hello).expect("client hello");
+        while let Ok(request) = read_message(&mut stream) {
+            let answer = match request {
+                Message::ReadReq { object, request } => Message::ReadAck {
+                    object,
+                    request,
+                    value: reply.clone(),
+                },
+                Message::WriteReq {
+                    object, request, ..
+                } => Message::WriteAck { object, request },
+                other => panic!("a client sent {other}"),
+            };
+            if write_message(&mut stream, &answer).is_err() {
+                return;
+            }
+        }
+    });
+    addr
+}
+
+#[test]
+fn a_blocked_send_never_stops_the_session_reading() {
+    // 1 MiB requests one way and 1 MiB replies the other fill both
+    // directions' socket buffers. The lockstep server then sits in a
+    // blocked write until the session reads, so a session that waits for
+    // writability alone deadlocks: its parked send has to resume from
+    // the same wait that keeps consuming replies.
+    const MIB: usize = 1 << 20;
+    let addr = spawn_lockstep_server(Value::filled(2, MIB));
+    let payload = Value::filled(1, MIB);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let run = || -> std::io::Result<()> {
+            let mut session = Session::connect(1, vec![addr], 64)?;
+            session.set_timeout(Duration::from_secs(30));
+            let mut in_flight = std::collections::VecDeque::new();
+            for i in 0..128u32 {
+                if in_flight.len() == 64 {
+                    if let Some(oldest) = in_flight.pop_front() {
+                        session.wait(oldest)?;
+                    }
+                }
+                in_flight.push_back(if i % 2 == 0 {
+                    session.begin_read()?
+                } else {
+                    session.begin_write(payload.clone())?
+                });
+            }
+            session.drain()
+        };
+        let _ = done_tx.send(run());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("128 ops and a drain inside 10 s: the session deadlocked against its own send")
+        .expect("no operation may fail");
+}

@@ -461,26 +461,6 @@ mod poller {
         Ok((stream, !pending))
     }
 
-    /// One-shot readiness wait on a single fd, for code that mostly
-    /// runs blocking but occasionally needs to pause on a nonblocking
-    /// socket (e.g. a writer that hit `WouldBlock` outside a reactor).
-    /// Builds a throwaway epoll instance — don't call this on a hot
-    /// path; a real [`Poller`] amortizes the setup.
-    ///
-    /// Returns whether the fd became ready before `timeout` (None =
-    /// wait forever).
-    ///
-    /// # Errors
-    ///
-    /// `epoll_create1`/`epoll_ctl`/`epoll_wait` errnos.
-    pub fn wait_fd(fd: RawFd, interest: Interest, timeout: Option<Duration>) -> io::Result<bool> {
-        let poller = Poller::new()?;
-        poller.register(fd, Token(0), interest)?;
-        let mut events = Events::with_capacity(1);
-        let n = poller.wait(&mut events, timeout)?;
-        Ok(n > 0)
-    }
-
     /// Lays out a kernel-ABI `sockaddr_in`/`sockaddr_in6` by hand.
     fn encode_sockaddr(addr: SocketAddr) -> (u16, Vec<u8>) {
         match addr {
@@ -506,7 +486,7 @@ mod poller {
 }
 
 #[cfg(target_os = "linux")]
-pub use poller::{connect_nonblocking, wait_fd, Poller, Waker};
+pub use poller::{connect_nonblocking, Poller, Waker};
 
 #[cfg(not(target_os = "linux"))]
 mod poller_stub {
@@ -597,19 +577,10 @@ mod poller_stub {
     pub fn connect_nonblocking(_addr: SocketAddr) -> io::Result<(TcpStream, bool)> {
         unsupported()
     }
-
-    /// Always `Unsupported` off Linux.
-    ///
-    /// # Errors
-    ///
-    /// Always.
-    pub fn wait_fd(_fd: i32, _interest: Interest, _timeout: Option<Duration>) -> io::Result<bool> {
-        unsupported()
-    }
 }
 
 #[cfg(not(target_os = "linux"))]
-pub use poller_stub::{connect_nonblocking, wait_fd, Poller, Waker};
+pub use poller_stub::{connect_nonblocking, Poller, Waker};
 
 /// Outcome of one nonblocking read attempt.
 #[derive(Debug, PartialEq, Eq)]
