@@ -14,10 +14,9 @@
 //! [`FairnessMode::LocalFirst`] and [`FairnessMode::ForwardFirst`]
 //! ablations demonstrate the starvation each naive policy causes.
 
-use std::collections::{BTreeMap, VecDeque};
-
 use hts_types::{PreWrite, ServerId, Value};
 
+use crate::small::{SmallMap, SmallQueue};
 use crate::FairnessMode;
 
 /// What the scheduler picked for the next ring transmission slot.
@@ -30,10 +29,16 @@ pub enum Selection {
 }
 
 /// Per-origin forward queues plus the paper's `nb_msg` counters.
+///
+/// A register usually has one pre-write queued at a time, which the
+/// queues and counters hold inline; an origin's queue goes when it
+/// empties, so an idle scheduler owns no heap.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardScheduler {
-    queues: BTreeMap<ServerId, VecDeque<(u64, PreWrite)>>,
-    nb_msg: BTreeMap<ServerId, u64>,
+    /// Each origin's queued pre-writes, FIFO, with their arrival number
+    /// (0 for re-queued ones, logically the oldest). No queue is empty.
+    queues: SmallMap<ServerId, SmallQueue<(u64, PreWrite)>>,
+    nb_msg: SmallMap<ServerId, u64>,
     arrival_seq: u64,
     mode: FairnessMode,
 }
@@ -50,11 +55,7 @@ impl ForwardScheduler {
     /// Queues a received pre-write for forwarding (per-origin FIFO).
     pub fn enqueue(&mut self, pw: PreWrite) {
         self.arrival_seq += 1;
-        let seq = self.arrival_seq;
-        self.queues
-            .entry(pw.tag.origin)
-            .or_default()
-            .push_back((seq, pw));
+        self.push((self.arrival_seq, pw), false);
     }
 
     /// Re-queues pre-writes at the **front** of their origin's queue,
@@ -64,21 +65,47 @@ impl ForwardScheduler {
     /// discard the fresher entries.
     pub fn enqueue_front(&mut self, pre_writes: Vec<PreWrite>) {
         for pw in pre_writes.into_iter().rev() {
-            let queue = self.queues.entry(pw.tag.origin).or_default();
-            queue.push_front((0, pw)); // seq 0: logically "oldest"
+            self.push((0, pw), true); // seq 0: logically "oldest"
         }
+    }
+
+    fn push(&mut self, entry: (u64, PreWrite), at_front: bool) {
+        let origin = entry.1.tag.origin;
+        match self.queues.get_mut(&origin) {
+            Some(queue) if at_front => queue.push_front(entry),
+            Some(queue) => queue.push_back(entry),
+            None => {
+                let mut queue = SmallQueue::default();
+                queue.push_back(entry);
+                self.queues.insert(origin, queue);
+            }
+        }
+    }
+
+    /// Pops the front of `origin`'s queue, dropping the queue if that
+    /// empties it.
+    fn pop_from(&mut self, origin: ServerId) -> Option<PreWrite> {
+        let queue = self.queues.get_mut(&origin)?;
+        let (_, pw) = queue.pop_front()?;
+        if queue.is_empty() {
+            self.queues.remove(&origin);
+        }
+        Some(pw)
     }
 
     /// Whether any pre-write waits to be forwarded.
     pub fn has_queued(&self) -> bool {
-        self.queues.values().any(|q| !q.is_empty())
+        !self.queues.is_empty()
     }
 
     /// Whether any queued pre-write is a recovery re-circulation — the
     /// resync backlog a rejoin announcement must stay behind (FIFO links
     /// make the announcement's arrival prove the backlog arrived first).
     pub fn has_recovery_queued(&self) -> bool {
-        self.queues.values().flatten().any(|(_, pw)| pw.recovery)
+        self.queues
+            .iter()
+            .flat_map(|(_, queue)| queue.iter())
+            .any(|(_, pw)| pw.recovery)
     }
 
     /// Whether a recovery copy of exactly `tag` still waits to be
@@ -108,23 +135,28 @@ impl ForwardScheduler {
 
     /// Total queued pre-writes.
     pub fn queued_len(&self) -> usize {
-        self.queues.values().map(|q| q.len()).sum()
+        self.queues.iter().map(|(_, q)| q.len()).sum()
     }
 
     /// Removes and returns every queued pre-write originated by `origin`
     /// (used by orphan adoption: entries this server never forwarded were
     /// seen by no one else and are simply re-issued).
     pub fn drain_origin(&mut self, origin: ServerId) -> Vec<PreWrite> {
-        self.queues
-            .remove(&origin)
-            .map(|q| q.into_iter().map(|(_, pw)| pw).collect())
-            .unwrap_or_default()
+        let mut queue = self.queues.remove(&origin).unwrap_or_default();
+        std::iter::from_fn(|| queue.pop_front())
+            .map(|(_, pw)| pw)
+            .collect()
     }
 
     /// Records that the local server initiated a write (counts against its
     /// own origin, paper line 26).
     pub fn record_initiation(&mut self, me: ServerId) {
-        *self.nb_msg.entry(me).or_insert(0) += 1;
+        self.count_one(me);
+    }
+
+    fn count_one(&mut self, origin: ServerId) {
+        let count = self.nb_msg.get(&origin).map_or(1, |c| c + 1);
+        self.nb_msg.insert(origin, count);
     }
 
     /// Picks the next transmission: a local initiation (only offered when
@@ -159,49 +191,37 @@ impl ForwardScheduler {
         if !self.has_queued() {
             // Paper line 55: reset the counters whenever the forward queue
             // drains; fairness is relative to the current busy period.
-            self.nb_msg.clear();
+            self.nb_msg = SmallMap::default();
             return want_local.then_some(Selection::InitiateLocal);
         }
         // Candidates: origins with queued traffic, plus (if a local write
         // waits) this server itself. Minimal nb_msg wins; ties break by
         // smallest server id — any deterministic rule works, the paper
         // leaves it open.
-        let mut best: Option<(u64, ServerId)> = None;
-        let mut consider = |sched: &Self, origin: ServerId| {
-            let count = sched.nb_msg.get(&origin).copied().unwrap_or(0);
-            if best.is_none_or(|(c, o)| (count, origin) < (c, o)) {
-                best = Some((count, origin));
-            }
-        };
-        for (origin, queue) in &self.queues {
-            if !queue.is_empty() {
-                consider(self, *origin);
-            }
-        }
-        if want_local {
-            consider(self, me);
-        }
-        let (_, chosen) = best?;
+        let local = want_local.then_some(me);
+        let queued = self.queues.iter().map(|(origin, _)| *origin);
+        let (_, chosen) = queued
+            .chain(local)
+            .map(|origin| (self.nb_msg.get(&origin).copied().unwrap_or(0), origin))
+            .min()?;
         if chosen == me && want_local {
             return Some(Selection::InitiateLocal);
         }
-        // `chosen` came from a non-empty queue above, so the lookups
-        // cannot miss; `?` still beats a panic if that ever drifts.
-        let (_, pw) = self.queues.get_mut(&chosen)?.pop_front()?;
-        *self.nb_msg.entry(chosen).or_insert(0) += 1;
+        // `chosen` came from a queue above, so the pop cannot miss; `?`
+        // still beats a panic if that ever drifts.
+        let pw = self.pop_from(chosen)?;
+        self.count_one(chosen);
         Some(Selection::Forward(pw))
     }
 
     /// Pops the globally oldest queued pre-write (arrival order).
     fn pop_oldest(&mut self) -> Option<PreWrite> {
-        let origin = self
+        let (_, origin) = self
             .queues
             .iter()
             .filter_map(|(origin, q)| q.front().map(|(arrival, _)| (*arrival, *origin)))
-            .min()
-            .map(|(_, o)| o)?;
-        let (_, pw) = self.queues.get_mut(&origin)?.pop_front()?;
-        Some(pw)
+            .min()?;
+        self.pop_from(origin)
     }
 }
 

@@ -97,6 +97,7 @@ mod round_adapter;
 mod server;
 mod session;
 mod sim_adapter;
+mod small;
 mod snapshot;
 
 pub use client::{ClientCore, Completion};

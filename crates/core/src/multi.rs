@@ -12,9 +12,19 @@ use std::sync::Arc;
 
 use hts_types::{ClientId, ObjectId, Rejoin, RequestId, RingFrame, ServerId, Tag, Value};
 
-use crate::{Action, Config, ReadCellRegistry, ServerCore};
+use crate::{Action, Config, ReadCellRegistry, RingView, ServerCore};
 
 /// A ring server hosting many independent atomic registers.
+///
+/// A register costs its [`ServerCore`] (see what a core costs there),
+/// boxed, plus the object map's slot for the box: about 0.8 KiB per
+/// server with 64 B values, 2.5 KiB over a three-server ring
+/// (`tests/footprint.rs`). The configuration is one copy shared by every
+/// core. Routing a request or frame to an existing core allocates
+/// nothing here, after a crash report as before one. What still grows
+/// with the object count is time: [`next_frame`](Self::next_frame),
+/// [`has_ring_work`](Self::has_ring_work) and
+/// [`drain_commits`](Self::drain_commits) visit every core.
 ///
 /// # Examples
 ///
@@ -29,13 +39,17 @@ use crate::{Action, Config, ReadCellRegistry, ServerCore};
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiObjectServer {
-    me: ServerId,
-    n: u16,
-    config: Config,
-    objects: BTreeMap<ObjectId, ServerCore>,
+    /// The membership every core shares; a core created late replays
+    /// the crashes it records.
+    ring: RingView,
+    /// One copy, shared by every core.
+    config: Arc<Config>,
+    /// Boxed: a core is several hundred bytes, and inline in the map's
+    /// leaves — which ascending inserts leave about half full — it
+    /// would cost nearly twice that.
+    objects: BTreeMap<ObjectId, Box<ServerCore>>,
     /// Round-robin cursor over objects for ring slots.
     cursor: Option<ObjectId>,
-    crashed: Vec<ServerId>,
     /// Rejoin announcements awaiting a ring slot (ours at restart,
     /// others' when forwarding). At most one rides per frame, and none
     /// leaves while recovery retransmissions are still queued — FIFO
@@ -58,12 +72,10 @@ impl MultiObjectServer {
     /// (they are created on first use).
     pub fn new(me: ServerId, n: u16, config: Config) -> Self {
         MultiObjectServer {
-            me,
-            n,
-            config,
+            ring: RingView::new(me, n),
+            config: Arc::new(config),
             objects: BTreeMap::new(),
             cursor: None,
-            crashed: Vec::new(),
             announce: VecDeque::new(),
             syncing: false,
             sync_begun_at: 0,
@@ -84,7 +96,7 @@ impl MultiObjectServer {
 
     /// This server's id.
     pub fn me(&self) -> ServerId {
-        self.me
+        self.ring.me()
     }
 
     /// The number of objects currently hosted.
@@ -94,48 +106,39 @@ impl MultiObjectServer {
 
     /// Access to one object's core (if it exists yet).
     pub fn object(&self, object: ObjectId) -> Option<&ServerCore> {
-        self.objects.get(&object)
+        self.objects.get(&object).map(|core| &**core)
     }
 
     /// The current ring successor.
     pub fn successor(&self) -> Option<ServerId> {
-        // All cores share the same view; compute from any, else fresh.
-        match self.objects.values().next() {
-            Some(core) => core.successor(),
-            None => {
-                let mut core =
-                    ServerCore::new(self.me, self.n, ObjectId::SINGLE, self.config.clone());
-                for s in &self.crashed {
-                    let _ = core.on_server_crashed(*s);
-                }
-                core.successor()
-            }
-        }
+        self.ring.successor()
     }
 
     fn core_mut(&mut self, object: ObjectId) -> &mut ServerCore {
-        let me = self.me;
-        let n = self.n;
-        let config = self.config.clone();
-        let crashed = self.crashed.clone();
-        let syncing = self.syncing;
-        let cells = self.cells.clone();
-        self.objects.entry(object).or_insert_with(|| {
-            let mut core = ServerCore::new(me, n, object, config);
+        let MultiObjectServer {
+            ring,
+            config,
+            objects,
+            syncing,
+            cells,
+            ..
+        } = self;
+        objects.entry(object).or_insert_with(|| {
+            let mut core = ServerCore::with_config(ring.me(), ring.n(), object, Arc::clone(config));
             // Late-created objects must share the ring view.
-            for s in crashed {
+            for s in (0..ring.n()).map(ServerId).filter(|s| !ring.is_alive(*s)) {
                 let _ = core.on_server_crashed(s);
             }
             // ...and the resync gate: an object this server has never
             // seen may still have history elsewhere in the ring.
-            if syncing {
+            if *syncing {
                 core.begin_sync();
             }
             // ...and publish into the fast-path cell from birth.
             if let Some(cells) = cells {
                 core.attach_read_cell(cells.cell(object));
             }
-            core
+            Box::new(core)
         })
     }
 
@@ -181,8 +184,9 @@ impl MultiObjectServer {
 
     /// Fans a crash report to every object.
     pub fn on_server_crashed(&mut self, s: ServerId) -> Vec<Action> {
-        if !self.crashed.contains(&s) {
-            self.crashed.push(s);
+        // Every core ignores a report about itself; so does the view.
+        if s != self.me() {
+            self.ring.mark_crashed(s);
         }
         let mut actions = Vec::new();
         for core in self.objects.values_mut() {
@@ -193,7 +197,7 @@ impl MultiObjectServer {
         // every peer's ring view.
         self.announce.retain(|r| r.server != s);
         if self.syncing {
-            if self.alive_count() <= 1 {
+            if self.ring.alive_count() <= 1 {
                 // Lone survivor mid-resync: nobody to sync from *now*,
                 // and our restored log may miss acknowledged writes that
                 // live in the crashed peers' logs. Stay gated (reads and
@@ -202,10 +206,10 @@ impl MultiObjectServer {
                 // resync then completes linearizably. Announcements are
                 // pointless without a successor.
                 self.announce.clear();
-            } else if !self.announce.iter().any(|r| r.server == self.me) {
+            } else if !self.announce.iter().any(|r| r.server == self.me()) {
                 // Our in-flight announcement may have died with the
                 // crashed server; re-announce over the spliced ring.
-                self.announce.push_back(Rejoin::announce(self.me));
+                self.announce.push_back(Rejoin::announce(self.me()));
             }
         }
         actions
@@ -220,7 +224,7 @@ impl MultiObjectServer {
     /// server was down. A single-server ring has nobody to sync from and
     /// skips straight to serving.
     pub fn begin_rejoin(&mut self) {
-        if self.n <= 1 {
+        if self.ring.n() <= 1 {
             return;
         }
         self.syncing = true;
@@ -228,7 +232,7 @@ impl MultiObjectServer {
         for core in self.objects.values_mut() {
             core.begin_sync();
         }
-        self.announce.push_back(Rejoin::announce(self.me));
+        self.announce.push_back(Rejoin::announce(self.me()));
     }
 
     /// Whether this server is still resyncing after a restart.
@@ -251,7 +255,7 @@ impl MultiObjectServer {
     /// predecessor re-sends its state) and forwarded with the flags
     /// updated.
     pub fn on_rejoin_announcement(&mut self, r: Rejoin) -> Vec<Action> {
-        if r.server == self.me {
+        if r.server == self.me() {
             if !self.syncing {
                 return Vec::new(); // duplicate announcement return
             }
@@ -261,7 +265,7 @@ impl MultiObjectServer {
                 // ring a non-syncing server holds the truth. Go again:
                 // by the time the retry circulates, the predecessor has
                 // had its own stream FIFO-ahead of our announcement.
-                self.announce.push_back(Rejoin::announce(self.me));
+                self.announce.push_back(Rejoin::announce(self.me()));
                 return Vec::new();
             }
             // Clean certificate — or a whole-cluster cold start, where
@@ -277,15 +281,15 @@ impl MultiObjectServer {
             }
             return actions;
         }
-        self.crashed.retain(|c| *c != r.server);
+        self.ring.mark_rejoined(r.server);
         for core in self.objects.values_mut() {
             core.on_server_rejoined(r.server);
         }
-        if self.syncing && !self.announce.iter().any(|a| a.server == self.me) {
+        if self.syncing && !self.announce.iter().any(|a| a.server == self.me()) {
             // A peer coming back ends a lone-survivor wait (and generally
             // gives our own announcement a ring to circulate on): make
             // sure one is in flight so our resync can complete.
-            self.announce.push_back(Rejoin::announce(self.me));
+            self.announce.push_back(Rejoin::announce(self.me()));
         }
         let serving = self.successor() == Some(r.server);
         self.announce.push_back(Rejoin {
@@ -352,13 +356,6 @@ impl MultiObjectServer {
             }
         }
         None
-    }
-
-    fn alive_count(&self) -> usize {
-        match self.objects.values().next() {
-            Some(core) => core.ring().alive_count(),
-            None => usize::from(self.n) - self.crashed.len(),
-        }
     }
 
     /// Exports every object's committed `(tag, value)` pair — the state
@@ -454,6 +451,28 @@ mod tests {
         let core = s.object(ObjectId(9)).unwrap();
         assert_eq!(core.successor(), Some(ServerId(2)));
         assert_eq!(s.successor(), Some(ServerId(2)));
+    }
+
+    #[test]
+    fn successor_without_objects_matches_a_fresh_core() {
+        // Every subset of a 4-ring reported crashed, `me` included (a
+        // core ignores a report about itself).
+        for me in 0..4u16 {
+            for mask in 0u8..16 {
+                let mut server = MultiObjectServer::new(ServerId(me), 4, Config::default());
+                let mut core =
+                    ServerCore::new(ServerId(me), 4, ObjectId::SINGLE, Config::default());
+                for s in (0..4u16).filter(|s| mask & (1 << s) != 0) {
+                    server.on_server_crashed(ServerId(s));
+                    core.on_server_crashed(ServerId(s));
+                }
+                assert_eq!(
+                    server.successor(),
+                    core.successor(),
+                    "me {me}, crashed {mask:04b}"
+                );
+            }
+        }
     }
 
     #[test]

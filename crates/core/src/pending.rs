@@ -5,10 +5,14 @@
 //! each pre-write: that is what lets steady-state `write` ring messages be
 //! tag-only (the piggyback optimization of §4.2) — on commit, the value is
 //! resolved locally instead of crossing the wire a second time.
-
-use std::collections::BTreeMap;
+//!
+//! A register has one write in flight almost always, so the set keeps a
+//! single entry inline and owns no heap once emptied (see
+//! [`SmallMap`](crate::small::SmallMap)).
 
 use hts_types::{ServerId, Tag, Value};
+
+use crate::small::SmallMap;
 
 /// Pre-written, not-yet-committed writes known to one server.
 ///
@@ -30,7 +34,7 @@ use hts_types::{ServerId, Tag, Value};
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PendingSet {
-    map: BTreeMap<Tag, Value>,
+    map: SmallMap<Tag, Value>,
 }
 
 impl PendingSet {
@@ -53,14 +57,14 @@ impl PendingSet {
     /// committed write at `bound` proves no earlier pre-write can ever be
     /// read). Returns the removed entries in ascending tag order.
     pub fn remove_le(&mut self, bound: Tag) -> Vec<(Tag, Value)> {
-        let mut keep = self.map.split_off(&bound);
-        // split_off keeps `bound` in `keep`; move it out if present.
-        if let Some(v) = keep.remove(&bound) {
-            self.map.insert(bound, v);
-        }
-        let removed: Vec<(Tag, Value)> = std::mem::take(&mut self.map).into_iter().collect();
-        self.map = keep;
-        removed
+        std::iter::from_fn(|| self.pop_le(bound)).collect()
+    }
+
+    /// Removes and returns the lowest entry if its tag is `<= bound` —
+    /// [`remove_le`](Self::remove_le) one entry at a time, for callers
+    /// that need no list of what went.
+    pub(crate) fn pop_le(&mut self, bound: Tag) -> Option<(Tag, Value)> {
+        self.map.pop_first_le(&bound)
     }
 
     /// The cached value of `tag`, if pending.
@@ -70,12 +74,12 @@ impl PendingSet {
 
     /// Whether `tag` is pending.
     pub fn contains(&self, tag: Tag) -> bool {
-        self.map.contains_key(&tag)
+        self.map.get(&tag).is_some()
     }
 
     /// The highest pending tag (`maxlex(pending_write_set)`).
     pub fn max_tag(&self) -> Option<Tag> {
-        self.map.keys().next_back().copied()
+        self.map.iter().next_back().map(|(t, _)| *t)
     }
 
     /// Whether no write is pending.

@@ -21,13 +21,13 @@
 //! crash. Where the conference pseudo-code is ambiguous, the comment at
 //! the resolving code says which reading was taken and why.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use hts_types::{
     ClientId, ObjectId, PreWrite, RequestId, RingFrame, ServerId, Tag, Value, WriteNotice,
 };
 
+use crate::small::{SmallMap, SmallQueue};
 use crate::{Config, ForwardScheduler, PendingSet, ReadCell, RingView, Selection};
 
 /// A client-visible effect produced by the server core; the transport
@@ -72,7 +72,8 @@ pub struct ServerStats {
     pub reads_immediate: u64,
     /// Reads that had to wait for a pending write.
     pub reads_blocked: u64,
-    /// Duplicate or already-committed ring messages dropped.
+    /// Duplicate or already-committed ring messages dropped, and those
+    /// whose tag names an origin outside the ring.
     pub duplicates_dropped: u64,
     /// Ring splices performed (successor crashes survived).
     pub recoveries: u64,
@@ -112,26 +113,55 @@ struct WaitingRead {
     begun_at: u64,
 }
 
+/// Index into an entry of `ServerCore::seen`: the highest pre-write
+/// timestamp seen from an origin (duplicate suppression).
+const PREWRITE: usize = 0;
+/// Index into an entry of `ServerCore::seen`: the highest write
+/// timestamp seen from an origin.
+const WRITE: usize = 1;
+
 /// The per-object server state machine. See the [module docs](self).
+///
+/// # What a register costs
+///
+/// **At rest** a core is its stored tag and value, its ring view, one
+/// pair of duplicate-suppression watermarks per ring member, its
+/// counters and the protocol's queues, all empty — and an emptied queue,
+/// set or map owns no heap. On a 64-bit target the core is 744 B; the
+/// heap adds the value, `n` alive flags and `16·n` B of watermarks.
+/// **In flight**, one write per register — the common case, since a
+/// client waits for its ack before writing the register again — keeps
+/// its pending entry, its outstanding entry and every queued frame
+/// inline, so a write allocates nothing of the core's own. Several
+/// writes in flight spill a queue or map to the heap, and the spill is
+/// kept until that collection empties again. The crate's
+/// `tests/footprint.rs` pins both over three [`MultiObjectServer`]s in a
+/// ring with 64 B values: 2.5 KiB of live heap per register summed over
+/// the three servers, flat from 1024 to 4096 registers, and 7
+/// allocations per write to a hot register, none of them in a core: one
+/// object list per pulled frame and the acknowledgement's `Vec`.
+///
+/// [`MultiObjectServer`]: crate::MultiObjectServer
 #[derive(Debug, Clone)]
 pub struct ServerCore {
     object: ObjectId,
-    config: Config,
+    /// Shared by every core of a [`MultiObjectServer`](crate::MultiObjectServer).
+    config: Arc<Config>,
     ring: RingView,
     stored_tag: Tag,
     stored_value: Value,
     pending: PendingSet,
     sched: ForwardScheduler,
-    write_queue: VecDeque<(Option<(ClientId, RequestId)>, Value)>,
-    notice_queue: VecDeque<WriteNotice>,
-    outstanding: BTreeMap<Tag, Outstanding>,
+    write_queue: SmallQueue<(Option<(ClientId, RequestId)>, Value)>,
+    notice_queue: SmallQueue<WriteNotice>,
+    outstanding: SmallMap<Tag, Outstanding>,
     /// Orphaned writes this server completes as surrogate origin.
-    adopted: BTreeMap<Tag, Value>,
+    adopted: SmallMap<Tag, Value>,
     waiting_reads: Vec<WaitingRead>,
-    /// Highest pre-write timestamp seen per origin (duplicate suppression).
-    prewrite_seen: HashMap<ServerId, u64>,
-    /// Highest write timestamp seen per origin.
-    write_seen: HashMap<ServerId, u64>,
+    /// Per-origin duplicate-suppression watermarks, indexed by origin
+    /// id: `[PREWRITE]` and `[WRITE]` timestamps, one entry per ring
+    /// member.
+    seen: Box<[[u64; 2]]>,
     /// Restart resync: while set, reads queue (the restored state may be
     /// behind writes committed during the downtime) and no local writes
     /// are initiated (their tags could be assigned "into the past").
@@ -161,6 +191,11 @@ impl ServerCore {
     ///
     /// Panics if `me` is outside `0..n` (see [`RingView::new`]).
     pub fn new(me: ServerId, n: u16, object: ObjectId, config: Config) -> Self {
+        ServerCore::with_config(me, n, object, Arc::new(config))
+    }
+
+    /// [`new`](Self::new) with a configuration shared among cores.
+    pub(crate) fn with_config(me: ServerId, n: u16, object: ObjectId, config: Arc<Config>) -> Self {
         ServerCore {
             object,
             ring: RingView::new(me, n),
@@ -169,13 +204,12 @@ impl ServerCore {
             stored_tag: Tag::ZERO,
             stored_value: Value::bottom(),
             pending: PendingSet::new(),
-            write_queue: VecDeque::new(),
-            notice_queue: VecDeque::new(),
-            outstanding: BTreeMap::new(),
-            adopted: BTreeMap::new(),
+            write_queue: SmallQueue::default(),
+            notice_queue: SmallQueue::default(),
+            outstanding: SmallMap::default(),
+            adopted: SmallMap::default(),
             waiting_reads: Vec::new(),
-            prewrite_seen: HashMap::new(),
-            write_seen: HashMap::new(),
+            seen: vec![[0; 2]; usize::from(n)].into_boxed_slice(),
             syncing: false,
             sync_reads: Vec::new(),
             commit_log: Vec::new(),
@@ -448,10 +482,14 @@ impl ServerCore {
         // Commit before announce: a piggybacked frame carries an older
         // write notice next to a newer pre-write.
         if let Some(notice) = frame.write {
-            self.process_write_notice(notice, &mut actions);
+            if self.admits_origin(notice.tag) {
+                self.process_write_notice(notice, &mut actions);
+            }
         }
         if let Some(pw) = frame.pre_write {
-            self.process_pre_write(pw, &mut actions);
+            if self.admits_origin(pw.tag) {
+                self.process_pre_write(pw, &mut actions);
+            }
         }
         self.republish();
         actions
@@ -659,21 +697,39 @@ impl ServerCore {
     }
 
     fn prewrite_seen_ts(&self, origin: ServerId) -> u64 {
-        self.prewrite_seen.get(&origin).copied().unwrap_or(0)
+        self.seen.get(origin.index()).map_or(0, |s| s[PREWRITE])
     }
 
     fn write_seen_ts(&self, origin: ServerId) -> u64 {
-        self.write_seen.get(&origin).copied().unwrap_or(0)
+        self.seen.get(origin.index()).map_or(0, |s| s[WRITE])
     }
 
     fn note_prewrite_seen(&mut self, tag: Tag) {
-        let e = self.prewrite_seen.entry(tag.origin).or_insert(0);
-        *e = (*e).max(tag.ts);
+        self.note_seen(tag, PREWRITE);
     }
 
     fn note_write_seen(&mut self, tag: Tag) {
-        let e = self.write_seen.entry(tag.origin).or_insert(0);
-        *e = (*e).max(tag.ts);
+        self.note_seen(tag, WRITE);
+    }
+
+    fn note_seen(&mut self, tag: Tag, which: usize) {
+        // One slot per ring member; `on_frame` turns away tags from
+        // origins outside the ring, so only a recovery log written for
+        // another ring could miss here.
+        if let Some(slot) = self.seen.get_mut(tag.origin.index()) {
+            slot[which] = slot[which].max(tag.ts);
+        }
+    }
+
+    /// Whether `tag`'s origin is a ring member. Only a misbehaving peer
+    /// sends one that is not; having no watermark to check it against,
+    /// it is dropped and counted with the duplicates.
+    fn admits_origin(&mut self, tag: Tag) -> bool {
+        let member = tag.origin.0 < self.ring.n();
+        if !member {
+            self.stats.duplicates_dropped += 1;
+        }
+        member
     }
 
     fn process_pre_write(&mut self, pw: PreWrite, actions: &mut Vec<Action>) {
@@ -801,32 +857,24 @@ impl ServerCore {
                     tag <= self.stored_tag,
                     "tag-only write {tag} without a cached pre-write at {me} \
                      (stored {stored}, syncing {syncing}, pending {pending:?}, \
-                     write_seen {seen:?})",
+                     seen {seen:?})",
                     me = self.me(),
                     stored = self.stored_tag,
                     syncing = self.syncing,
                     pending = self.pending.iter().map(|(t, _)| t).collect::<Vec<_>>(),
-                    seen = self.write_seen,
+                    seen = self.seen,
                 );
             }
         }
 
         // Subsumption: a committed tag proves every lower pre-write can
         // never be read again.
-        self.pending.remove_le(tag);
+        while self.pending.pop_le(tag).is_some() {}
         self.adopted.retain(|t, _| *t > tag);
 
         // Acknowledge own writes at or below the committed tag — the exact
         // own-write return (paper line 49) and any of ours it subsumes.
-        let first_kept = if tag.origin.0 < u16::MAX {
-            Tag::new(tag.ts, ServerId(tag.origin.0 + 1))
-        } else {
-            Tag::new(tag.ts.saturating_add(1), ServerId(0))
-        };
-        let still_out = self.outstanding.split_off(&first_kept);
-        let acked = std::mem::replace(&mut self.outstanding, still_out);
-        for (t, out) in acked {
-            debug_assert!(t <= tag);
+        while let Some((t, out)) = self.outstanding.pop_first_le(&tag) {
             let done = hts_metrics::now_nanos();
             if out.prewrite_done_at != 0 {
                 hts_metrics::histogram!("hts_core_write_commit_nanos")
@@ -894,24 +942,25 @@ impl ServerCore {
         } else {
             (self.stored_value.clone(), self.stored_tag)
         };
-        let mut still_waiting = Vec::with_capacity(self.waiting_reads.len());
         let object = self.object;
-        for wr in self.waiting_reads.drain(..) {
-            if wr.target <= tag {
-                hts_metrics::histogram!("hts_core_read_block_nanos")
-                    .record(hts_metrics::now_nanos().saturating_sub(wr.begun_at));
-                actions.push(Action::ReadReply {
-                    object,
-                    client: wr.client,
-                    request: wr.request,
-                    value: reply_value.clone(),
-                    tag: reply_tag,
-                });
-            } else {
-                still_waiting.push(wr);
+        self.waiting_reads.retain(|wr| {
+            if wr.target > tag {
+                return true;
             }
+            hts_metrics::histogram!("hts_core_read_block_nanos")
+                .record(hts_metrics::now_nanos().saturating_sub(wr.begun_at));
+            actions.push(Action::ReadReply {
+                object,
+                client: wr.client,
+                request: wr.request,
+                value: reply_value.clone(),
+                tag: reply_tag,
+            });
+            false
+        });
+        if self.waiting_reads.is_empty() {
+            self.waiting_reads = Vec::new();
         }
-        self.waiting_reads = still_waiting;
     }
 
     /// Last survivor: every circulation is a no-op, so finish all
@@ -919,11 +968,11 @@ impl ServerCore {
     fn complete_everything_alone(&mut self, actions: &mut Vec<Action>) {
         // Commit every pending pre-write under its original tag (nothing
         // newer can be overwritten, and readers blocked on them unblock).
-        let committed = self.pending.remove_le(Tag {
+        let everything = Tag {
             ts: u64::MAX,
             origin: ServerId(u16::MAX),
-        });
-        for (tag, value) in committed {
+        };
+        while let Some((tag, value)) = self.pending.pop_le(everything) {
             self.apply(tag, value);
             self.note_write_seen(tag);
         }
@@ -935,13 +984,12 @@ impl ServerCore {
                 self.note_write_seen(pw.tag);
             }
         }
-        for (tag, value) in std::mem::take(&mut self.adopted) {
+        while let Some((tag, value)) = self.adopted.pop_first_le(&everything) {
             self.apply(tag, value);
             self.note_write_seen(tag);
         }
         // Local writes apply directly now.
-        let queued: Vec<_> = self.write_queue.drain(..).collect();
-        for (client, value) in queued {
+        while let Some((client, value)) = self.write_queue.pop_front() {
             let tag = self.next_tag();
             self.apply(tag, value);
             self.stats.writes_initiated += 1;
@@ -954,7 +1002,7 @@ impl ServerCore {
             }
         }
         // Outstanding two-phase writes are complete by fiat.
-        for (_, out) in std::mem::take(&mut self.outstanding) {
+        while let Some((_, out)) = self.outstanding.pop_first_le(&everything) {
             if let Some((client, request)) = out.client {
                 actions.push(Action::WriteAck {
                     object: self.object,

@@ -604,6 +604,34 @@ fn figure2_walkthrough_scenario() {
 }
 
 #[test]
+fn frames_whose_origin_is_outside_the_ring_are_dropped() {
+    // Watermarks are kept per ring member; a tag naming any other origin
+    // can only come from a misbehaving peer and goes no further.
+    let mut core = ServerCore::new(ServerId(1), 3, ObjectId::SINGLE, Config::default());
+    let stray = Tag::new(5, ServerId(u16::MAX));
+    assert!(core
+        .on_frame(RingFrame::pre_write(ObjectId::SINGLE, stray, val(5)))
+        .is_empty());
+    let stray = Tag::new(6, ServerId(3));
+    assert!(core
+        .on_frame(RingFrame::write_with_value(ObjectId::SINGLE, stray, val(6)))
+        .is_empty());
+    assert_eq!(core.stats().duplicates_dropped, 2);
+    assert!(!core.has_ring_work());
+    assert!(core.pending().is_empty());
+    assert_eq!(core.stored().0, Tag::ZERO);
+
+    // Members' traffic still flows.
+    core.on_frame(RingFrame::pre_write(
+        ObjectId::SINGLE,
+        Tag::new(1, ServerId(2)),
+        val(1),
+    ));
+    assert!(core.has_ring_work());
+    assert_eq!(core.stats().duplicates_dropped, 2);
+}
+
+#[test]
 fn server_core_drain_frames_matches_sequential_next_frame() {
     // The per-core batch scheduler (used by single-object embedders)
     // must mirror `MultiObjectServer::drain_frames`: identical frame
