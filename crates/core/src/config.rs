@@ -149,15 +149,7 @@ pub struct Config {
     pub write_carries_value: bool,
     /// *Paper ablation* (A2). Let a read return immediately when the
     /// locally stored tag already dominates every pending pre-write.
-    /// The paper always waits for the next `write` message. The TCP
-    /// runtime additionally gates its snapshot shortcut on this: with
-    /// the flag on, an unblocked read is answered from the seqlock
-    /// snapshot cell by whichever lane read the request, without
-    /// entering the protocol core; off, every read goes through the
-    /// core and no cell is built. On, the cell registry keeps a map
-    /// copy per register created — O(registers²) memory, 14.4 MiB at
-    /// 1024 registers — until the `ReadCell` trial in ROADMAP.md
-    /// replaces or deletes it.
+    /// The paper always waits for the next `write` message.
     pub read_fast_path: bool,
     /// *Paper ablation* (A3). Scheduling of local writes vs. forwarded
     /// traffic; anything but [`FairnessMode::Fair`] starves one side.

@@ -78,18 +78,13 @@
 //! }
 //! ```
 
-// `deny` rather than `forbid`: the `snapshot` module (and only it) opts
-// back in for the seqlock read cell's `UnsafeCell` slot — the one place
-// safe Rust cannot express the wait-free published-snapshot protocol.
-// hts-check rule L5 requires a SAFETY comment on every unsafe block.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod client;
 mod config;
 mod fairness;
 mod lanes;
-mod mc_shim;
 mod multi;
 mod pending;
 mod ring;
@@ -98,7 +93,6 @@ mod server;
 mod session;
 mod sim_adapter;
 mod small;
-mod snapshot;
 
 pub use client::{ClientCore, Completion};
 pub use config::{BatchConfig, Config, Durability, FairnessMode};
@@ -111,4 +105,3 @@ pub use round_adapter::{RoundClient, RoundClientStats, RoundServer};
 pub use server::{Action, ServerCore, ServerStats};
 pub use session::{SessionCore, REPROBE_PERIOD};
 pub use sim_adapter::{unique_value, ClientStats, OpMix, SimClient, SimServer, WorkloadConfig};
-pub use snapshot::{ReadCell, ReadCellRegistry};

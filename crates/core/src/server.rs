@@ -28,7 +28,7 @@ use hts_types::{
 };
 
 use crate::small::{SmallMap, SmallQueue};
-use crate::{Config, ForwardScheduler, PendingSet, ReadCell, RingView, Selection};
+use crate::{Config, ForwardScheduler, PendingSet, RingView, Selection};
 
 /// A client-visible effect produced by the server core; the transport
 /// layer turns these into reply messages.
@@ -127,7 +127,7 @@ const WRITE: usize = 1;
 /// **At rest** a core is its stored tag and value, its ring view, one
 /// pair of duplicate-suppression watermarks per ring member, its
 /// counters and the protocol's queues, all empty — and an emptied queue,
-/// set or map owns no heap. On a 64-bit target the core is 744 B; the
+/// set or map owns no heap. On a 64-bit target the core is 712 B; the
 /// heap adds the value, `n` alive flags and `16·n` B of watermarks.
 /// **In flight**, one write per register — the common case, since a
 /// client waits for its ack before writing the register again — keeps
@@ -174,12 +174,6 @@ pub struct ServerCore {
     /// Commits applied since the last [`drain_commits`](Self::drain_commits)
     /// (populated only under a persistent [`Durability`](crate::Durability)).
     commit_log: Vec<(Tag, Value)>,
-    /// The published snapshot cell behind the net layer's lock-free read
-    /// fast path (attached by the runtime; `None` in simulators).
-    cell: Option<Arc<ReadCell>>,
-    /// What the cell currently says — `(stored_tag, blocked)` — so
-    /// republishing is a no-op when nothing observable changed.
-    published: Option<(Tag, bool)>,
     stats: ServerStats,
 }
 
@@ -213,8 +207,6 @@ impl ServerCore {
             syncing: false,
             sync_reads: Vec::new(),
             commit_log: Vec::new(),
-            cell: None,
-            published: None,
             stats: ServerStats::default(),
         }
     }
@@ -271,48 +263,12 @@ impl ServerCore {
         self.syncing
     }
 
-    /// Attaches the published snapshot cell consulted by the transport's
-    /// lock-free read fast path; the cell immediately reflects the
-    /// core's current state. This core's event loop is the cell's single
-    /// writer — do not attach one cell to two cores, and do not clone an
-    /// attached core.
-    pub fn attach_read_cell(&mut self, cell: Arc<ReadCell>) {
-        self.cell = Some(cell);
-        self.published = None;
-        self.republish();
-    }
-
-    /// Re-publishes `(stored_tag, stored_value)` and the read-blocked
-    /// bit into the attached cell whenever either changed. The blocked
-    /// predicate mirrors [`on_client_read`](Self::on_client_read)'s
-    /// immediate-read test (minus the lone-survivor shortcut — the cell
-    /// is conservative there, which only costs a fallback hop).
-    fn republish(&mut self) {
-        let Some(cell) = &self.cell else { return };
-        let blocked = self.syncing
-            || match self.pending.max_tag() {
-                None => false,
-                Some(max) => !(self.config.read_fast_path && self.stored_tag >= max),
-            };
-        if self.published == Some((self.stored_tag, blocked)) {
-            return;
-        }
-        match self.published {
-            // Same snapshot, different gate: skip the slot (and the
-            // reader drain) — only the flag word moves.
-            Some((tag, _)) if tag == self.stored_tag => cell.set_blocked(blocked),
-            _ => cell.publish(self.stored_tag, &self.stored_value, blocked),
-        }
-        self.published = Some((self.stored_tag, blocked));
-    }
-
     /// Enters resync mode after a restart-from-log (no-op when this
     /// server is the only one alive — there is nobody to sync from).
     pub fn begin_sync(&mut self) {
         if self.ring.alive_count() > 1 {
             self.syncing = true;
         }
-        self.republish();
     }
 
     /// Leaves resync mode and answers the reads queued during it
@@ -325,7 +281,6 @@ impl ServerCore {
         for (client, request) in queued {
             actions.extend(self.on_client_read(client, request));
         }
-        self.republish();
         actions
     }
 
@@ -340,7 +295,6 @@ impl ServerCore {
         }
         self.note_prewrite_seen(tag);
         self.note_write_seen(tag);
-        self.republish();
     }
 
     /// Takes the commits applied since the last drain (empty unless
@@ -397,17 +351,6 @@ impl ServerCore {
 
     /// A client asked to write `value` (paper lines 18–20).
     pub fn on_client_write(
-        &mut self,
-        client: ClientId,
-        request: RequestId,
-        value: Value,
-    ) -> Vec<Action> {
-        let actions = self.handle_client_write(client, request, value);
-        self.republish();
-        actions
-    }
-
-    fn handle_client_write(
         &mut self,
         client: ClientId,
         request: RequestId,
@@ -491,18 +434,11 @@ impl ServerCore {
                 self.process_pre_write(pw, &mut actions);
             }
         }
-        self.republish();
         actions
     }
 
     /// The perfect failure detector reported the crash of `s`.
     pub fn on_server_crashed(&mut self, s: ServerId) -> Vec<Action> {
-        let actions = self.handle_server_crashed(s);
-        self.republish();
-        actions
-    }
-
-    fn handle_server_crashed(&mut self, s: ServerId) -> Vec<Action> {
         if s == self.me() || !self.ring.is_alive(s) {
             return Vec::new(); // stale or self-report
         }
@@ -589,12 +525,6 @@ impl ServerCore {
     /// fairness rule. Returns `None` when nothing needs the slot (or this
     /// server is alone).
     pub fn next_frame(&mut self) -> Option<RingFrame> {
-        let frame = self.pull_frame();
-        self.republish();
-        frame
-    }
-
-    fn pull_frame(&mut self) -> Option<RingFrame> {
         self.ring.successor()?;
         loop {
             // While resyncing, hold local initiations: a tag minted from

@@ -30,8 +30,8 @@
 //! are detected structurally via access-window overlap, so they are
 //! caught even though execution itself never produces torn bytes.
 //!
-//! The protocol crates consume the shims behind their `model-check`
-//! feature; with the feature off they compile to plain `std` types with
+//! `hts-metrics` consumes the shims behind its `model-check` feature;
+//! with the feature off they compile to plain `std` types with
 //! zero overhead, and with it on but no execution active the shims pass
 //! straight through, so ordinary tests are unaffected.
 

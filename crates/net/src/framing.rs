@@ -362,6 +362,106 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
+    /// A nonblocking source that doles out a script of read results one
+    /// call at a time.
+    struct Script(std::collections::VecDeque<Step>);
+
+    enum Step {
+        Data(Vec<u8>),
+        WouldBlock,
+        Interrupt,
+        Eof,
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                Some(Step::Data(d)) => {
+                    let n = d.len().min(buf.len());
+                    buf[..n].copy_from_slice(&d[..n]);
+                    if n < d.len() {
+                        self.0.push_front(Step::Data(d[n..].to_vec()));
+                    }
+                    Ok(n)
+                }
+                Some(Step::WouldBlock) => Err(io::ErrorKind::WouldBlock.into()),
+                Some(Step::Interrupt) => Err(io::ErrorKind::Interrupted.into()),
+                Some(Step::Eof) | None => Ok(0),
+            }
+        }
+    }
+
+    fn wire(msgs: &[&Message]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for msg in msgs {
+            write_message(&mut buf, msg).unwrap();
+        }
+        buf
+    }
+
+    fn expect_msg(poll: io::Result<MessagePoll>) -> Message {
+        match poll.unwrap() {
+            MessagePoll::Msg(msg) => msg,
+            other => panic!("expected a message, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nb_reader_survives_byte_at_a_time_delivery() {
+        let msg = Message::WriteReq {
+            object: ObjectId(3),
+            request: RequestId(4),
+            value: Value::filled(5, 40),
+        };
+        let bytes = wire(&[&msg]);
+        let mut steps = std::collections::VecDeque::new();
+        for b in &bytes {
+            steps.push_back(Step::Data(vec![*b]));
+            steps.push_back(Step::WouldBlock);
+        }
+        let mut src = Script(steps);
+        let mut reader = NbMessageReader::new();
+        // Every byte but the last leaves the reader pending.
+        for _ in 1..bytes.len() {
+            assert!(matches!(reader.poll(&mut src), Ok(MessagePoll::Pending)));
+        }
+        assert_eq!(expect_msg(reader.poll(&mut src)), msg);
+    }
+
+    #[test]
+    fn nb_reader_drains_a_burst_and_retries_eintr() {
+        let one = Message::ReadReq {
+            object: ObjectId(1),
+            request: RequestId(1),
+        };
+        let two = Message::WriteAck {
+            object: ObjectId(2),
+            request: RequestId(2),
+        };
+        let mut src =
+            Script(vec![Step::Interrupt, Step::Data(wire(&[&one, &two])), Step::Eof].into());
+        let mut reader = NbMessageReader::new();
+        assert_eq!(expect_msg(reader.poll(&mut src)), one);
+        assert_eq!(expect_msg(reader.poll(&mut src)), two);
+        assert!(matches!(reader.poll(&mut src), Ok(MessagePoll::Closed)));
+    }
+
+    #[test]
+    fn nb_reader_reports_midframe_close_and_oversize() {
+        let msg = Message::ReadReq {
+            object: ObjectId(0),
+            request: RequestId(1),
+        };
+        let bytes = wire(&[&msg]);
+        let mut src = Script(vec![Step::Data(bytes[..5].to_vec()), Step::Eof].into());
+        let err = NbMessageReader::new().poll(&mut src).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+
+        let mut src = Script(vec![Step::Data(u32::MAX.to_be_bytes().to_vec())].into());
+        let err = NbMessageReader::new().poll(&mut src).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
     #[test]
     fn truncation_reports_eof() {
         let msg = Message::ReadReq {

@@ -20,7 +20,7 @@
 //!   handshake; a completed hello hands the socket to its lane (ring
 //!   streams to the lane the handshake names, clients to their home
 //!   lane, `ClientId % lanes`) over an inject channel + eventfd wake.
-//! * **lane** — owns its protocol core, WAL, fast-path cells and every
+//! * **lane** — owns its protocol core, WAL and every
 //!   socket routed to it. Cross-lane client traffic travels as
 //!   [`Inject`] messages between lanes (requests to the object's lane,
 //!   replies back to the socket's home lane).
@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use hts_core::{Action, BatchConfig, LaneMap, MultiObjectServer, ReadCellRegistry};
+use hts_core::{Action, BatchConfig, LaneMap, MultiObjectServer};
 use hts_poll::{
     connect_nonblocking, read_nb, Event, Events, Interest, Poller, ReadStatus, Token, Waker,
     WriteBuf,
@@ -108,9 +108,6 @@ pub(crate) fn spawn(config: ServerConfig) -> io::Result<(ReactorHandle, SocketAd
     listener.set_nonblocking(true)?;
 
     let shutdown = Arc::new(AtomicBool::new(false));
-    let cells: Vec<Arc<ReadCellRegistry>> = (0..lanes)
-        .map(|_| Arc::new(ReadCellRegistry::new()))
-        .collect();
 
     let mut plumbing = Vec::with_capacity(lanes);
     for _ in 0..lanes {
@@ -154,7 +151,6 @@ pub(crate) fn spawn(config: ServerConfig) -> io::Result<(ReactorHandle, SocketAd
                 waker,
                 injects,
                 peers: peers.clone(),
-                cells: cells.clone(),
                 shutdown: Arc::clone(&shutdown),
             },
             wal_state,
@@ -289,7 +285,6 @@ struct LanePlumbing {
     waker: Arc<Waker>,
     injects: Receiver<Inject>,
     peers: Vec<(Sender<Inject>, Arc<Waker>)>,
-    cells: Vec<Arc<ReadCellRegistry>>,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -305,7 +300,6 @@ struct Lane {
     injects: Receiver<Inject>,
     peers: Vec<(Sender<Inject>, Arc<Waker>)>,
     map: LaneMap,
-    cells: Vec<Arc<ReadCellRegistry>>,
     shutdown: Arc<AtomicBool>,
     next_token: u64,
     slots: HashMap<u64, SlotKind>,
@@ -336,8 +330,7 @@ impl Lane {
         // behind it, so the socket never idles while the core is asked
         // for more and the fairness rule still runs close to the wire.
         let pipeline_cap = batching.max_frames.max(1) * 2;
-        let cell = Arc::clone(&plumbing.cells[usize::from(lc.lane)]);
-        let (core, wal) = build_core(lc.id, n, lc.config.clone(), wal_state, cell);
+        let (core, wal) = build_core(lc.id, n, lc.config.clone(), wal_state);
         Lane {
             lc,
             batching,
@@ -350,7 +343,6 @@ impl Lane {
             injects: plumbing.injects,
             peers: plumbing.peers,
             map: LaneMap::new(lanes),
-            cells: plumbing.cells,
             shutdown: plumbing.shutdown,
             next_token: WAKER_TOKEN + 1,
             slots: HashMap::new(),
@@ -459,7 +451,7 @@ impl Lane {
                 }
             }
         }
-        // Coalesce the burst's inline replies (fast reads, stats) into
+        // Coalesce the burst's inline replies (stats) into
         // one flush; a writable-only event resumes a partial write the
         // same way.
         if self.flush_client(&mut conn).is_err() {
@@ -472,28 +464,6 @@ impl Lane {
     fn on_client_msg(&mut self, conn: &mut ClientConn, msg: Message) {
         let c = conn.id;
         match msg {
-            // The lock-free read fast path: answer from the published
-            // snapshot cell without touching the protocol core. The
-            // cell's blocked bit follows the predicate `on_client_read`
-            // uses, and a core republishes before its acks flush, so
-            // this never returns less than a client has already seen.
-            Message::ReadReq { object, request } if self.lc.config.read_fast_path => {
-                let lane = usize::from(self.map.lane_of(object));
-                if let Some((_, value)) = self.cells[lane].try_read(object) {
-                    hts_metrics::counter!("hts_net_read_fastpath_hits_total").inc();
-                    self.queue_reply(
-                        conn,
-                        &Message::ReadAck {
-                            object,
-                            request,
-                            value,
-                        },
-                    );
-                } else {
-                    hts_metrics::counter!("hts_net_read_fastpath_fallbacks_total").inc();
-                    self.route_request(c, Message::ReadReq { object, request });
-                }
-            }
             // Answered from the process-wide registry without touching
             // the protocol core: stats are observational and never
             // consume an op slot.

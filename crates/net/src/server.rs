@@ -16,9 +16,8 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use hts_core::{Action, Config, Durability, MultiObjectServer, ReadCellRegistry};
+use hts_core::{Action, Config, Durability, MultiObjectServer};
 use hts_types::{codec, ClientId, Message, RingFrame, ServerId};
 use hts_wal::{recover, FsyncPolicy, Recovery, Wal, WalOptions, WalRecord};
 
@@ -96,22 +95,14 @@ pub(crate) fn recover_lanes(config: &ServerConfig) -> io::Result<Vec<Option<(Wal
 }
 
 /// Builds one lane's protocol core from its recovered WAL state:
-/// restores the registers the log proves committed, flags a restart
-/// rejoin when the directory already held a log, and — only where
-/// [`Config::read_fast_path`] is on — attaches the lane's fast-path
-/// cells, **after** the rejoin gate is armed (the attach republishes
-/// every core with its resync bit already set, so a restarted server's
-/// restored state is never readable early). With the flag off nothing
-/// reads the cells, so none are built: `cells` stays the empty map it
-/// was born as and every core's republish is a no-op.
+/// restores the registers the log proves committed and flags a restart
+/// rejoin when the directory already held a log.
 pub(crate) fn build_core(
     id: ServerId,
     n: u16,
     config: Config,
     wal_state: Option<(Wal, Recovery)>,
-    cells: Arc<ReadCellRegistry>,
 ) -> (MultiObjectServer, Option<Wal>) {
-    let fast_path = config.read_fast_path;
     let mut core = MultiObjectServer::new(id, n, config);
     let mut wal = None;
     if let Some((w, recovery)) = wal_state {
@@ -126,9 +117,6 @@ pub(crate) fn build_core(
             core.begin_rejoin();
         }
         wal = Some(w);
-    }
-    if fast_path {
-        core.attach_read_cells(cells);
     }
     (core, wal)
 }
@@ -332,7 +320,6 @@ pub(crate) struct LaneConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hts_types::{ObjectId, RequestId, Tag, Value};
 
     #[test]
     fn lane_wal_dirs_nest_only_when_laned() {
@@ -340,38 +327,5 @@ mod tests {
         assert_eq!(lane_wal_dir(base, 0, 1), PathBuf::from("/tmp/wal"));
         assert_eq!(lane_wal_dir(base, 0, 4), PathBuf::from("/tmp/wal/lane-0"));
         assert_eq!(lane_wal_dir(base, 3, 4), PathBuf::from("/tmp/wal/lane-3"));
-    }
-
-    /// One client write on a one-server ring: what the registry handed
-    /// to `build_core` answers afterwards, and the core's actions.
-    fn registry_after_a_write(config: Config) -> (Option<(Tag, Value)>, Vec<Action>) {
-        let object = ObjectId(7);
-        let cells = Arc::new(ReadCellRegistry::new());
-        let (mut core, _) = build_core(ServerId(0), 1, config, None, Arc::clone(&cells));
-        let actions = core.on_client_write(object, ClientId(1), RequestId(1), Value::from_u64(9));
-        (cells.try_read(object), actions)
-    }
-
-    #[test]
-    fn fast_path_cells_exist_only_where_the_flag_is_on() {
-        let ack = Action::WriteAck {
-            object: ObjectId(7),
-            client: ClientId(1),
-            request: RequestId(1),
-        };
-
-        // Off (the default): nothing reads the cells, so none is built.
-        let (snapshot, actions) = registry_after_a_write(Config::default());
-        assert_eq!(snapshot, None);
-        assert_eq!(actions, vec![ack.clone()]);
-
-        // On: the same write is readable from its cell at once.
-        let (snapshot, actions) = registry_after_a_write(Config {
-            read_fast_path: true,
-            ..Config::default()
-        });
-        let (tag, value) = snapshot.expect("the committed write is published");
-        assert_eq!((tag.ts, value), (1, Value::from_u64(9)));
-        assert_eq!(actions, vec![ack]);
     }
 }

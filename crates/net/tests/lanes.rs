@@ -66,13 +66,23 @@ fn objects_roundtrip_across_lanes() {
 
 #[test]
 fn multi_lane_lincheck_under_kill_restart() {
+    lincheck_two_lanes_under_kill_restart(false);
+    // Paper ablation A2: a read whose object lives on the other lane
+    // crosses the inject hop and is answered early by that lane's core.
+    lincheck_two_lanes_under_kill_restart(true);
+}
+
+fn lincheck_two_lanes_under_kill_restart(read_fast_path: bool) {
     // Four workers, each on its own object (objects spread across both
     // lanes by the shared placement), aggressive batching, and a server
     // bounced mid-run: every per-object history must stay atomic —
     // each lane recovers through its own rejoin/resync protocol.
-    let base = tmp_base("lincheck");
-    let mut cluster =
-        Cluster::launch_durable(3, laned_config(2), &base).expect("launch laned cluster");
+    let base = tmp_base(&format!("lincheck-a2-{read_fast_path}"));
+    let config = Config {
+        read_fast_path,
+        ..laned_config(2)
+    };
+    let mut cluster = Cluster::launch_durable(3, config, &base).expect("launch laned cluster");
     let addrs = cluster.addrs();
     let epoch = Instant::now();
     let histories: Vec<Arc<Mutex<History>>> = (0..4)
@@ -81,12 +91,15 @@ fn multi_lane_lincheck_under_kill_restart() {
 
     let map = LaneMap::new(2);
     let mut lanes_hit = [false; 2];
+    let mut cross_lane = false;
     let mut workers = Vec::new();
     for t in 0..4u32 {
         let addrs = addrs.clone();
         let history = Arc::clone(&histories[t as usize]);
         let object = ObjectId(t);
         lanes_hit[usize::from(map.lane_of(object))] = true;
+        // A client's socket lives on lane `ClientId % lanes`.
+        cross_lane |= u32::from(map.lane_of(object)) != (40 + t) % 2;
         workers.push(std::thread::spawn(move || {
             let preferred = ServerId(t as u16 % 3);
             let mut client = Client::connect_preferring(40 + t, addrs, preferred).expect("client");
@@ -120,6 +133,7 @@ fn multi_lane_lincheck_under_kill_restart() {
         lanes_hit.iter().all(|h| *h),
         "test objects must exercise both lanes: {lanes_hit:?}"
     );
+    assert!(cross_lane, "some worker must read across lanes");
 
     // Bounce s1 while both lanes are under fire: each lane's recovery
     // stream and rejoin announcement travel its own batched link.
@@ -138,7 +152,8 @@ fn multi_lane_lincheck_under_kill_restart() {
         let violations = check_conditions(&history);
         assert!(
             violations.is_empty(),
-            "object {t}: atomicity violations under lanes + kill/restart: {violations:?}\n{history}"
+            "object {t} (A2 {read_fast_path}): atomicity violations under lanes + \
+             kill/restart: {violations:?}\n{history}"
         );
     }
 

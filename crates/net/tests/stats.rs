@@ -72,11 +72,6 @@ fn durable_cluster_serves_live_stats_with_nonzero_histograms() {
             assert!(n > 0, "{hist} is empty:\n{text}");
         }
         assert!(via_client.contains("hts_net_ring_batch_frames_count"));
-        // `Config::default()` leaves the read fast path off, so the five
-        // reads above all went through the protocol core (every test in
-        // this binary runs the default config against the one registry).
-        let hits = sample(&text, "hts_net_read_fastpath_hits_total").unwrap_or(0);
-        assert_eq!(hits, 0, "fast path off must mean no fast-path hits");
     } else {
         // Metrics off: the endpoint still answers, with an empty registry.
         assert!(text.is_empty());
