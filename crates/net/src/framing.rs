@@ -1,15 +1,17 @@
 //! Length-prefixed message framing over TCP.
 //!
 //! Every wire message is a `u32` big-endian length followed by the codec
-//! bytes. The write paths thread a reusable scratch [`BytesMut`] so the
-//! hot loops (ring-batch staging, client-reply flushing, the session's
-//! coalescing writer) never allocate a fresh buffer per message, and
+//! bytes. The write paths frame straight into the connection's own
+//! reusable buffer (a reactor [`WriteBuf`], the session's coalescing
+//! writer), so the hot loops (ring-batch staging, client-reply flushing)
+//! neither allocate nor copy a message on its way to the socket, and
 //! [`encode_ring_frames`] turns a whole frame batch into **one** wire
-//! message.
+//! message. The read paths receive each body into reserved, unwritten
+//! capacity: a declared length costs memory only as its bytes arrive.
 
 use std::io::{self, Read, Write};
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use hts_poll::{read_nb, ReadStatus};
 use hts_types::{codec, Message, RingFrame};
 
@@ -43,12 +45,11 @@ pub fn write_message<W: Write>(writer: &mut W, msg: &Message) -> io::Result<()> 
 /// Encodes a coalesced batch of ring frames as **one** wire message: a
 /// lone frame travels as [`Message::Ring`], several as
 /// [`Message::RingBatch`] (frames keep their order — the batch is the
-/// FIFO link's contents). Clears `scratch` and fills it with the
-/// complete wire bytes, length prefix included; the lane stages them in
-/// its per-connection write buffer and lets epoll writability drive the
-/// actual sends. An empty batch encodes to nothing.
-pub(crate) fn encode_ring_frames(frames: &[RingFrame], scratch: &mut BytesMut) {
-    scratch.clear();
+/// FIFO link's contents). Appends the complete wire bytes, length prefix
+/// included, to `buf` — the lane passes its link's [`WriteBuf`] and lets
+/// epoll writability drive the actual sends. An empty batch encodes to
+/// nothing.
+pub(crate) fn encode_ring_frames(frames: &[RingFrame], buf: &mut BytesMut) {
     if frames.is_empty() {
         return;
     }
@@ -57,13 +58,120 @@ pub(crate) fn encode_ring_frames(frames: &[RingFrame], scratch: &mut BytesMut) {
     } else {
         3 + frames.iter().map(codec::frame_wire_size).sum::<usize>()
     };
-    scratch.reserve(4 + body);
-    scratch.extend_from_slice(&(body as u32).to_be_bytes());
+    buf.reserve(4 + body);
+    buf.extend_from_slice(&(body as u32).to_be_bytes());
     if frames.len() == 1 {
-        codec::encode_ring_into(&frames[0], scratch);
+        codec::encode_ring_into(&frames[0], buf);
     } else {
-        codec::encode_ring_batch_into(frames, scratch);
+        codec::encode_ring_batch_into(frames, buf);
     }
+}
+
+/// A connection's outbound bytes. Messages are framed straight into
+/// [`tail`]; [`flush`] pushes as much as the socket accepts, remembers
+/// its position across `WouldBlock` and retries `EINTR` internally.
+///
+/// [`tail`]: WriteBuf::tail
+/// [`flush`]: WriteBuf::flush
+#[derive(Default)]
+pub(crate) struct WriteBuf {
+    buf: BytesMut,
+    pos: usize,
+}
+
+impl WriteBuf {
+    /// An empty buffer.
+    pub(crate) fn new() -> WriteBuf {
+        WriteBuf::default()
+    }
+
+    /// Whether everything queued has been flushed.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pos == self.buf.len()
+    }
+
+    /// The buffer to append the next bytes to, behind whatever is still
+    /// unflushed. The already-written prefix is compacted away first, so
+    /// the buffer never grows past the unflushed tail plus the new bytes.
+    pub(crate) fn tail(&mut self) -> &mut BytesMut {
+        if self.pos > 0 {
+            self.buf.copy_within(self.pos.., 0);
+            self.buf.truncate(self.buf.len() - self.pos);
+            self.pos = 0;
+        }
+        &mut self.buf
+    }
+
+    /// Writes as much as the socket accepts. `Ok(true)` means fully
+    /// drained; `Ok(false)` means the socket pushed back (`WouldBlock`)
+    /// and the caller should wait for write readiness. `EINTR` retries
+    /// internally; partial writes advance the position.
+    ///
+    /// # Errors
+    ///
+    /// Real socket errors, plus `WriteZero` if the socket claims to
+    /// accept zero bytes.
+    pub(crate) fn flush<W: Write>(&mut self, writer: &mut W) -> io::Result<bool> {
+        while self.pos < self.buf.len() {
+            match writer.write(&self.buf[self.pos..]) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::WriteZero,
+                        "socket accepted zero bytes",
+                    ))
+                }
+                Ok(n) => self.pos += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) => return Err(e),
+            }
+        }
+        self.buf.clear();
+        self.pos = 0;
+        Ok(true)
+    }
+}
+
+/// Checks a declared body length against [`MAX_FRAME_BYTES`].
+fn check_frame_len(len: usize) -> io::Result<()> {
+    if len > MAX_FRAME_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
+        ));
+    }
+    Ok(())
+}
+
+/// Reads the rest of a `len`-byte body into `body`'s spare capacity:
+/// std's `read_to_end` hands the socket uninitialised memory, so nothing
+/// is zero-filled first and a body that never arrives costs no resident
+/// memory. `Ok` means the body is complete; a `WouldBlock` from a
+/// nonblocking `reader` surfaces as an error with the bytes read so far
+/// kept in `body`.
+fn read_body<R: Read>(reader: &mut R, body: &mut Vec<u8>, len: usize) -> io::Result<()> {
+    let rest = len - body.len();
+    if rest > 0 {
+        body.reserve(rest);
+        Read::take(reader, rest as u64).read_to_end(body)?;
+        if body.len() < len {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+    }
+    Ok(())
+}
+
+/// Decodes a complete body as views of one shared allocation. When no
+/// value view took a reference to it (or the decode failed), the
+/// allocation goes back into `spare` for the next message.
+fn decode_body(body: Vec<u8>, spare: &mut Vec<u8>) -> io::Result<Message> {
+    let bytes = Bytes::from(body);
+    let msg =
+        codec::decode_shared(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
+    if let Ok(reclaimed) = bytes.try_into_mut() {
+        *spare = reclaimed.into();
+    }
+    msg
 }
 
 /// Reads one message framed by [`write_message`].
@@ -88,13 +196,13 @@ pub fn read_message<R: Read>(reader: &mut R) -> io::Result<Message> {
 /// value views (acks, read requests, tag-only ring notices — the
 /// majority of wire traffic), the buffer's refcount drops back to one
 /// and it is reclaimed for the next read, mirroring the write side's
-/// scratch framing. Value-bearing messages keep their buffer alive for
-/// exactly as long as the values do.
+/// reused per-connection buffers. Value-bearing messages keep their
+/// buffer alive for exactly as long as the values do.
 ///
 /// [`Value`]: hts_types::Value
 #[derive(Default)]
 pub struct MessageReader {
-    spare: BytesMut,
+    spare: Vec<u8>,
 }
 
 impl MessageReader {
@@ -114,25 +222,11 @@ impl MessageReader {
         let mut len_bytes = [0u8; 4];
         reader.read_exact(&mut len_bytes)?;
         let len = u32::from_be_bytes(len_bytes) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
-            ));
-        }
+        check_frame_len(len)?;
         let mut body = std::mem::take(&mut self.spare);
         body.clear();
-        body.resize(len, 0);
-        reader.read_exact(&mut body)?;
-        let bytes = body.freeze();
-        let msg =
-            codec::decode_shared(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
-        // No value view took a reference (or the decode failed): take
-        // the allocation back for the next message.
-        if let Ok(reclaimed) = bytes.try_into_mut() {
-            self.spare = reclaimed;
-        }
-        msg
+        read_body(reader, &mut body, len)?;
+        decode_body(body, &mut self.spare)
     }
 }
 
@@ -156,9 +250,12 @@ pub enum MessagePoll {
 /// [`poll`]: NbMessageReader::poll
 pub struct NbMessageReader {
     header: [u8; 4],
+    /// Header bytes read so far.
     filled: usize,
-    body: BytesMut,
-    in_body: bool,
+    body: Vec<u8>,
+    /// The declared body length, from a complete header until the body
+    /// completes.
+    want: Option<usize>,
 }
 
 impl NbMessageReader {
@@ -167,8 +264,8 @@ impl NbMessageReader {
         NbMessageReader {
             header: [0; 4],
             filled: 0,
-            body: BytesMut::new(),
-            in_body: false,
+            body: Vec::new(),
+            want: None,
         }
     }
 
@@ -183,7 +280,7 @@ impl NbMessageReader {
     /// error (`Interrupted` is retried internally).
     pub fn poll<R: Read>(&mut self, reader: &mut R) -> io::Result<MessagePoll> {
         loop {
-            if !self.in_body {
+            let Some(len) = self.want else {
                 let n = match read_nb(reader, &mut self.header[self.filled..])? {
                     ReadStatus::Data(n) => n,
                     ReadStatus::WouldBlock => return Ok(MessagePoll::Pending),
@@ -199,40 +296,20 @@ impl NbMessageReader {
                     continue;
                 }
                 let len = u32::from_be_bytes(self.header) as usize;
-                if len > MAX_FRAME_BYTES {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
-                    ));
-                }
+                check_frame_len(len)?;
                 self.body.clear();
-                self.body.resize(len, 0);
                 self.filled = 0;
-                self.in_body = true;
+                self.want = Some(len);
                 continue;
+            };
+            match read_body(reader, &mut self.body, len) {
+                Ok(()) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(MessagePoll::Pending),
+                Err(e) => return Err(e),
             }
-            if self.filled < self.body.len() {
-                let n = match read_nb(reader, &mut self.body[self.filled..])? {
-                    ReadStatus::Data(n) => n,
-                    ReadStatus::WouldBlock => return Ok(MessagePoll::Pending),
-                    ReadStatus::Eof => return Err(io::ErrorKind::UnexpectedEof.into()),
-                };
-                self.filled += n;
-                if self.filled < self.body.len() {
-                    continue;
-                }
-            }
-            self.in_body = false;
-            self.filled = 0;
-            let bytes = std::mem::take(&mut self.body).freeze();
-            let msg = codec::decode_shared(&bytes)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
-            // Value-free message (or failed decode): reclaim the
-            // allocation for the next frame, like MessageReader.
-            if let Ok(reclaimed) = bytes.try_into_mut() {
-                self.body = reclaimed;
-            }
-            return Ok(MessagePoll::Msg(msg?));
+            self.want = None;
+            let body = std::mem::take(&mut self.body);
+            return decode_body(body, &mut self.body).map(MessagePoll::Msg);
         }
     }
 }
@@ -285,7 +362,8 @@ mod tests {
             Message::Ring(single[0].clone())
         );
 
-        // Several frames: one RingBatch wire message, order preserved.
+        // Several frames: one RingBatch wire message, order preserved,
+        // appended behind what the buffer already holds.
         let many = vec![
             RingFrame::pre_write(ObjectId(1), tag, Value::filled(1, 100)),
             RingFrame::write(ObjectId(2), tag),
@@ -293,11 +371,103 @@ mod tests {
         ];
         encode_ring_frames(&many, &mut scratch);
         let mut cursor = &scratch[..];
+        assert_eq!(
+            read_message(&mut cursor).unwrap(),
+            Message::Ring(single[0].clone())
+        );
         assert_eq!(read_message(&mut cursor).unwrap(), Message::RingBatch(many));
+        assert!(cursor.is_empty());
 
         // Empty batch: nothing on the wire.
+        scratch.clear();
         encode_ring_frames(&[], &mut scratch);
         assert!(scratch.is_empty());
+    }
+
+    /// A writer that doles out a script of results one call at a time and
+    /// keeps what it accepted.
+    struct Sink {
+        steps: std::collections::VecDeque<WriteStep>,
+        got: Vec<u8>,
+    }
+
+    enum WriteStep {
+        WouldBlock,
+        Interrupt,
+        Accept(usize),
+    }
+
+    impl Sink {
+        fn new(steps: Vec<WriteStep>) -> Sink {
+            Sink {
+                steps: steps.into(),
+                got: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            match self.steps.pop_front() {
+                Some(WriteStep::Accept(n)) => {
+                    let n = n.min(buf.len());
+                    self.got.extend_from_slice(&buf[..n]);
+                    Ok(n)
+                }
+                Some(WriteStep::WouldBlock) => Err(io::ErrorKind::WouldBlock.into()),
+                Some(WriteStep::Interrupt) => Err(io::ErrorKind::Interrupted.into()),
+                None => unreachable!("write past the end of the script"),
+            }
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_buf_resumes_partial_writes_across_wouldblock() {
+        let mut wb = WriteBuf::new();
+        wb.tail().extend_from_slice(b"abcdefgh");
+        let mut sink = Sink::new(vec![
+            WriteStep::Accept(3),
+            WriteStep::Interrupt,
+            WriteStep::WouldBlock,
+        ]);
+        assert!(!wb.flush(&mut sink).unwrap());
+        assert!(!wb.is_empty());
+
+        // More bytes arrive while blocked; the drained prefix compacts.
+        wb.tail().extend_from_slice(b"ij");
+        assert_eq!(&wb.buf[..], b"defghij");
+        sink.steps = vec![WriteStep::Accept(4), WriteStep::Accept(64)].into();
+        assert!(wb.flush(&mut sink).unwrap());
+        assert!(wb.is_empty());
+        assert_eq!(sink.got, b"abcdefghij");
+    }
+
+    #[test]
+    fn write_buf_surfaces_write_zero() {
+        let mut wb = WriteBuf::new();
+        wb.tail().extend_from_slice(b"x");
+        let mut sink = Sink::new(vec![WriteStep::Accept(0)]);
+        assert_eq!(
+            wb.flush(&mut sink).unwrap_err().kind(),
+            io::ErrorKind::WriteZero
+        );
+    }
+
+    #[test]
+    fn write_buf_frames_in_place() {
+        let msg = Message::WriteAck {
+            object: ObjectId(2),
+            request: RequestId(8),
+        };
+        let mut wb = WriteBuf::new();
+        frame_into(wb.tail(), &msg);
+        frame_into(wb.tail(), &msg);
+        let mut sink = Sink::new(vec![WriteStep::Accept(usize::MAX)]);
+        assert!(wb.flush(&mut sink).unwrap());
+        assert_eq!(sink.got, wire(&[&msg, &msg]));
     }
 
     #[test]
@@ -443,6 +613,75 @@ mod tests {
         let mut src = Script(vec![Step::Data(u32::MAX.to_be_bytes().to_vec())].into());
         let err = NbMessageReader::new().poll(&mut src).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn nb_reader_matches_the_blocking_reader_under_random_chunking() {
+        use rand::{Rng, SeedableRng};
+
+        let tag = Tag::new(5, ServerId(2));
+        let msgs = [
+            Message::WriteReq {
+                object: ObjectId(1),
+                request: RequestId(1),
+                value: Value::filled(3, 70_000),
+            },
+            Message::ReadReq {
+                object: ObjectId(2),
+                request: RequestId(2),
+            },
+            Message::RingBatch(vec![
+                RingFrame::pre_write(ObjectId(3), tag, Value::filled(4, 9_000)),
+                RingFrame::write(ObjectId(4), tag),
+            ]),
+            Message::WriteAck {
+                object: ObjectId(5),
+                request: RequestId(3),
+            },
+            Message::ReadAck {
+                object: ObjectId(6),
+                request: RequestId(4),
+                value: Value::filled(6, 20),
+            },
+            Message::Ring(RingFrame::write(ObjectId(7), tag)),
+        ];
+        let bytes = wire(&msgs.iter().collect::<Vec<_>>());
+        let mut blocking = MessageReader::new();
+        let mut cursor = &bytes[..];
+        let expected: Vec<Message> = msgs
+            .iter()
+            .map(|_| blocking.read(&mut cursor).unwrap())
+            .collect();
+        assert!(cursor.is_empty());
+
+        for seed in 0..64u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut steps = std::collections::VecDeque::new();
+            let mut at = 0;
+            while at < bytes.len() {
+                let max: usize = if rng.gen_bool(0.5) { 16 } else { 40_000 };
+                let end = (at + rng.gen_range(1..=max)).min(bytes.len());
+                steps.push_back(Step::Data(bytes[at..end].to_vec()));
+                if rng.gen_bool(0.2) {
+                    steps.push_back(Step::Interrupt);
+                }
+                steps.push_back(Step::WouldBlock);
+                at = end;
+            }
+            steps.push_back(Step::Eof);
+            let mut src = Script(steps);
+            let mut reader = NbMessageReader::new();
+            let mut got = Vec::new();
+            loop {
+                match reader.poll(&mut src) {
+                    Ok(MessagePoll::Msg(msg)) => got.push(msg),
+                    Ok(MessagePoll::Pending) => {}
+                    Ok(MessagePoll::Closed) => break,
+                    Err(e) => panic!("seed {seed}: {e}"),
+                }
+            }
+            assert_eq!(got, expected, "seed {seed}");
+        }
     }
 
     #[test]

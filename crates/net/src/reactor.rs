@@ -11,13 +11,17 @@
 //! messages under `BatchConfig` (a partial batch may linger, a full one
 //! ships at once); at most two batches are claimed from the core ahead
 //! of a full socket drain (pipeline credit returns when a staged batch
-//! has entirely left the write buffer); and a failed link gets one
-//! retry over a fresh connection before its peer is declared crashed.
+//! has entirely left the write buffer); a link comes up as soon as its
+//! peer listens — a refused or timed-out connect is retried after 1 ms,
+//! the pause doubling up to 50 ms, for 2 s before the peer counts as
+//! down; and a failed link gets one retry over a fresh connection, on
+//! the same schedule for 100 ms, before its peer is declared crashed.
 //!
 //! Each lane owns its protocol core, WAL and every socket routed to it.
 //! Lane 0 also owns the listener and every connection still mid
-//! handshake: a completed hello hands the socket to its lane (ring
-//! streams to the lane the handshake names, clients to their home lane,
+//! handshake (closed if its hello is not complete within a second): a
+//! completed hello hands the socket to its lane (ring streams to the
+//! lane the handshake names, clients to their home lane,
 //! `ClientId % lanes`), keeping it when that lane is lane 0. Sockets and
 //! cross-lane client traffic travel as [`Inject`] messages over a
 //! channel plus an eventfd wake (requests to the object's lane, replies
@@ -38,17 +42,15 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
 use hts_core::{Action, BatchConfig, LaneMap, MultiObjectServer};
 use hts_poll::{
     connect_nonblocking, read_nb, Event, Events, Interest, Poller, ReadStatus, Token, Waker,
-    WriteBuf,
 };
 use hts_types::codec::Hello;
 use hts_types::{codec, ClientId, Message, RingFrame, ServerId, Value};
 use hts_wal::{Recovery, Wal};
 
-use crate::framing::{encode_ring_frames, frame_into, MessagePoll, NbMessageReader};
+use crate::framing::{encode_ring_frames, frame_into, MessagePoll, NbMessageReader, WriteBuf};
 use crate::server::{
     action_into_message, build_core, drain_batch, note_crash_verdict, persist_commits,
     recover_lanes, LaneConfig, ServerConfig, ThreadTally,
@@ -59,18 +61,27 @@ const WAKER_TOKEN: u64 = 0;
 /// Lane 0's listener registers under token 1.
 const LISTENER_TOKEN: u64 = 1;
 /// How long a nonblocking connect may stay in progress before the
-/// attempt counts as failed.
+/// attempt counts as failed, and how long an accepted socket has to
+/// complete its hello before lane 0 closes it.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
-/// Pause between successor connect attempts, and before the listener is
-/// watched again after an accept error.
-const CONNECT_BACKOFF: Duration = Duration::from_millis(50);
-/// Connect attempts for a normal successor link: 40 × 50 ms outlasts a
-/// peer that is still booting (or restarting) before it counts as down.
-const CONNECT_ATTEMPTS: u32 = 40;
-/// Connect attempts for the one-fresh-connection retry after a write
-/// failure: the peer was reachable moments ago, so a short budget keeps
+/// Pause after the first failed successor connect attempt; each further
+/// failure doubles it, up to [`MAX_CONNECT_PAUSE`]. A peer that is not
+/// listening yet refuses at once, so a short first pause brings the link
+/// up within a millisecond or two of the peer's `listen`.
+const FIRST_CONNECT_PAUSE: Duration = Duration::from_millis(1);
+/// Longest pause between successor connect attempts.
+const MAX_CONNECT_PAUSE: Duration = Duration::from_millis(50);
+/// How long a new successor link keeps trying before its peer counts as
+/// down: outlasts a peer that is still booting (or restarting).
+const CONNECT_BUDGET: Duration = Duration::from_secs(2);
+/// How long the one-fresh-connection retry after a write failure keeps
+/// trying: the peer was reachable moments ago, so a short budget keeps
 /// the crash verdict prompt.
-const RETRY_ATTEMPTS: u32 = 3;
+const RETRY_BUDGET: Duration = Duration::from_millis(100);
+/// How long the listener stays unwatched after an accept error. It waits
+/// for a resource (a free descriptor, say), not for a peer, so it keeps
+/// a fixed pause.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(50);
 
 /// Handle to a running reactor: the shared shutdown flag plus one waker
 /// and join handle per lane thread.
@@ -238,6 +249,38 @@ enum OutState {
     Ready(TcpStream),
 }
 
+/// A successor link's connect schedule. The first attempt runs at once;
+/// a failed attempt is retried after [`FIRST_CONNECT_PAUSE`], the pause
+/// doubling per failure up to [`MAX_CONNECT_PAUSE`], and the last pause
+/// is clamped so the final attempt starts exactly at the deadline. A
+/// failure at or past the deadline ends the schedule: the link is down.
+struct ConnectSchedule {
+    deadline: Instant,
+    pause: Duration,
+}
+
+impl ConnectSchedule {
+    /// A schedule whose first attempt runs at `now` and whose attempts
+    /// stop `budget` later.
+    fn new(now: Instant, budget: Duration) -> ConnectSchedule {
+        ConnectSchedule {
+            deadline: now + budget,
+            pause: FIRST_CONNECT_PAUSE,
+        }
+    }
+
+    /// After an attempt failed at `now`: when the next one starts, or
+    /// `None` once the deadline has passed.
+    fn retry_at(&mut self, now: Instant) -> Option<Instant> {
+        if now >= self.deadline {
+            return None;
+        }
+        let at = (now + self.pause).min(self.deadline);
+        self.pause = (self.pause * 2).min(MAX_CONNECT_PAUSE);
+        Some(at)
+    }
+}
+
 /// One outbound ring connection. At most one encoded batch is staged
 /// in `out` at a time: `unacked` holds its frames until the buffer
 /// fully drains (pipeline credit and strike clearing happen at that
@@ -250,7 +293,7 @@ struct OutConn {
     pending: VecDeque<RingFrame>,
     unacked: Vec<RingFrame>,
     out: WriteBuf,
-    attempts_left: u32,
+    schedule: ConnectSchedule,
     linger_until: Option<Instant>,
     /// Whether the registration currently includes write interest.
     writing: bool,
@@ -283,6 +326,8 @@ struct HelloConn {
     stream: TcpStream,
     buf: [u8; 5],
     filled: usize,
+    /// When lane 0 gives up on the hello and closes the socket.
+    deadline: Instant,
 }
 
 struct Lane {
@@ -317,7 +362,6 @@ struct Lane {
     in_channel: u32,
     /// Peers on their one-fresh-connection second chance.
     retried: HashSet<ServerId>,
-    scratch: BytesMut,
     actions: Vec<Action>,
     dirty: Vec<u64>,
 }
@@ -359,7 +403,6 @@ impl Lane {
             active_out: None,
             in_channel: 0,
             retried: HashSet::new(),
-            scratch: BytesMut::new(),
             actions: Vec::new(),
             dirty: Vec::new(),
         }
@@ -485,7 +528,7 @@ impl Lane {
                     request,
                     text: Value::from(hts_metrics::render().into_bytes()),
                 };
-                self.queue_reply(conn, &reply);
+                frame_into(conn.out.tail(), &reply);
             }
             Message::WriteReq { .. } | Message::ReadReq { .. } => self.route_request(c, msg),
             // Clients never send replies or ring traffic; drop them by
@@ -528,12 +571,6 @@ impl Lane {
             | Message::RingBatch(_) => return,
         };
         self.actions.extend(acts);
-    }
-
-    fn queue_reply(&mut self, conn: &mut ClientConn, msg: &Message) {
-        self.scratch.clear();
-        frame_into(&mut self.scratch, msg);
-        conn.out.push(&self.scratch);
     }
 
     /// Flushes a client's pending replies and keeps its write interest
@@ -748,8 +785,7 @@ impl Lane {
         );
         hts_metrics::histogram!("hts_net_ring_batch_frames").record(conn.unacked.len() as u64);
         hts_metrics::histogram!("hts_net_ring_batch_bytes").record(bytes as u64);
-        encode_ring_frames(&conn.unacked, &mut self.scratch);
-        conn.out.push(&self.scratch);
+        encode_ring_frames(&conn.unacked, conn.out.tail());
         conn.staged_at = hts_metrics::now_nanos();
         !conn.unacked.is_empty()
     }
@@ -769,12 +805,8 @@ impl Lane {
     }
 
     /// Begins (or retries) a nonblocking connect to `conn.peer`.
-    /// Returns `false` only once every attempt is spent.
+    /// Returns `false` only once the link's schedule is spent.
     fn start_connect(&mut self, conn: &mut OutConn) -> bool {
-        if conn.attempts_left == 0 {
-            return false;
-        }
-        conn.attempts_left -= 1;
         match connect_nonblocking(self.lc.addrs[conn.peer.index()]) {
             Ok((stream, done)) => {
                 stream.set_nodelay(true).ok();
@@ -805,25 +837,21 @@ impl Lane {
         }
     }
 
-    /// One connect attempt failed: close its socket (if any) and — with
-    /// attempts remaining — back off to `Waiting`. Returns `false` once
-    /// attempts are exhausted.
+    /// One connect attempt failed: close its socket (if any) and — while
+    /// the schedule runs — back off to `Waiting` until its next attempt.
+    /// Returns `false` once the schedule's deadline has passed.
     fn connect_failed(&mut self, conn: &mut OutConn) -> bool {
         if let OutState::Connecting { stream, .. } | OutState::Ready(stream) = &conn.state {
             self.poller.deregister(stream.as_raw_fd());
             self.slots.remove(&conn.token);
         }
         conn.writing = false;
-        if conn.attempts_left == 0 {
-            conn.state = OutState::Waiting {
-                retry_at: Instant::now(),
-            };
-            return false;
-        }
+        let now = Instant::now();
+        let next = conn.schedule.retry_at(now);
         conn.state = OutState::Waiting {
-            retry_at: Instant::now() + CONNECT_BACKOFF,
+            retry_at: next.unwrap_or(now),
         };
-        true
+        next.is_some()
     }
 
     /// A nonblocking connect completed: become `Ready` and stage the
@@ -850,7 +878,7 @@ impl Lane {
         } else {
             Hello::ServerLane(self.lc.id, self.lc.lane)
         };
-        conn.out.push(&hello.encode());
+        conn.out.tail().extend_from_slice(&hello.encode());
     }
 
     /// Keeps write interest armed only while the link has (or is about
@@ -872,19 +900,20 @@ impl Lane {
         }
     }
 
-    fn new_out_conn(&mut self, peer: ServerId, attempts: u32) -> OutConn {
+    /// A link to `peer` whose connect attempts may run for `budget`,
+    /// the first one at once.
+    fn new_out_conn(&mut self, peer: ServerId, budget: Duration) -> OutConn {
         let token = self.next_token;
         self.next_token += 1;
+        let now = Instant::now();
         OutConn {
             token,
             peer,
-            state: OutState::Waiting {
-                retry_at: Instant::now(),
-            },
+            state: OutState::Waiting { retry_at: now },
             pending: VecDeque::new(),
             unacked: Vec::new(),
             out: WriteBuf::new(),
-            attempts_left: attempts,
+            schedule: ConnectSchedule::new(now, budget),
             linger_until: None,
             writing: false,
             staged_at: 0,
@@ -911,7 +940,7 @@ impl Lane {
                 self.in_channel = 0;
             }
             if self.retried.insert(peer) {
-                let mut fresh = self.new_out_conn(peer, RETRY_ATTEMPTS);
+                let mut fresh = self.new_out_conn(peer, RETRY_BUDGET);
                 fresh.pending = lost;
                 if self.active_out == Some(peer) {
                     self.in_channel = fresh.pending.len() as u32;
@@ -959,7 +988,7 @@ impl Lane {
             // pipeline pacing would over-fill.
             self.in_channel = (conn.pending.len() + conn.unacked.len()) as u32;
         } else {
-            let mut conn = self.new_out_conn(next, CONNECT_ATTEMPTS);
+            let mut conn = self.new_out_conn(next, CONNECT_BUDGET);
             if self.start_connect(&mut conn) {
                 self.ring_outs.insert(next, conn);
             } else {
@@ -1003,22 +1032,23 @@ impl Lane {
     // ---- timers ------------------------------------------------------
 
     fn next_timeout(&self) -> Option<Duration> {
-        let mut next: Option<Instant> = self.accept_paused_until;
-        for conn in self.ring_outs.values() {
-            let deadline = match &conn.state {
-                OutState::Waiting { retry_at } => Some(*retry_at),
-                OutState::Connecting { deadline, .. } => Some(*deadline),
-                OutState::Ready(_) => conn.linger_until,
-            };
-            if let Some(deadline) = deadline {
-                next = Some(next.map_or(deadline, |cur: Instant| cur.min(deadline)));
-            }
-        }
-        next.map(|deadline| deadline.saturating_duration_since(Instant::now()))
+        let hellos = self.hellos.values().map(|conn| Some(conn.deadline));
+        let links = self.ring_outs.values().map(|conn| match &conn.state {
+            OutState::Waiting { retry_at } => Some(*retry_at),
+            OutState::Connecting { deadline, .. } => Some(*deadline),
+            OutState::Ready(_) => conn.linger_until,
+        });
+        std::iter::once(self.accept_paused_until)
+            .chain(hellos)
+            .chain(links)
+            .flatten()
+            .min()
+            .map(|deadline| deadline.saturating_duration_since(Instant::now()))
     }
 
     fn handle_timers(&mut self) {
         self.resume_accepting();
+        self.expire_hellos();
         if self.ring_outs.is_empty() {
             return;
         }
@@ -1142,9 +1172,7 @@ impl Lane {
                 let Some(conn) = self.client_conns.get_mut(&token) else {
                     return;
                 };
-                self.scratch.clear();
-                frame_into(&mut self.scratch, &msg);
-                conn.out.push(&self.scratch);
+                frame_into(conn.out.tail(), &msg);
                 self.dirty.push(token);
             }
             Some(&ClientRoute::Remote(home, _)) => {
@@ -1224,6 +1252,7 @@ impl Lane {
                             stream,
                             buf: [0; 5],
                             filled: 0,
+                            deadline: Instant::now() + CONNECT_TIMEOUT,
                         },
                     );
                 }
@@ -1237,7 +1266,7 @@ impl Lane {
                 }
                 Err(_) => {
                     self.poller.deregister(listener.as_raw_fd());
-                    self.accept_paused_until = Some(Instant::now() + CONNECT_BACKOFF);
+                    self.accept_paused_until = Some(Instant::now() + ACCEPT_PAUSE);
                     return;
                 }
             }
@@ -1257,7 +1286,25 @@ impl Lane {
             Token(LISTENER_TOKEN),
             Interest::READABLE,
         );
-        self.accept_paused_until = registered.err().map(|_| Instant::now() + CONNECT_BACKOFF);
+        self.accept_paused_until = registered.err().map(|_| Instant::now() + ACCEPT_PAUSE);
+    }
+
+    /// Closes every accepted socket whose hello missed its deadline: a
+    /// connection that never speaks holds no descriptor for long.
+    fn expire_hellos(&mut self) {
+        if self.hellos.is_empty() {
+            return;
+        }
+        let now = Instant::now();
+        let (poller, slots) = (&self.poller, &mut self.slots);
+        self.hellos.retain(|token, conn| {
+            if conn.deadline > now {
+                return true;
+            }
+            poller.deregister(conn.stream.as_raw_fd());
+            slots.remove(token);
+            false
+        });
     }
 
     /// Advances one pending handshake: hello bytes accumulate across
@@ -1309,5 +1356,57 @@ impl Lane {
             }
             Some(Hello::ServerLane(..)) | None => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Start times, as offsets from the first, of every attempt a
+    /// schedule with `budget` allows when each attempt fails the instant
+    /// it starts.
+    fn attempt_offsets(budget: Duration) -> Vec<Duration> {
+        let t0 = Instant::now();
+        let mut schedule = ConnectSchedule::new(t0, budget);
+        // The first attempt runs at once.
+        let mut offsets = vec![Duration::ZERO];
+        let mut now = t0;
+        while let Some(next) = schedule.retry_at(now) {
+            assert!(next > now, "an attempt never runs before the last failure");
+            offsets.push(next - t0);
+            now = next;
+        }
+        offsets
+    }
+
+    #[test]
+    fn connect_schedule_doubles_to_the_cap_and_stops_at_the_deadline() {
+        let ms = Duration::from_millis;
+        let offsets = attempt_offsets(CONNECT_BUDGET);
+        let pauses: Vec<Duration> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+        assert_eq!(
+            pauses[..7],
+            [ms(1), ms(2), ms(4), ms(8), ms(16), ms(32), ms(50)]
+        );
+        // Capped at 50 ms, except the last pause, clamped so the final
+        // attempt starts exactly at the 2 s deadline.
+        let (last, capped) = pauses[6..].split_last().unwrap();
+        assert!(capped.iter().all(|&p| p == MAX_CONNECT_PAUSE));
+        assert!(*last > Duration::ZERO && *last <= MAX_CONNECT_PAUSE);
+        assert_eq!(offsets.last(), Some(&ms(2_000)));
+
+        // The one-fresh-connection retry still gives its peer 100 ms.
+        assert_eq!(
+            attempt_offsets(RETRY_BUDGET),
+            [0, 1, 3, 7, 15, 31, 63, 100].map(ms)
+        );
+
+        // A failure that lands late (a slow connect timing out past the
+        // deadline) ends the schedule too.
+        let t0 = Instant::now();
+        let mut schedule = ConnectSchedule::new(t0, RETRY_BUDGET);
+        assert_eq!(schedule.retry_at(t0 + ms(99)), Some(t0 + ms(100)));
+        assert_eq!(schedule.retry_at(t0 + ms(150)), None);
     }
 }

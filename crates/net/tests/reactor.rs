@@ -1,6 +1,7 @@
 //! Reactor edge cases over real TCP: deterministic teardown (dropped
-//! servers release their port and close every connection),
-//! reconnect-while-writable races on the outbound ring, and a
+//! servers release their port and close every connection), a deadline
+//! on sockets that never complete their hello, reconnect-while-writable
+//! races on the outbound ring, and a
 //! linearizability check of a pipelined load across a kill/restart on
 //! two lanes.
 
@@ -103,6 +104,56 @@ fn dropped_server_closes_accepted_connections() {
         Err(e) if e.kind() != std::io::ErrorKind::WouldBlock => {} // RST is fine too
         other => panic!("connection not closed by dropped server: {other:?}"),
     }
+}
+
+#[test]
+fn silent_connections_are_closed_after_the_hello_deadline() {
+    let addrs = reserve_addrs(1);
+    let server = Server::spawn(ServerConfig {
+        id: ServerId(0),
+        addrs: addrs.clone(),
+        config: Config::default(),
+        wal_dir: None,
+    })
+    .expect("spawn");
+
+    // One socket never speaks; one sends only the hello's role byte.
+    let started = Instant::now();
+    let silent = TcpStream::connect(addrs[0]).expect("connect");
+    let mut partial = TcpStream::connect(addrs[0]).expect("connect");
+    partial
+        .write_all(&Hello::Client(ClientId(8)).encode()[..1])
+        .expect("role byte");
+
+    // Meanwhile a client that completes its hello is served.
+    let mut session = Session::connect(1, addrs.clone(), 1).expect("session");
+    session.set_timeout(Duration::from_millis(500));
+    session.write(Value::from_u64(3)).expect("write");
+    assert_eq!(session.read().expect("read"), Value::from_u64(3));
+
+    for mut stream in [silent, partial] {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(3)))
+            .expect("timeout");
+        let mut byte = [0u8; 1];
+        match stream.read(&mut byte) {
+            Ok(0) => {}
+            Err(e) if e.kind() != std::io::ErrorKind::WouldBlock => {}
+            other => panic!("a silent connection was not closed: {other:?}"),
+        }
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "silent connections closed only after {took:?}"
+    );
+
+    // The session's own connection outlived the deadline.
+    session
+        .write(Value::from_u64(4))
+        .expect("write after deadline");
+    assert_eq!(session.read().expect("read"), Value::from_u64(4));
+    drop(server);
 }
 
 #[test]

@@ -1,8 +1,10 @@
 //! End-to-end tests of the TCP runtime on localhost.
 
-use std::time::Duration;
+use std::net::{SocketAddr, TcpListener};
+use std::time::{Duration, Instant};
 
-use hts_net::{Client, Cluster};
+use hts_core::Config;
+use hts_net::{Client, Cluster, Server, ServerConfig};
 use hts_types::{ObjectId, ServerId, Value};
 
 #[test]
@@ -113,4 +115,58 @@ fn concurrent_clients_from_threads() {
         h.join().expect("thread");
     }
     cluster.shutdown();
+}
+
+/// Boots a 3-server ring in `order` on reserved localhost ports, 3 ms
+/// apart, and returns how long after the last `Server::spawn` returned
+/// the first write through server 0 was acknowledged. A write crosses
+/// every ring link, so this is how long the slowest link took to come
+/// up. The pause stands in for a process start (the benchmark boots
+/// each server as a child process): without it a lane's first connect
+/// may run after the next in-process spawn has already bound its port,
+/// and no connect is ever refused.
+fn first_write_after_boot(order: [u16; 3]) -> Duration {
+    let addrs: Vec<SocketAddr> = {
+        let holders: Vec<TcpListener> = (0..3)
+            .map(|_| TcpListener::bind("127.0.0.1:0").expect("reserve"))
+            .collect();
+        holders
+            .iter()
+            .map(|h| h.local_addr().expect("addr"))
+            .collect()
+    };
+    let servers: Vec<Server> = order
+        .iter()
+        .map(|&id| {
+            std::thread::sleep(Duration::from_millis(3));
+            Server::spawn(ServerConfig {
+                id: ServerId(id),
+                addrs: addrs.clone(),
+                config: Config::default(),
+                wal_dir: None,
+            })
+            .expect("spawn")
+        })
+        .collect();
+    let booted = Instant::now();
+    let mut client = Client::connect(1, addrs).expect("client");
+    client.write(Value::from_u64(1)).expect("first write");
+    let took = booted.elapsed();
+    drop(servers);
+    took
+}
+
+#[test]
+fn first_write_lands_promptly_in_either_boot_order() {
+    // Highest id first is the benchmark's order: every server's
+    // successor is already listening except server 2's (server 0).
+    // Server 0 first is the in-process `Cluster`'s order: every
+    // successor but the last one's starts after its predecessor. A link
+    // whose first connect is refused must come up as soon as its peer
+    // listens, not after a fixed pause.
+    let took = [[2, 1, 0], [0, 1, 2]].map(first_write_after_boot);
+    assert!(
+        took.iter().all(|&t| t < Duration::from_millis(25)),
+        "first write after the last spawn, highest id first and 0 first: {took:?}"
+    );
 }

@@ -13,17 +13,15 @@
 //!    hands back a std [`TcpStream`](std::net::TcpStream); the caller
 //!    waits for `EPOLLOUT` and checks `take_error()` (`SO_ERROR`) to
 //!    learn the verdict.
-//! 3. **Partial I/O** — [`read_nb`] (one nonblocking read with `EINTR`,
-//!    `WouldBlock` and EOF folded into a [`ReadStatus`]) and
-//!    [`WriteBuf`] (coalesced writes that survive
-//!    `WouldBlock`/`EINTR`/partial progress).
+//! 3. **Partial reads** — [`read_nb`]: one nonblocking read with
+//!    `EINTR`, `WouldBlock` and EOF folded into a [`ReadStatus`].
 //!
 //! Linux only: on any other target the crate refuses to compile.
 
 #[cfg(not(target_os = "linux"))]
 compile_error!("hts-poll is built on Linux epoll and eventfd; no other target is supported");
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Identifies a registered file descriptor in [`Poller::wait`] results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -490,147 +488,11 @@ pub fn read_nb<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<ReadStatus
     }
 }
 
-/// Coalescing write buffer that survives partial writes: bytes queue
-/// via [`push`], [`flush`] pushes as much as the socket accepts and
-/// remembers its position across `WouldBlock`, retrying `EINTR`
-/// internally.
-///
-/// [`push`]: WriteBuf::push
-/// [`flush`]: WriteBuf::flush
-#[derive(Default)]
-pub struct WriteBuf {
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl WriteBuf {
-    /// An empty buffer.
-    pub fn new() -> WriteBuf {
-        WriteBuf::default()
-    }
-
-    /// Whether everything pushed has been flushed.
-    pub fn is_empty(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    /// Bytes still waiting for the socket.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Queues bytes behind whatever is still unflushed, first
-    /// compacting the already-written prefix so the buffer never grows
-    /// past the unflushed tail plus the new bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        if self.pos > 0 {
-            self.buf.copy_within(self.pos.., 0);
-            self.buf.truncate(self.buf.len() - self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Writes as much as the socket accepts. `Ok(true)` means fully
-    /// drained; `Ok(false)` means the socket pushed back (`WouldBlock`)
-    /// and the caller should wait for write readiness. `EINTR` retries
-    /// internally; partial writes advance the position.
-    ///
-    /// # Errors
-    ///
-    /// Real socket errors, plus `WriteZero` if the socket claims to
-    /// accept zero bytes.
-    pub fn flush<W: Write>(&mut self, writer: &mut W) -> io::Result<bool> {
-        while self.pos < self.buf.len() {
-            match writer.write(&self.buf[self.pos..]) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::WriteZero,
-                        "socket accepted zero bytes",
-                    ))
-                }
-                Ok(n) => self.pos += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) => return Err(e),
-            }
-        }
-        self.buf.clear();
-        self.pos = 0;
-        Ok(true)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    /// A writer that doles out a script of results one call at a time.
-    struct Script {
-        steps: std::collections::VecDeque<ScriptStep>,
-    }
-
-    enum ScriptStep {
-        WouldBlock,
-        Interrupt,
-        Accept(usize),
-    }
-
-    impl Script {
-        fn new(steps: Vec<ScriptStep>) -> Script {
-            Script {
-                steps: steps.into(),
-            }
-        }
-    }
-
-    impl Write for Script {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            match self.steps.pop_front() {
-                Some(ScriptStep::Accept(n)) => Ok(n.min(buf.len())),
-                Some(ScriptStep::WouldBlock) => Err(io::ErrorKind::WouldBlock.into()),
-                Some(ScriptStep::Interrupt) => Err(io::ErrorKind::Interrupted.into()),
-                None => unreachable!("write past the end of the script"),
-            }
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn write_buf_resumes_partial_writes_across_wouldblock() {
-        let mut wb = WriteBuf::new();
-        wb.push(b"abcdefgh");
-        let mut sink = Script::new(vec![
-            ScriptStep::Accept(3),
-            ScriptStep::Interrupt,
-            ScriptStep::WouldBlock,
-        ]);
-        assert!(!wb.flush(&mut sink).unwrap());
-        assert_eq!(wb.pending(), 5);
-
-        // More bytes arrive while blocked; the drained prefix compacts.
-        wb.push(b"ij");
-        let mut sink = Script::new(vec![ScriptStep::Accept(4), ScriptStep::Accept(64)]);
-        assert!(wb.flush(&mut sink).unwrap());
-        assert!(wb.is_empty());
-        assert_eq!(wb.pending(), 0);
-    }
-
-    #[test]
-    fn write_buf_surfaces_write_zero() {
-        let mut wb = WriteBuf::new();
-        wb.push(b"x");
-        let mut sink = Script::new(vec![ScriptStep::Accept(0)]);
-        assert_eq!(
-            wb.flush(&mut sink).unwrap_err().kind(),
-            io::ErrorKind::WriteZero
-        );
-    }
-
     mod linux {
         use super::super::*;
+        use std::io::Write;
         use std::net::{TcpListener, TcpStream};
 
         #[test]
