@@ -146,13 +146,14 @@ fn check_frame_len(len: usize) -> io::Result<()> {
 /// Reads the rest of a `len`-byte body into `body`'s spare capacity:
 /// std's `read_to_end` hands the socket uninitialised memory, so nothing
 /// is zero-filled first and a body that never arrives costs no resident
-/// memory. `Ok` means the body is complete; a `WouldBlock` from a
-/// nonblocking `reader` surfaces as an error with the bytes read so far
-/// kept in `body`.
+/// memory. A buffer that has to grow grows to exactly `len`, so a value
+/// view pins no slack. `Ok` means the body is complete; a `WouldBlock`
+/// from a nonblocking `reader` surfaces as an error with the bytes read
+/// so far kept in `body`.
 fn read_body<R: Read>(reader: &mut R, body: &mut Vec<u8>, len: usize) -> io::Result<()> {
     let rest = len - body.len();
     if rest > 0 {
-        body.reserve(rest);
+        body.reserve_exact(rest);
         Read::take(reader, rest as u64).read_to_end(body)?;
         if body.len() < len {
             return Err(io::ErrorKind::UnexpectedEof.into());
@@ -161,13 +162,20 @@ fn read_body<R: Read>(reader: &mut R, body: &mut Vec<u8>, len: usize) -> io::Res
     Ok(())
 }
 
-/// Decodes a complete body as views of one shared allocation. When no
-/// value view took a reference to it (or the decode failed), the
-/// allocation goes back into `spare` for the next message.
+/// Decodes a complete body with [`codec::decode_shared`]. When no value
+/// view took a reference to it (or the decode failed), the allocation
+/// goes back into `spare` for the next message. A body that landed in a
+/// recycled buffer larger than itself is decoded by copy instead: a view
+/// would pin the whole buffer, not just the body.
 fn decode_body(body: Vec<u8>, spare: &mut Vec<u8>) -> io::Result<Message> {
+    let invalid = |e| io::Error::new(io::ErrorKind::InvalidData, e);
+    if body.capacity() > body.len() {
+        let msg = codec::decode(&body).map_err(invalid);
+        *spare = body;
+        return msg;
+    }
     let bytes = Bytes::from(body);
-    let msg =
-        codec::decode_shared(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
+    let msg = codec::decode_shared(&bytes).map_err(invalid);
     if let Ok(reclaimed) = bytes.try_into_mut() {
         *spare = reclaimed.into();
     }
@@ -189,15 +197,16 @@ pub fn read_message<R: Read>(reader: &mut R) -> io::Result<Message> {
 
 /// The zero-copy inbound path: reads each length-prefixed message into a
 /// single [`Bytes`](bytes::Bytes) allocation and decodes it with
-/// [`codec::decode_shared`], so every contained [`Value`] is a
-/// refcounted **view** of the receive buffer — no per-value copy.
+/// [`codec::decode_shared`], so a [`Value`] that is most of its message
+/// (a client write, a lone pre-write) is a refcounted **view** of the
+/// receive buffer — no copy — and smaller values are copied out.
 ///
-/// The reader keeps one spare buffer: when a decoded message carries no
-/// value views (acks, read requests, tag-only ring notices — the
-/// majority of wire traffic), the buffer's refcount drops back to one
-/// and it is reclaimed for the next read, mirroring the write side's
-/// reused per-connection buffers. Value-bearing messages keep their
-/// buffer alive for exactly as long as the values do.
+/// The reader keeps one spare buffer: when a decoded message holds no
+/// value view (acks, read requests, tag-only ring notices, batches of
+/// small values — the majority of wire traffic), the buffer's refcount
+/// drops back to one and it is reclaimed for the next read, mirroring
+/// the write side's reused per-connection buffers. A message with a
+/// view keeps its buffer alive for exactly as long as the value does.
 ///
 /// [`Value`]: hts_types::Value
 #[derive(Default)]
@@ -503,6 +512,47 @@ mod tests {
         assert_eq!(reader.read(&mut cursor).unwrap(), value_free);
         // ...and the next read reuses that same allocation.
         assert_eq!(reader.spare.as_ptr(), recycled);
+    }
+
+    #[test]
+    fn a_value_never_pins_a_recycled_buffer_larger_than_its_body() {
+        let batch = Message::RingBatch(
+            (0..14)
+                .map(|i| {
+                    RingFrame::pre_write(
+                        ObjectId(i),
+                        Tag::new(1, ServerId(0)),
+                        Value::filled(1, 1024),
+                    )
+                })
+                .collect(),
+        );
+        let write = Message::WriteReq {
+            object: ObjectId(1),
+            request: RequestId(2),
+            value: Value::filled(9, 1024),
+        };
+        let mut buf = Vec::new();
+        write_message(&mut buf, &batch).unwrap();
+        write_message(&mut buf, &write).unwrap();
+
+        let mut reader = MessageReader::new();
+        let mut cursor = &buf[..];
+        let held_batch = reader.read(&mut cursor).unwrap();
+        // Every batched value was copied out, so the body came back.
+        let recycled = reader.spare.as_ptr() as usize;
+        let recycled_end = recycled + reader.spare.capacity();
+        assert!(reader.spare.capacity() > 14 * 1024);
+
+        // The write's value is most of its body, but the body sat in
+        // the batch's larger buffer: it is copied and the buffer kept.
+        let Message::WriteReq { value, .. } = reader.read(&mut cursor).unwrap() else {
+            panic!("wrong message");
+        };
+        assert_eq!(reader.spare.as_ptr() as usize, recycled);
+        let p = value.as_bytes().as_ptr() as usize;
+        assert!(p + value.len() <= recycled || p >= recycled_end);
+        assert_eq!(held_batch, batch);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Pins the zero-copy path's allocation profile with a counting global
 //! allocator:
 //!
-//! * [`codec::decode_shared`] performs **zero** heap allocations — every
-//!   decoded `Value` is a refcounted view of the input buffer;
+//! * [`codec::decode_shared`] of a 64 KiB write performs **zero** heap
+//!   allocations — a value that is most of its message is a refcounted
+//!   view of the input buffer;
 //! * a steady-state [`MessageReader`] loop over value-free messages
 //!   costs at most one small allocation per message (the shared
 //!   buffer's refcount block, reclaimed again by the recycler) — never

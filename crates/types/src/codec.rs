@@ -223,12 +223,16 @@ pub fn decode(mut buf: &[u8]) -> Result<Message, DecodeError> {
     Ok(msg)
 }
 
-/// Decodes a message from a complete refcounted buffer, materializing
-/// every contained [`Value`] as a [`Bytes::slice`] **view** of `bytes`
-/// instead of a copy — the zero-copy receive path. The buffer's
-/// allocation stays alive for as long as any decoded value does; a
-/// decode of a value-free message takes no reference, so callers may
-/// reclaim the buffer (`Bytes::try_into_mut`) for the next read.
+/// Decodes a message from a complete refcounted buffer — the zero-copy
+/// receive path. A [`Value`] longer than half of `bytes` becomes a
+/// [`Bytes::slice`] **view** of it; every other value is copied out.
+/// A view keeps the whole buffer alive, so this share rule is what
+/// bounds it: a decoded value never pins more than twice its own size.
+/// At most one value per message can be a view, so a lone client write
+/// or pre-write stays zero-copy while a ring batch of small values
+/// leaves its buffer unreferenced, and callers may reclaim it
+/// (`Bytes::try_into_mut`) for the next read, as they may after any
+/// value-free message.
 ///
 /// Byte-for-byte equivalent to [`decode`] (property-tested).
 ///
@@ -259,9 +263,10 @@ pub fn decode_partial(buf: &mut &[u8]) -> Result<Message, DecodeError> {
 }
 
 /// Where decoded [`Value`] bytes come from: copied out of the transient
-/// input slice, or sliced as refcounted views of a shared buffer the
-/// cursor is reading (the cursor must always be a suffix of that buffer
-/// for the offset arithmetic to hold).
+/// input slice, or — when the value is more than half of it — sliced as
+/// a refcounted view of the shared buffer the cursor is reading (the
+/// cursor must always be a suffix of that buffer for the offset
+/// arithmetic to hold).
 #[derive(Clone, Copy)]
 enum ValueSrc<'a> {
     Copied,
@@ -271,11 +276,11 @@ enum ValueSrc<'a> {
 impl ValueSrc<'_> {
     fn take(self, buf: &mut &[u8], len: usize) -> Value {
         let value = match self {
-            ValueSrc::Copied => Value::from(&buf[..len]),
-            ValueSrc::Shared(bytes) => {
+            ValueSrc::Shared(bytes) if 2 * len > bytes.len() => {
                 let off = bytes.len() - buf.len();
                 Value::from(bytes.slice(off..off + len))
             }
+            ValueSrc::Copied | ValueSrc::Shared(_) => Value::from(&buf[..len]),
         };
         buf.advance(len);
         value
@@ -805,6 +810,44 @@ mod tests {
             }
             other => panic!("decoded wrong variant: {other}"),
         }
+    }
+
+    #[test]
+    fn only_a_value_over_half_its_buffer_keeps_it_pinned() {
+        // A full ring batch of 1 KiB pre-writes: every value is copied
+        // out, so the body is free while all 14 values are still held.
+        let frames: Vec<RingFrame> = (0..14u8)
+            .map(|i| {
+                RingFrame::pre_write(
+                    ObjectId(u32::from(i)),
+                    Tag::new(1, ServerId(0)),
+                    Value::filled(i, 1024),
+                )
+            })
+            .collect();
+        let batch = Message::RingBatch(frames);
+        let bytes = encode(&batch);
+        let held = decode_shared(&bytes).expect("decode_shared");
+        assert_eq!(held, batch);
+        assert!(
+            bytes.try_into_mut().is_ok(),
+            "a batch of small values pinned its body"
+        );
+        drop(held);
+
+        // A lone 64 KiB write is a view: its body stays pinned for as
+        // long as the value lives, and no longer.
+        let bytes = encode(&Message::WriteReq {
+            object: ObjectId(7),
+            request: RequestId(9),
+            value: Value::filled(0x5A, 64 * 1024),
+        });
+        let held = decode_shared(&bytes).expect("decode_shared");
+        let bytes = bytes
+            .try_into_mut()
+            .expect_err("a 64 KiB value must pin its body");
+        drop(held);
+        assert!(bytes.try_into_mut().is_ok());
     }
 
     #[test]

@@ -110,20 +110,31 @@ proptest! {
     }
 
     #[test]
-    fn decode_shared_values_alias_the_input(msg in arb_message()) {
-        // Every decoded value's bytes must live INSIDE the input buffer:
-        // views, not copies.
+    fn decode_shared_views_only_values_over_half_the_input(msg in arb_message()) {
+        // The share rule: a value longer than half the input is a view
+        // that lies INSIDE it; every other value is a copy that lies
+        // outside it and equals the encoded bytes.
         let bytes = codec::encode(&msg);
         let start = bytes.as_ptr() as usize;
         let end = start + bytes.len();
         let decoded = codec::decode_shared(&bytes).unwrap();
-        for value in values_of(&decoded) {
+        for (value, sent) in values_of(&decoded).into_iter().zip(values_of(&msg)) {
             let p = value.as_bytes().as_ptr() as usize;
-            prop_assert!(
-                p >= start && p + value.len() <= end,
-                "value at {:#x}..{:#x} escapes input {:#x}..{:#x}",
-                p, p + value.len(), start, end
-            );
+            let inside = p >= start && p + value.len() <= end;
+            if 2 * value.len() > bytes.len() {
+                prop_assert!(
+                    inside,
+                    "{}-byte value at {:#x} escapes input {:#x}..{:#x}",
+                    value.len(), p, start, end
+                );
+            } else {
+                prop_assert!(
+                    p + value.len() <= start || p >= end,
+                    "{}-byte value at {:#x} aliases input {:#x}..{:#x}",
+                    value.len(), p, start, end
+                );
+            }
+            prop_assert_eq!(value, sent);
         }
     }
 

@@ -40,20 +40,16 @@ pub enum FrameError {
 /// Frame header: payload length + CRC.
 pub const FRAME_HEADER: usize = 8;
 
-const RECORD_FIXED: usize = 4 + 8 + 2 + 4; // object + ts + origin + value len
-
-/// Copies the `N`-byte field at `buf[at..]`, or `None` if the buffer is
-/// too short — the panic-free slice→array step for the decoders (their
-/// bounds checks make `None` unreachable, but recovery code never
-/// panics on principle: a torn tail is data, not a bug).
-fn field<const N: usize>(buf: &[u8], at: usize) -> Option<[u8; N]> {
-    buf.get(at..at + N)?.first_chunk::<N>().copied()
-}
+/// Bytes of a record payload before its value: object + ts + origin +
+/// value length.
+pub(crate) const RECORD_FIXED: usize = 4 + 8 + 2 + 4;
 
 /// Appends one CRC frame wrapping `payload` to `out`.
 pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crate::crc::crc32(payload).to_be_bytes());
+    out.extend_from_slice(&frame_header(
+        payload.len() as u32,
+        crate::crc::crc32(payload),
+    ));
     out.extend_from_slice(payload);
 }
 
@@ -64,15 +60,10 @@ pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
 /// Returns a [`FrameError`] when the buffer ends mid-frame or the CRC
 /// does not match — the signal to stop replaying.
 pub fn take_frame<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], FrameError> {
-    if buf.len() < FRAME_HEADER {
-        return Err(FrameError::Truncated);
-    }
-    let (Some(len), Some(crc)) = (field::<4>(buf, 0), field::<4>(buf, 4)) else {
+    let Some((header, rest)) = buf.split_first_chunk::<FRAME_HEADER>() else {
         return Err(FrameError::Truncated);
     };
-    let len = u32::from_be_bytes(len) as usize;
-    let crc = u32::from_be_bytes(crc);
-    let rest = &buf[FRAME_HEADER..];
+    let (len, crc) = parse_frame_header(header);
     if rest.len() < len {
         return Err(FrameError::Truncated);
     }
@@ -82,6 +73,23 @@ pub fn take_frame<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], FrameError> {
     }
     *buf = &rest[len..];
     Ok(payload)
+}
+
+/// The frame header of a `len`-byte payload with CRC `crc`.
+pub(crate) fn frame_header(len: u32, crc: u32) -> [u8; FRAME_HEADER] {
+    let mut header = [0u8; FRAME_HEADER];
+    header[..4].copy_from_slice(&len.to_be_bytes());
+    header[4..].copy_from_slice(&crc.to_be_bytes());
+    header
+}
+
+/// Splits a [`frame_header`] into payload length and CRC.
+pub(crate) fn parse_frame_header(header: &[u8; FRAME_HEADER]) -> (usize, u32) {
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = *header;
+    (
+        u32::from_be_bytes([l0, l1, l2, l3]) as usize,
+        u32::from_be_bytes([c0, c1, c2, c3]),
+    )
 }
 
 /// Encodes `record` as one frame appended to `out` — **borrowed-batch**
@@ -99,18 +107,35 @@ pub fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
     put_record_payload(out, record);
     let len = (out.len() - payload_at) as u32;
     let crc = crate::crc::crc32(&out[payload_at..]);
-    out[header_at..header_at + 4].copy_from_slice(&len.to_be_bytes());
-    out[header_at + 4..payload_at].copy_from_slice(&crc.to_be_bytes());
+    out[header_at..payload_at].copy_from_slice(&frame_header(len, crc));
 }
 
 /// Appends the raw (unframed) record payload to `out` — shared with the
 /// snapshot codec, which frames many records under one CRC.
 pub fn put_record_payload(out: &mut Vec<u8>, record: &WalRecord) {
-    out.extend_from_slice(&record.object.0.to_be_bytes());
-    out.extend_from_slice(&record.tag.ts.to_be_bytes());
-    out.extend_from_slice(&record.tag.origin.0.to_be_bytes());
-    out.extend_from_slice(&(record.value.len() as u32).to_be_bytes());
+    out.extend_from_slice(&record_header(record));
     out.extend_from_slice(record.value.as_bytes());
+}
+
+/// The fixed fields that precede a record's value bytes in its payload:
+/// object, tag and value length.
+pub(crate) fn record_header(record: &WalRecord) -> [u8; RECORD_FIXED] {
+    let mut header = [0u8; RECORD_FIXED];
+    header[0..4].copy_from_slice(&record.object.0.to_be_bytes());
+    header[4..12].copy_from_slice(&record.tag.ts.to_be_bytes());
+    header[12..14].copy_from_slice(&record.tag.origin.0.to_be_bytes());
+    header[14..].copy_from_slice(&(record.value.len() as u32).to_be_bytes());
+    header
+}
+
+/// Splits a [`record_header`] back into object, tag and value length.
+pub(crate) fn parse_record_header(header: &[u8; RECORD_FIXED]) -> (ObjectId, Tag, usize) {
+    let [o0, o1, o2, o3, t0, t1, t2, t3, t4, t5, t6, t7, r0, r1, l0, l1, l2, l3] = *header;
+    let object = ObjectId(u32::from_be_bytes([o0, o1, o2, o3]));
+    let ts = u64::from_be_bytes([t0, t1, t2, t3, t4, t5, t6, t7]);
+    let origin = ServerId(u16::from_be_bytes([r0, r1]));
+    let len = u32::from_be_bytes([l0, l1, l2, l3]) as usize;
+    (object, Tag::new(ts, origin), len)
 }
 
 /// Decodes one record payload from the front of `buf`, advancing it.
@@ -120,33 +145,16 @@ pub fn put_record_payload(out: &mut Vec<u8>, record: &WalRecord) {
 /// Returns [`FrameError::Malformed`] when the payload is too short or
 /// its inner value length overruns it.
 pub fn take_record_payload(buf: &mut &[u8]) -> Result<WalRecord, FrameError> {
-    if buf.len() < RECORD_FIXED {
-        return Err(FrameError::Malformed);
-    }
-    let fields = (
-        field::<4>(buf, 0),
-        field::<8>(buf, 4),
-        field::<2>(buf, 12),
-        field::<4>(buf, 14),
-    );
-    let (Some(object), Some(ts), Some(origin), Some(len)) = fields else {
+    let Some((header, rest)) = buf.split_first_chunk::<RECORD_FIXED>() else {
         return Err(FrameError::Malformed);
     };
-    let object = ObjectId(u32::from_be_bytes(object));
-    let ts = u64::from_be_bytes(ts);
-    let origin = ServerId(u16::from_be_bytes(origin));
-    let len = u32::from_be_bytes(len) as usize;
-    let rest = &buf[RECORD_FIXED..];
+    let (object, tag, len) = parse_record_header(header);
     if rest.len() < len {
         return Err(FrameError::Malformed);
     }
     let value = Value::from(&rest[..len]);
     *buf = &rest[len..];
-    Ok(WalRecord {
-        object,
-        tag: Tag::new(ts, origin),
-        value,
-    })
+    Ok(WalRecord { object, tag, value })
 }
 
 /// Decodes one framed record from the front of `buf`, advancing it.

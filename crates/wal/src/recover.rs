@@ -7,8 +7,8 @@ use std::path::Path;
 use hts_types::{ObjectId, Tag, Value};
 
 use crate::record::WalRecord;
-use crate::segment::{list_segments, read_segment};
-use crate::snapshot::{list_snapshots, read_snapshot};
+use crate::segment::{list_segments, replay_segment};
+use crate::snapshot::{list_snapshots, replay_snapshot};
 
 /// Everything recovery reconstructed from a log directory.
 #[derive(Debug, Clone, Default)]
@@ -59,7 +59,9 @@ impl Recovery {
 /// snapshot, then replays every segment in sequence order, keeping the
 /// highest tag per object (replay is idempotent because tags totally
 /// order writes, so overlapping snapshots and segments are harmless).
-/// Stops cleanly at the first bad CRC of each segment.
+/// Stops cleanly at the first bad CRC of each segment. Files stream
+/// through a bounded buffer, record by record, so recovery holds the
+/// state it rebuilds and not the log it reads.
 ///
 /// A missing directory recovers to the empty state with
 /// [`Recovery::had_log`] `false`.
@@ -72,21 +74,17 @@ pub fn recover(dir: impl AsRef<Path>) -> io::Result<Recovery> {
     let mut recovery = Recovery::default();
     for (_, path) in list_snapshots(dir)? {
         recovery.had_log = true;
-        if let Some((_, records)) = read_snapshot(&path) {
+        if replay_snapshot(&path, |record| recovery.apply(record)).is_some() {
             recovery.snapshots_loaded += 1;
-            for record in records {
-                recovery.apply(record);
-            }
         }
     }
     for (_, path) in list_segments(dir)? {
         recovery.had_log = true;
-        let contents = read_segment(&path)?;
-        recovery.torn_tail |= contents.torn;
-        for record in contents.records {
+        let torn = replay_segment(&path, |record| {
             recovery.records_replayed += 1;
             recovery.apply(record);
-        }
+        })?;
+        recovery.torn_tail |= torn;
     }
     Ok(recovery)
 }

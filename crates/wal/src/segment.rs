@@ -1,4 +1,4 @@
-//! Segment files: naming, listing, sequential reading.
+//! Segment files: naming, listing, streaming replay.
 //!
 //! A segment is `wal-<seq>.seg`: an 8-byte magic followed by CRC-framed
 //! records (see [`crate::record`]). Segments are strictly append-only
@@ -7,10 +7,10 @@
 //! active when the process died.
 
 use std::fs;
-use std::io;
+use std::io::{self, BufReader, Read};
 use std::path::{Path, PathBuf};
 
-use crate::record::{decode_record, WalRecord};
+use crate::record::{decode_record, parse_frame_header, WalRecord, FRAME_HEADER};
 
 /// First 8 bytes of every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"HTSWAL01";
@@ -68,20 +68,17 @@ pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(segments)
 }
 
-/// The outcome of reading one segment.
-#[derive(Debug)]
-pub struct SegmentContents {
-    /// Records recovered, in append order.
-    pub records: Vec<WalRecord>,
-    /// `true` when the segment ended in a torn or corrupt frame (replay
-    /// stopped at the last valid record).
-    pub torn: bool,
-}
+/// Buffer size of the streaming replay readers and snapshot writer: the
+/// most either holds besides the state and the one record in hand.
+pub(crate) const IO_BUF: usize = 64 * 1024;
 
-/// Reads every valid record of one segment, stopping cleanly at the
-/// first torn or corrupt frame.
+/// Replays every valid record of one segment into `apply`, in append
+/// order, frame by frame: memory stays at one buffered read and one
+/// record, whatever the segment's size. Stops cleanly at the first torn
+/// or corrupt frame and returns `true` (`false` when the segment ended
+/// on a frame boundary).
 ///
-/// A file too short for its magic, or carrying the wrong magic, yields
+/// A file too short for its magic, or carrying the wrong magic, applies
 /// zero records and counts as torn (it is a half-created segment, not an
 /// error).
 ///
@@ -89,27 +86,52 @@ pub struct SegmentContents {
 ///
 /// Propagates I/O failures reading the file; corruption is *not* an
 /// error.
-pub fn read_segment(path: &Path) -> io::Result<SegmentContents> {
-    let bytes = fs::read(path)?;
-    if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
-        return Ok(SegmentContents {
-            records: Vec::new(),
-            torn: !bytes.is_empty(),
-        });
+pub fn replay_segment(path: &Path, mut apply: impl FnMut(WalRecord)) -> io::Result<bool> {
+    let file = fs::File::open(path)?;
+    let mut left = file.metadata()?.len();
+    let mut reader = BufReader::with_capacity(IO_BUF, file);
+    let mut magic = [0u8; SEGMENT_MAGIC.len()];
+    if left < magic.len() as u64 {
+        return Ok(left > 0);
     }
-    let mut cursor = &bytes[SEGMENT_MAGIC.len()..];
-    let mut records = Vec::new();
-    let mut torn = false;
-    while !cursor.is_empty() {
-        match decode_record(&mut cursor) {
-            Ok(record) => records.push(record),
-            Err(_) => {
-                torn = true;
-                break;
-            }
+    reader.read_exact(&mut magic)?;
+    if &magic != SEGMENT_MAGIC {
+        return Ok(true);
+    }
+    left -= magic.len() as u64;
+    let mut frame = Vec::new();
+    while left > 0 {
+        match next_record(&mut reader, &mut left, &mut frame)? {
+            Some(record) => apply(record),
+            None => return Ok(true),
         }
     }
-    Ok(SegmentContents { records, torn })
+    Ok(false)
+}
+
+/// Reads the next framed record, of the `left` bytes still in the file,
+/// through the reusable `frame` buffer; `None` when the frame is torn,
+/// fails its CRC or does not hold exactly one record.
+fn next_record(
+    reader: &mut impl Read,
+    left: &mut u64,
+    frame: &mut Vec<u8>,
+) -> io::Result<Option<WalRecord>> {
+    let mut header = [0u8; FRAME_HEADER];
+    if *left < header.len() as u64 {
+        return Ok(None);
+    }
+    reader.read_exact(&mut header)?;
+    let len = parse_frame_header(&header).0 as u64;
+    *left -= header.len() as u64;
+    if len > *left {
+        return Ok(None);
+    }
+    *left -= len;
+    frame.clear();
+    frame.extend_from_slice(&header);
+    reader.take(len).read_to_end(frame)?;
+    Ok(decode_record(&mut &frame[..]).ok())
 }
 
 #[cfg(test)]
