@@ -19,10 +19,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use hts_core::{ClientStats, OpMix, WorkloadConfig};
 use hts_lincheck::{History, OpId};
 use hts_sim::packet::{Ctx, NetworkId, Process, TimerId};
-use hts_sim::{Nanos, Wire};
+use hts_sim::{ClientStats, Nanos, OpMix, Wire, WorkloadConfig};
 use hts_types::{ClientId, NodeId, RequestId, ServerId, Tag, Value};
 
 /// ABD wire messages.
@@ -159,7 +158,7 @@ struct CurrentOp {
 }
 
 /// A closed-loop ABD client (same workload semantics as
-/// [`hts_core::SimClient`]).
+/// [`hts_sim::SimClient`]).
 pub struct AbdClient {
     id: ClientId,
     n: u16,
@@ -251,7 +250,7 @@ impl AbdClient {
             self.broadcast(ctx, &AbdMsg::Query { request });
         } else {
             self.value_seq += 1;
-            let value = hts_core::unique_value(self.id, self.value_seq, self.workload.value_size);
+            let value = hts_sim::unique_value(self.id, self.value_seq, self.workload.value_size);
             let op_id = self.history.as_ref().map(|h| {
                 h.borrow_mut()
                     .invoke_write(self.id, value.clone(), now.as_nanos())

@@ -3,9 +3,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use hts_core::{ClientStats, OpMix, WorkloadConfig};
 use hts_lincheck::{History, OpId};
-use hts_sim::Nanos;
+use hts_sim::{ClientStats, Nanos, OpMix, WorkloadConfig};
 use hts_types::{ClientId, RequestId, Value};
 
 /// What the loop decided to issue next.
@@ -82,7 +81,7 @@ impl LoopState {
             (None, op_id)
         } else {
             self.value_seq += 1;
-            let value = hts_core::unique_value(self.id, self.value_seq, self.workload.value_size);
+            let value = hts_sim::unique_value(self.id, self.value_seq, self.workload.value_size);
             let op_id = self.history.as_ref().map(|h| {
                 h.borrow_mut()
                     .invoke_write(self.id, value.clone(), now.as_nanos())

@@ -18,10 +18,9 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
-use hts_core::{ClientStats, WorkloadConfig};
 use hts_lincheck::History;
 use hts_sim::packet::{Ctx, NetworkId, Process, TimerId};
-use hts_sim::{Nanos, Wire};
+use hts_sim::{ClientStats, Nanos, Wire, WorkloadConfig};
 use hts_types::{ClientId, NodeId, RequestId, ServerId, Tag, Value};
 
 use crate::common::LoopState;
@@ -323,9 +322,9 @@ impl Process<TobMsg> for TobClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hts_core::OpMix;
     use hts_lincheck::check_conditions;
     use hts_sim::packet::{NetworkConfig, PacketSim};
+    use hts_sim::OpMix;
 
     fn run(seed: u64, n: u16, clients: u32, ops: u64, mix: OpMix) -> (u64, Rc<RefCell<History>>) {
         let mut sim = PacketSim::new(seed);

@@ -9,8 +9,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use hts_core::{Config, RoundClient, RoundClientStats, RoundServer};
+use hts_core::Config;
 use hts_sim::round::RoundSim;
+use hts_sim::{RoundClient, RoundClientStats, RoundServer};
 use hts_types::{ClientId, Message, NodeId, ServerId};
 
 struct Run {

@@ -7,9 +7,9 @@ use std::rc::Rc;
 use hts_baselines::abd::{AbdClient, AbdServer};
 use hts_baselines::chain::{ChainClient, ChainServer};
 use hts_baselines::tob::{TobClient, TobServer};
-use hts_core::{ClientStats, Config, OpMix, SimClient, SimServer, WorkloadConfig};
+use hts_core::Config;
 use hts_sim::packet::{NetworkConfig, PacketSim};
-use hts_sim::{DiskConfig, Nanos, Wire};
+use hts_sim::{ClientStats, DiskConfig, Nanos, OpMix, SimClient, SimServer, Wire, WorkloadConfig};
 use hts_types::{ClientId, NodeId, ObjectId, ServerId};
 
 /// Which protocol a run exercises.

@@ -540,13 +540,19 @@ fn rule_l5(file: &str, toks: &[Tok<'_>], comments: &[Comment], out: &mut Vec<Vio
 /// throughput regression, not a style nit. The metrics helpers
 /// (`hts_metrics::now_nanos`, the `counter!`-family macros) are designed
 /// alloc-free and are not in the flagged construct set.
-const HOT_FUNCTIONS: [&str; 11] = [
-    "drain_batch",
-    "next_frame",
+const HOT_FUNCTIONS: [&str; 13] = [
+    // The lane core's batch selection, which both runtimes pull ring
+    // batches through, and the scheduler beneath it.
+    "next_batch",
     "drain_frames",
     "drain_frames_with",
+    "next_frame",
     "next_object_frame",
+    // The drivers' ring pumps (the reactor's and the simulator's) and
+    // the reactor's staging of one claimed batch onto the wire.
     "pump",
+    "encode_next",
+    "drain_batch",
     // The zero-copy decode: a per-call allocation here is exactly what
     // zero-copy framing exists to avoid.
     "decode_shared",

@@ -1,6 +1,6 @@
 //! Protocol configuration and ablation flags.
 
-use hts_sim::Nanos;
+use hts_types::Nanos;
 
 /// How a server multiplexes its own new writes with forwarded ring traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,13 +25,13 @@ pub enum FairnessMode {
 ///
 /// The paper's model is crash-**stop**: server state lives in RAM and a
 /// crash is forever. Any persistent setting upgrades the system to
-/// crash-**recovery** — committed `(tag, value)` pairs are exposed
-/// through [`MultiObjectServer::drain_commits`] for the runtime to log
+/// crash-**recovery** — each step's committed `(tag, value)` pairs are
+/// handed out by [`LaneCore::take_commits`] for the runtime to log
 /// (`hts-net` appends them to an `hts-wal` log, the simulator to its
 /// modeled disk), and a restarted server rebuilds from that log and
 /// rejoins the ring.
 ///
-/// [`MultiObjectServer::drain_commits`]: crate::MultiObjectServer::drain_commits
+/// [`LaneCore::take_commits`]: crate::LaneCore::take_commits
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
     /// No persistence — the paper's crash-stop model (default).
@@ -43,7 +43,8 @@ pub enum Durability {
     /// Log committed writes; fsync once every `n` appends (bounded loss
     /// window of `n − 1` acknowledged writes).
     SyncEveryN(u32),
-    /// Log committed writes; fsync before the client sees the ack.
+    /// Log committed writes; fsync before the client sees the ack and
+    /// before the commit is forwarded around the ring.
     SyncAlways,
 }
 
@@ -78,11 +79,6 @@ pub struct BatchConfig {
     /// coalesces small frames (tag-only write notices, small values)
     /// aggressively while letting large values travel essentially alone.
     pub max_bytes: usize,
-    /// How long the outbound link may hold back a batch of fewer than
-    /// `max_frames` frames waiting for more (real runtime only; the
-    /// simulator's event loop batches whatever is queued at TX-idle
-    /// time). Zero — the default — never delays a ready frame.
-    pub linger: Nanos,
 }
 
 impl Default for BatchConfig {
@@ -90,7 +86,6 @@ impl Default for BatchConfig {
         BatchConfig {
             max_frames: 64,
             max_bytes: 16 * 1024,
-            linger: Nanos::ZERO,
         }
     }
 }
@@ -129,7 +124,6 @@ impl BatchConfig {
         BatchConfig {
             max_frames: self.max_frames.clamp(1, hts_types::codec::MAX_BATCH_FRAMES),
             max_bytes: self.max_bytes.clamp(1, MAX_BATCH_BUDGET_BYTES),
-            linger: self.linger,
         }
     }
 }
@@ -244,7 +238,7 @@ mod tests {
     fn batch_config_constructors() {
         let d = BatchConfig::default();
         assert_eq!(d.max_frames, 64);
-        assert_eq!(d.linger, Nanos::ZERO);
+        assert_eq!(d.max_bytes, 16 * 1024);
 
         let un = BatchConfig::unbatched();
         assert_eq!(un.max_frames, 1);
@@ -260,17 +254,14 @@ mod tests {
         let hostile = BatchConfig {
             max_frames: usize::MAX,
             max_bytes: usize::MAX,
-            linger: Nanos::from_micros(5),
         }
         .normalized();
         assert_eq!(hostile.max_frames, hts_types::codec::MAX_BATCH_FRAMES);
         assert_eq!(hostile.max_bytes, 16 * 1024 * 1024);
-        assert_eq!(hostile.linger, Nanos::from_micros(5));
 
         let zeroed = BatchConfig {
             max_frames: 0,
             max_bytes: 0,
-            linger: Nanos::ZERO,
         }
         .normalized();
         assert_eq!(zeroed.max_frames, 1);

@@ -26,17 +26,18 @@
 //!
 //! # Crate layout
 //!
-//! * [`ServerCore`] / [`ClientCore`] — the protocol state machines
-//!   (sans-io: feed events, collect [`Action`]s / messages).
-//! * [`SessionCore`] — the pipelined client session: a **window** of
-//!   concurrent in-flight operations over one channel, with per-request
-//!   retry state and out-of-order completions ([`ClientCore`] is its
-//!   window-of-1 wrapper).
+//! * [`ServerCore`] — the protocol's server state machine for one
+//!   register (sans-io: feed events, collect [`Action`]s and frames).
+//! * [`SessionCore`] — the client: a **window** of concurrent in-flight
+//!   operations over one channel, with per-request retry state and
+//!   out-of-order completions. A window of 1 is the paper's sequential
+//!   client.
 //! * [`MultiObjectServer`] — many registers multiplexed over one ring.
-//! * [`SimServer`] / [`SimClient`] — adapters for the `hts-sim` packet
-//!   simulator (used by every benchmark).
-//! * [`RoundServer`] / [`RoundClient`] — adapters for the paper's
-//!   synchronous round model (validates the §4 analytical claims).
+//! * [`LaneCore`] — the policy of one ring lane around a
+//!   [`MultiObjectServer`]: restart, the strike rule for failed links,
+//!   the release gate that holds replies and ring batches until their
+//!   commits are durable, and batch selection. The TCP runtime
+//!   (`hts-net`) and the simulator (`hts-sim`) are its two drivers.
 //! * [`Config`] — paper-faithful defaults plus documented ablations.
 //!
 //! # Examples
@@ -81,27 +82,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod client;
 mod config;
 mod fairness;
+mod lane;
 mod lanes;
 mod multi;
 mod pending;
 mod ring;
-mod round_adapter;
 mod server;
 mod session;
-mod sim_adapter;
 mod small;
 
-pub use client::{ClientCore, Completion};
 pub use config::{BatchConfig, Config, Durability, FairnessMode};
 pub use fairness::{ForwardScheduler, Selection};
+pub use lane::{LaneCore, Strike};
 pub use lanes::LaneMap;
 pub use multi::MultiObjectServer;
 pub use pending::PendingSet;
 pub use ring::RingView;
-pub use round_adapter::{RoundClient, RoundClientStats, RoundServer};
 pub use server::{Action, ServerCore, ServerStats};
-pub use session::{SessionCore, REPROBE_PERIOD};
-pub use sim_adapter::{unique_value, ClientStats, OpMix, SimClient, SimServer, WorkloadConfig};
+pub use session::{Completion, SessionCore, REPROBE_PERIOD};

@@ -5,10 +5,9 @@
 //! logical channel: every request keeps its own retry state, replies
 //! complete out of order (keyed by [`RequestId`]), and the alive-map and
 //! server-routing policy are shared across the window. A window of 1 is
-//! exactly the paper's client — [`ClientCore`](crate::ClientCore) is that
-//! thin wrapper — while larger windows turn one transport connection into
-//! an open-loop request pipeline (the load model the throughput analyses
-//! of CAS/SODA-style algorithms assume).
+//! exactly the paper's client, while larger windows turn one transport
+//! connection into an open-loop request pipeline (the load model the
+//! throughput analyses of CAS/SODA-style algorithms assume).
 //!
 //! Like the rest of `hts-core` this is sans-io: transports own sockets
 //! and timers, the core just decides what to send where next.
@@ -528,6 +527,65 @@ mod tests {
         assert!(!s.abort(r1));
         assert!(s.on_reply(&write_ack(r1)).is_none());
         assert!(s.on_timeout(r1).is_none());
+    }
+
+    fn read_ack(request: RequestId, value: Value) -> Message {
+        Message::ReadAck {
+            object: ObjectId::SINGLE,
+            request,
+            value,
+        }
+    }
+
+    #[test]
+    fn window_of_one_write_round_trip() {
+        let mut s = session(1);
+        let (request, server, msg) = s.begin_write(Value::from_u64(1));
+        assert_eq!(server, ServerId(1));
+        assert!(matches!(msg, Message::WriteReq { .. }));
+        assert!(!s.has_capacity());
+        let done = s.on_reply(&write_ack(request)).expect("completes");
+        assert_eq!((done.request, done.value), (request, None));
+        assert!(s.has_capacity());
+    }
+
+    #[test]
+    fn window_of_one_read_returns_its_value() {
+        let mut s = session(1);
+        let (request, ..) = s.begin_read();
+        let done = s.on_reply(&read_ack(request, Value::from_u64(9)));
+        assert_eq!(done.unwrap().value, Some(Value::from_u64(9)));
+    }
+
+    #[test]
+    fn foreign_replies_are_ignored() {
+        let mut s = session(1);
+        let (request, ..) = s.begin_read();
+        let foreign = read_ack(RequestId(999), Value::bottom());
+        assert!(s.on_reply(&foreign).is_none());
+        assert!(s.on_reply(&read_ack(request, Value::bottom())).is_some());
+    }
+
+    #[test]
+    fn timeouts_walk_the_ring_until_the_reply() {
+        let mut s = session(1);
+        let (request, first, _) = s.begin_write(Value::from_u64(1));
+        assert_eq!(first, ServerId(1));
+        let (second, msg) = s.on_timeout(request).unwrap();
+        assert_eq!(second, ServerId(2));
+        assert!(matches!(msg, Message::WriteReq { .. }));
+        assert_eq!(s.on_timeout(request).unwrap().0, ServerId(0));
+        // A timer firing after the completion is stale.
+        s.on_reply(&write_ack(request));
+        assert!(s.on_timeout(request).is_none());
+    }
+
+    #[test]
+    fn down_report_for_an_idle_server_resends_nothing() {
+        let mut s = session(1);
+        let (_, first, _) = s.begin_read();
+        assert_eq!(first, ServerId(1));
+        assert!(s.on_server_down(ServerId(0)).is_empty());
     }
 
     #[test]

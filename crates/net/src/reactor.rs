@@ -7,17 +7,20 @@
 //! therefore runs on exactly `lanes` threads regardless of how many
 //! clients or peers connect: one at the default single lane.
 //!
-//! Ring-link rules: frames to the successor coalesce into `RingBatch`
-//! messages under `BatchConfig` (a partial batch may linger, a full one
-//! ships at once); at most two batches are claimed from the core ahead
-//! of a full socket drain (pipeline credit returns when a staged batch
-//! has entirely left the write buffer); a link comes up as soon as its
-//! peer listens — a refused or timed-out connect is retried after 1 ms,
-//! the pause doubling up to 50 ms, for 2 s before the peer counts as
-//! down; and a failed link gets one retry over a fresh connection, on
-//! the same schedule for 100 ms, before its peer is declared crashed.
+//! Each lane is a thin I/O shell over a [`LaneCore`], which holds the
+//! lane's policy: restart, the strike rule, the release gate (a step's
+//! commits reach the WAL before its replies and ring batches leave) and
+//! batch selection. The shell owns the sockets, the WAL and these
+//! ring-link rules: frames to the successor coalesce into `RingBatch`
+//! messages under `BatchConfig`; at most two batches are claimed from
+//! the core ahead of a full socket drain (pipeline credit returns when a
+//! staged batch has entirely left the write buffer); a link comes up as
+//! soon as its peer listens — a refused or timed-out connect is retried
+//! after 1 ms, the pause doubling up to 50 ms, for 2 s before the peer
+//! counts as down; and the strike rule's retry over a fresh connection
+//! runs on the same schedule for 100 ms.
 //!
-//! Each lane owns its protocol core, WAL and every socket routed to it.
+//! Each lane owns its lane core, WAL and every socket routed to it.
 //! Lane 0 also owns the listener and every connection still mid
 //! handshake (closed if its hello is not complete within a second): a
 //! completed hello hands the socket to its lane (ring streams to the
@@ -32,28 +35,27 @@
 //! closes every fd it owns — lane 0 the listener too — before exiting,
 //! so the listen port is immediately rebindable.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use hts_core::{Action, BatchConfig, LaneMap, MultiObjectServer};
+use hts_core::{BatchConfig, LaneCore, LaneMap, Strike};
 use hts_poll::{
     connect_nonblocking, read_nb, Event, Events, Interest, Poller, ReadStatus, Token, Waker,
 };
 use hts_types::codec::Hello;
-use hts_types::{codec, ClientId, Message, RingFrame, ServerId, Value};
-use hts_wal::{Recovery, Wal};
+use hts_types::{ClientId, Message, RingFrame, ServerId};
+use hts_wal::{Recovery, Wal, WalRecord};
 
 use crate::framing::{encode_ring_frames, frame_into, MessagePoll, NbMessageReader, WriteBuf};
 use crate::server::{
-    action_into_message, build_core, drain_batch, note_crash_verdict, persist_commits,
-    recover_lanes, LaneConfig, ServerConfig, ThreadTally,
+    drain_batch, note_crash_verdict, recover_lanes, LaneConfig, ServerConfig, ThreadTally,
 };
 
 /// Token 0 is every poller's eventfd waker.
@@ -74,9 +76,9 @@ const MAX_CONNECT_PAUSE: Duration = Duration::from_millis(50);
 /// How long a new successor link keeps trying before its peer counts as
 /// down: outlasts a peer that is still booting (or restarting).
 const CONNECT_BUDGET: Duration = Duration::from_secs(2);
-/// How long the one-fresh-connection retry after a write failure keeps
-/// trying: the peer was reachable moments ago, so a short budget keeps
-/// the crash verdict prompt.
+/// How long the strike rule's fresh-connection retry keeps trying: the
+/// peer was reachable moments ago, so a short budget keeps the crash
+/// verdict prompt.
 const RETRY_BUDGET: Duration = Duration::from_millis(100);
 /// How long the listener stays unwatched after an accept error. It waits
 /// for a resource (a free descriptor, say), not for a peer, so it keeps
@@ -112,37 +114,31 @@ impl ReactorHandle {
 pub(crate) fn spawn(config: ServerConfig) -> io::Result<(ReactorHandle, SocketAddr)> {
     let lanes = usize::from(config.config.lanes.max(1));
     let wal_states = recover_lanes(&config)?;
-    let listen = config.addrs[config.id.index()];
-    let listener = TcpListener::bind(listen)?;
+    let listener = TcpListener::bind(config.addrs[config.id.index()])?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
 
     let shutdown = Arc::new(AtomicBool::new(false));
 
     let mut plumbing = Vec::with_capacity(lanes);
+    let mut peers: Vec<(Sender<Inject>, Arc<Waker>)> = Vec::with_capacity(lanes);
     for _ in 0..lanes {
         let poller = Poller::new()?;
         let waker = Arc::new(Waker::new(&poller, Token(WAKER_TOKEN))?);
         let (tx, rx) = channel::<Inject>();
-        plumbing.push((poller, waker, tx, rx));
+        peers.push((tx, Arc::clone(&waker)));
+        plumbing.push((poller, waker, rx));
     }
     plumbing[0].0.register(
         listener.as_raw_fd(),
         Token(LISTENER_TOKEN),
         Interest::READABLE,
     )?;
-    let peers: Vec<(Sender<Inject>, Arc<Waker>)> = plumbing
-        .iter()
-        .map(|(_, waker, tx, _)| (tx.clone(), Arc::clone(waker)))
-        .collect();
-    let wakers: Vec<Arc<Waker>> = plumbing
-        .iter()
-        .map(|(_, waker, _, _)| Arc::clone(waker))
-        .collect();
+    let wakers = peers.iter().map(|(_, waker)| Arc::clone(waker)).collect();
 
     let mut listener = Some(listener);
     let mut handles = Vec::with_capacity(lanes);
-    for (lane, ((poller, waker, _tx, injects), wal_state)) in
+    for (lane, ((poller, waker, injects), wal_state)) in
         plumbing.into_iter().zip(wal_states).enumerate()
     {
         let lc = LaneConfig {
@@ -249,6 +245,26 @@ enum OutState {
     Ready(TcpStream),
 }
 
+impl OutState {
+    /// When the link's timer fires: its next connect attempt, or the
+    /// timeout of the one in flight.
+    fn timer(&self) -> Option<Instant> {
+        match self {
+            OutState::Waiting { retry_at } => Some(*retry_at),
+            OutState::Connecting { deadline, .. } => Some(*deadline),
+            OutState::Ready(_) => None,
+        }
+    }
+
+    /// The link's socket, once a connect attempt made one.
+    fn stream(&self) -> Option<&TcpStream> {
+        match self {
+            OutState::Connecting { stream, .. } | OutState::Ready(stream) => Some(stream),
+            OutState::Waiting { .. } => None,
+        }
+    }
+}
+
 /// A successor link's connect schedule. The first attempt runs at once;
 /// a failed attempt is retried after [`FIRST_CONNECT_PAUSE`], the pause
 /// doubling per failure up to [`MAX_CONNECT_PAUSE`], and the last pause
@@ -284,8 +300,8 @@ impl ConnectSchedule {
 /// One outbound ring connection. At most one encoded batch is staged
 /// in `out` at a time: `unacked` holds its frames until the buffer
 /// fully drains (pipeline credit and strike clearing happen at that
-/// moment), `pending` holds frames the pump has
-/// claimed from the core but not yet staged.
+/// moment), `pending` holds frames the pump has claimed from the core
+/// but not yet staged.
 struct OutConn {
     token: u64,
     peer: ServerId,
@@ -294,20 +310,12 @@ struct OutConn {
     unacked: Vec<RingFrame>,
     out: WriteBuf,
     schedule: ConnectSchedule,
-    linger_until: Option<Instant>,
     /// Whether the registration currently includes write interest.
     writing: bool,
     /// When the currently staged batch was encoded (`now_nanos`; 0 =
     /// none staged). Feeds `hts_net_ring_write_nanos`: the wall time a
     /// batch takes to fully drain into the socket.
     staged_at: u64,
-}
-
-/// Which timer on an [`OutConn`] came due.
-enum Due {
-    Retry,
-    ConnectTimeout,
-    Linger,
 }
 
 /// Everything a lane shares with the rest of the reactor.
@@ -333,9 +341,8 @@ struct HelloConn {
 struct Lane {
     lc: LaneConfig,
     batching: BatchConfig,
-    linger: Duration,
     pipeline_cap: usize,
-    core: MultiObjectServer,
+    core: LaneCore,
     wal: Option<Wal>,
     poller: Poller,
     waker: Arc<Waker>,
@@ -360,9 +367,6 @@ struct Lane {
     /// Frames claimed from the core and not yet fully written (active
     /// link only) — the pipeline pacing counter.
     in_channel: u32,
-    /// Peers on their one-fresh-connection second chance.
-    retried: HashSet<ServerId>,
-    actions: Vec<Action>,
     dirty: Vec<u64>,
 }
 
@@ -371,17 +375,21 @@ impl Lane {
         let n = lc.addrs.len() as u16;
         let lanes = lc.config.lanes.max(1);
         let batching = lc.config.batching.normalized();
-        let linger = Duration::from_nanos(batching.linger.as_nanos());
         // Frames the lane may hand its staged/pending buffers ahead of
         // drain acknowledgement: one batch on the wire, one queued
         // behind it, so the socket never idles while the core is asked
         // for more and the fairness rule still runs close to the wire.
         let pipeline_cap = batching.max_frames.max(1) * 2;
-        let (core, wal) = build_core(lc.id, n, lc.config.clone(), wal_state);
+        // A lane whose directory already held a log restarts: it restores
+        // the registers the log proves committed and rejoins its ring.
+        let (wal, state, rejoin) = match wal_state {
+            Some((wal, recovery)) => (Some(wal), recovery.state, recovery.had_log),
+            None => (None, Default::default(), false),
+        };
+        let core = LaneCore::restart(lc.id, n, lc.lane, lc.config.clone(), state, rejoin);
         Lane {
             lc,
             batching,
-            linger,
             pipeline_cap,
             core,
             wal,
@@ -402,8 +410,6 @@ impl Lane {
             ring_outs: HashMap::new(),
             active_out: None,
             in_channel: 0,
-            retried: HashSet::new(),
-            actions: Vec::new(),
             dirty: Vec::new(),
         }
     }
@@ -430,16 +436,56 @@ impl Lane {
                 break;
             }
             self.handle_timers();
-            // Group-commit BEFORE replies flush: a client never sees
-            // an ack whose write is not on stable storage.
-            if !persist_commits(&mut self.core, &mut self.wal, self.lc.id, self.lc.lane) {
+            if !self.persist_commits() {
                 break;
             }
-            self.flush_actions();
+            for (client, msg) in self.core.take_replies() {
+                self.deliver_reply(client, msg);
+            }
             self.pump();
             self.flush_dirty();
         }
         self.teardown();
+    }
+
+    /// Appends the lane's freshly committed writes to the log as ONE
+    /// group-committed batch — a single fsync covers every commit of
+    /// this loop iteration — then opens the lane core's release gate.
+    /// Runs BEFORE replies flush and the ring pumps, so under
+    /// `SyncAlways` neither a client nor the successor sees a write that
+    /// is not on stable storage. Without a `wal_dir` the commits are
+    /// dropped. Returns `false` on an unrecoverable log failure (the
+    /// server then stops = crash-stop).
+    fn persist_commits(&mut self) -> bool {
+        let (id, lane) = (self.lc.id, self.lc.lane);
+        let commits = self.core.take_commits();
+        if let Some(wal) = self.wal.as_mut() {
+            let records: Vec<WalRecord> = commits
+                .into_iter()
+                .map(|(object, tag, value)| WalRecord { object, tag, value })
+                .collect();
+            if let Err(e) = wal.append_batch(&records) {
+                eprintln!(
+                    "hts-net server {id} lane {lane}: wal append failed ({e}); stopping to avoid \
+                     acknowledging non-durable writes"
+                );
+                return false;
+            }
+            if wal.wants_compaction() {
+                let state: Vec<WalRecord> = self
+                    .core
+                    .export_state()
+                    .into_iter()
+                    .map(|(object, tag, value)| WalRecord { object, tag, value })
+                    .collect();
+                if let Err(e) = wal.compact(&state) {
+                    // Non-fatal: the uncompacted log remains recoverable.
+                    eprintln!("hts-net server {id} lane {lane}: wal compaction failed ({e})");
+                }
+            }
+        }
+        self.core.commits_durable();
+        true
     }
 
     /// One epoll wait plus its bookkeeping. Hot: alloc-free.
@@ -467,28 +513,18 @@ impl Lane {
         }
     }
 
-    fn teardown(&mut self) {
-        if let Some(listener) = self.listener.take() {
-            self.poller.deregister(listener.as_raw_fd());
+    /// Deregisters every fd the lane owns; dropping the lane (at the end
+    /// of [`run`](Self::run)) then closes them.
+    fn teardown(&self) {
+        let hellos = self.hellos.values().map(|c| &c.stream);
+        let clients = self.client_conns.values().map(|c| &c.stream);
+        let ring_ins = self.ring_ins.values().map(|c| &c.stream);
+        let ring_outs = self.ring_outs.values().filter_map(|c| c.state.stream());
+        let streams = hellos.chain(clients).chain(ring_ins).chain(ring_outs);
+        let listener = self.listener.as_ref().map(AsRawFd::as_raw_fd);
+        for fd in streams.map(AsRawFd::as_raw_fd).chain(listener) {
+            self.poller.deregister(fd);
         }
-        for (_, conn) in self.hellos.drain() {
-            self.poller.deregister(conn.stream.as_raw_fd());
-        }
-        for (_, conn) in self.client_conns.drain() {
-            self.poller.deregister(conn.stream.as_raw_fd());
-        }
-        for (_, conn) in self.ring_ins.drain() {
-            self.poller.deregister(conn.stream.as_raw_fd());
-        }
-        for (_, conn) in self.ring_outs.drain() {
-            match &conn.state {
-                OutState::Connecting { stream, .. } | OutState::Ready(stream) => {
-                    self.poller.deregister(stream.as_raw_fd());
-                }
-                OutState::Waiting { .. } => {}
-            }
-        }
-        self.slots.clear();
     }
 
     // ---- client connections ------------------------------------------
@@ -502,7 +538,7 @@ impl Lane {
                 Ok(MessagePoll::Msg(msg)) => self.on_client_msg(&mut conn, msg),
                 Ok(MessagePoll::Pending) => break,
                 Ok(MessagePoll::Closed) | Err(_) => {
-                    self.client_down(token, conn);
+                    self.client_down(conn);
                     return;
                 }
             }
@@ -510,101 +546,57 @@ impl Lane {
         // Coalesce the burst's inline replies (stats) into
         // one flush; a writable-only event resumes a partial write the
         // same way.
-        if self.flush_client(&mut conn).is_err() {
-            self.client_down(token, conn);
-            return;
-        }
-        self.client_conns.insert(token, conn);
+        self.flush_client(conn);
     }
 
+    /// Hands a request to its object's lane — a sibling via inject, or
+    /// this lane's core. A stats request is answered inline.
     fn on_client_msg(&mut self, conn: &mut ClientConn, msg: Message) {
-        let c = conn.id;
-        match msg {
-            // Answered from the process-wide registry without touching
-            // the protocol core: stats are observational and never
-            // consume an op slot.
-            Message::StatsRequest { request } => {
-                let reply = Message::StatsReply {
-                    request,
-                    text: Value::from(hts_metrics::render().into_bytes()),
-                };
-                frame_into(conn.out.tail(), &reply);
-            }
-            Message::WriteReq { .. } | Message::ReadReq { .. } => self.route_request(c, msg),
-            // Clients never send replies or ring traffic; drop them by
-            // name so a new wire variant forces a decision here.
-            Message::WriteAck { .. }
-            | Message::ReadAck { .. }
-            | Message::StatsReply { .. }
-            | Message::Ring(_)
-            | Message::RingBatch(_) => {}
+        let request = matches!(msg, Message::WriteReq { .. } | Message::ReadReq { .. });
+        let lane = self.map.lane_of(msg.object());
+        if request && lane != self.lc.lane {
+            self.send_inject(usize::from(lane), Inject::FromClient(conn.id, msg));
+        } else if let Some(reply) = self.core.on_client(conn.id, msg) {
+            frame_into(conn.out.tail(), &reply);
         }
-    }
-
-    /// Hands a request to its object's lane: this lane's core, or a
-    /// sibling via inject.
-    fn route_request(&mut self, c: ClientId, msg: Message) {
-        let lane = usize::from(self.map.lane_of(msg.object()));
-        if lane == usize::from(self.lc.lane) {
-            self.on_routed_request(c, msg);
-        } else {
-            self.send_inject(lane, Inject::FromClient(c, msg));
-        }
-    }
-
-    fn on_routed_request(&mut self, c: ClientId, msg: Message) {
-        let acts = match msg {
-            Message::WriteReq {
-                object,
-                request,
-                value,
-            } => self.core.on_client_write(object, c, request, value),
-            Message::ReadReq { object, request } => self.core.on_client_read(object, c, request),
-            // Only requests route here (`on_client_msg` filtered the
-            // rest); drop the others by name so a new wire variant
-            // forces a decision.
-            Message::WriteAck { .. }
-            | Message::ReadAck { .. }
-            | Message::StatsRequest { .. }
-            | Message::StatsReply { .. }
-            | Message::Ring(_)
-            | Message::RingBatch(_) => return,
-        };
-        self.actions.extend(acts);
     }
 
     /// Flushes a client's pending replies and keeps its write interest
-    /// in sync (armed only while bytes wait on the socket).
-    fn flush_client(&mut self, conn: &mut ClientConn) -> io::Result<()> {
-        let drained = conn.out.is_empty() || conn.out.flush(&mut conn.stream)?;
-        if !drained && !conn.writing {
-            conn.writing = true;
-            self.poller
-                .reregister(conn.stream.as_raw_fd(), Token(conn.token), Interest::BOTH)
-                .ok();
-        } else if drained && conn.writing {
-            conn.writing = false;
-            self.poller
-                .reregister(
-                    conn.stream.as_raw_fd(),
-                    Token(conn.token),
-                    Interest::READABLE,
-                )
-                .ok();
-        }
-        Ok(())
+    /// in sync (armed only while bytes wait on the socket), then puts
+    /// the connection back — or takes it down on a write error.
+    fn flush_client(&mut self, mut conn: ClientConn) {
+        let Ok(drained) = conn.out.flush(&mut conn.stream) else {
+            self.client_down(conn);
+            return;
+        };
+        let fd = conn.stream.as_raw_fd();
+        self.want_write(fd, conn.token, &mut conn.writing, !drained);
+        self.client_conns.insert(conn.token, conn);
     }
 
-    fn client_down(&mut self, token: u64, conn: ClientConn) {
+    /// Arms write interest on `fd` exactly while `want` holds; `writing`
+    /// tracks what the registration currently asks for.
+    fn want_write(&self, fd: RawFd, token: u64, writing: &mut bool, want: bool) {
+        if *writing != want {
+            let interest = if want {
+                Interest::BOTH
+            } else {
+                Interest::READABLE
+            };
+            self.poller.reregister(fd, Token(token), interest).ok();
+            *writing = want;
+        }
+    }
+
+    fn client_down(&mut self, conn: ClientConn) {
         self.poller.deregister(conn.stream.as_raw_fd());
-        self.slots.remove(&token);
-        if matches!(self.clients.get(&conn.id), Some(ClientRoute::Local(t)) if *t == token) {
+        self.slots.remove(&conn.token);
+        if matches!(self.clients.get(&conn.id), Some(ClientRoute::Local(t)) if *t == conn.token) {
             self.clients.remove(&conn.id);
         }
-        for lane in 0..self.peers.len() {
-            if lane != usize::from(self.lc.lane) {
-                self.send_inject(lane, Inject::ClientDown(conn.id, conn.accepted));
-            }
+        let me = usize::from(self.lc.lane);
+        for lane in (0..self.peers.len()).filter(|&lane| lane != me) {
+            self.send_inject(lane, Inject::ClientDown(conn.id, conn.accepted));
         }
     }
 
@@ -616,14 +608,10 @@ impl Lane {
         };
         loop {
             match conn.reader.poll(&mut conn.stream) {
-                Ok(MessagePoll::Msg(Message::Ring(frame))) => {
-                    let acts = self.core.on_frame(frame);
-                    self.actions.extend(acts);
-                }
+                Ok(MessagePoll::Msg(Message::Ring(frame))) => self.core.on_frame(frame),
                 Ok(MessagePoll::Msg(Message::RingBatch(frames))) => {
                     for frame in frames {
-                        let acts = self.core.on_frame(frame);
-                        self.actions.extend(acts);
+                        self.core.on_frame(frame);
                     }
                 }
                 // Requests, replies and stats never arrive on a ring
@@ -651,7 +639,6 @@ impl Lane {
         self.poller.deregister(conn.stream.as_raw_fd());
         self.slots.remove(&token);
         let s = conn.from;
-        drop(conn);
         // Any connection to the crashed server died with it; a parked
         // entry must not be reused after a rejoin. `active_out` and the
         // pipeline counter are left to `ensure_ring_out`, which resets
@@ -659,10 +646,8 @@ impl Lane {
         if let Some(out) = self.ring_outs.remove(&s) {
             self.drop_out_sockets(&out);
         }
-        self.retried.remove(&s);
         note_crash_verdict(self.lc.id, self.lc.lane, s);
-        let acts = self.core.on_server_crashed(s);
-        self.actions.extend(acts);
+        self.core.on_peer_crashed(s);
     }
 
     // ---- outbound ring connections -----------------------------------
@@ -682,25 +667,17 @@ impl Lane {
     /// Advances one outbound link on a readiness report. Returns
     /// `false` when the link failed (caller runs the strike logic).
     fn drive_out(&mut self, conn: &mut OutConn, ev: Event) -> bool {
-        let connect_result = match &mut conn.state {
+        match &conn.state {
             // No fd in this state; a stale event for a closed fd.
             OutState::Waiting { .. } => return true,
-            OutState::Connecting { stream, .. } => {
-                if ev.is_error() {
-                    Some(false)
-                } else if ev.writable() {
-                    // Writable resolves the attempt; SO_ERROR says how.
-                    Some(matches!(stream.take_error(), Ok(None)))
-                } else {
-                    None
+            // Writable resolves the attempt; SO_ERROR says how.
+            OutState::Connecting { stream, .. } if ev.is_error() || ev.writable() => {
+                if ev.is_error() || !matches!(stream.take_error(), Ok(None)) {
+                    return self.connect_failed(conn);
                 }
+                self.finish_connect(conn);
             }
-            OutState::Ready(_) => None,
-        };
-        match connect_result {
-            Some(true) => self.finish_connect(conn),
-            Some(false) => return self.connect_failed(conn),
-            None => {}
+            OutState::Connecting { .. } | OutState::Ready(_) => {}
         }
         if !matches!(conn.state, OutState::Ready(_)) {
             return true;
@@ -739,7 +716,7 @@ impl Lane {
                     .record(hts_metrics::now_nanos().saturating_sub(conn.staged_at));
                 conn.staged_at = 0;
             }
-            self.retried.remove(&conn.peer);
+            self.core.on_link_drained(conn.peer);
             if self.active_out == Some(conn.peer) {
                 self.in_channel = self.in_channel.saturating_sub(conn.unacked.len() as u32);
             }
@@ -748,10 +725,8 @@ impl Lane {
     }
 
     /// Stages the next coalesced batch into `conn.out` (one encoded
-    /// batch at a time, hello bytes may precede the first). Honors the
-    /// linger window: a partial batch waits up to `linger` for company,
-    /// but one that fills ships at once. Returns `false` when nothing
-    /// was staged.
+    /// batch at a time, hello bytes may precede the first). Returns
+    /// `false` when nothing was staged.
     fn encode_next(&mut self, conn: &mut OutConn) -> bool {
         if !matches!(conn.state, OutState::Ready(_))
             || !conn.unacked.is_empty()
@@ -759,26 +734,10 @@ impl Lane {
         {
             return false;
         }
-        let max_frames = self.batching.max_frames.max(1);
-        if !self.linger.is_zero() && conn.pending.len() < max_frames {
-            let queued: usize = conn.pending.iter().map(codec::frame_wire_size).sum();
-            if queued < self.batching.max_bytes {
-                let now = Instant::now();
-                match conn.linger_until {
-                    None => {
-                        conn.linger_until = Some(now + self.linger);
-                        return false;
-                    }
-                    Some(deadline) if now < deadline => return false,
-                    Some(_) => {}
-                }
-            }
-        }
-        conn.linger_until = None;
         let mut bytes = 0usize;
         drain_batch(
             &mut conn.pending,
-            max_frames,
+            self.batching.max_frames,
             self.batching.max_bytes,
             &mut bytes,
             &mut conn.unacked,
@@ -841,10 +800,7 @@ impl Lane {
     /// the schedule runs — back off to `Waiting` until its next attempt.
     /// Returns `false` once the schedule's deadline has passed.
     fn connect_failed(&mut self, conn: &mut OutConn) -> bool {
-        if let OutState::Connecting { stream, .. } | OutState::Ready(stream) = &conn.state {
-            self.poller.deregister(stream.as_raw_fd());
-            self.slots.remove(&conn.token);
-        }
+        self.drop_out_sockets(conn);
         conn.writing = false;
         let now = Instant::now();
         let next = conn.schedule.retry_at(now);
@@ -884,20 +840,12 @@ impl Lane {
     /// Keeps write interest armed only while the link has (or is about
     /// to learn whether it has) bytes to move.
     fn update_out_interest(&mut self, conn: &mut OutConn) {
-        let (fd, want_write) = match &conn.state {
+        let (fd, want) = match &conn.state {
             OutState::Waiting { .. } => return,
             OutState::Connecting { stream, .. } => (stream.as_raw_fd(), true),
             OutState::Ready(stream) => (stream.as_raw_fd(), !conn.out.is_empty()),
         };
-        if want_write != conn.writing {
-            let interest = if want_write {
-                Interest::BOTH
-            } else {
-                Interest::READABLE
-            };
-            self.poller.reregister(fd, Token(conn.token), interest).ok();
-            conn.writing = want_write;
-        }
+        self.want_write(fd, conn.token, &mut conn.writing, want);
     }
 
     /// A link to `peer` whose connect attempts may run for `budget`,
@@ -914,60 +862,45 @@ impl Lane {
             unacked: Vec::new(),
             out: WriteBuf::new(),
             schedule: ConnectSchedule::new(now, budget),
-            linger_until: None,
             writing: false,
             staged_at: 0,
         }
     }
 
-    /// The strike logic. A failed link is not yet a crash verdict: a
-    /// parked connection may simply predate the peer's restart (a
-    /// non-adjacent server never observes the crash of a peer it was
-    /// not connected to). The first failure retries every lost frame
-    /// over one fresh connection; a second failure on that fresh
-    /// connection is a crash verdict (the lost frames are covered by
-    /// the splice-retransmission in `on_server_crashed`).
+    /// Runs the lane core's strike rule on a failed link: the first
+    /// failure moves every lost frame onto one fresh connection, a
+    /// second failure in a row is a crash verdict.
     fn fail_out(&mut self, mut conn: OutConn) {
         loop {
             self.drop_out_sockets(&conn);
-            conn.state = OutState::Waiting {
-                retry_at: Instant::now(),
-            };
             let peer = conn.peer;
             let mut lost: VecDeque<RingFrame> = std::mem::take(&mut conn.unacked).into();
             lost.append(&mut conn.pending);
             if self.active_out == Some(peer) {
                 self.in_channel = 0;
             }
-            if self.retried.insert(peer) {
-                let mut fresh = self.new_out_conn(peer, RETRY_BUDGET);
-                fresh.pending = lost;
-                if self.active_out == Some(peer) {
-                    self.in_channel = fresh.pending.len() as u32;
-                }
-                if self.start_connect(&mut fresh) {
-                    self.update_out_interest(&mut fresh);
-                    self.ring_outs.insert(peer, fresh);
-                    return;
-                }
-                conn = fresh;
-                continue;
+            let Strike::Retry(lost) = self.core.on_link_failed(peer, lost) else {
+                note_crash_verdict(self.lc.id, self.lc.lane, peer);
+                return;
+            };
+            let mut fresh = self.new_out_conn(peer, RETRY_BUDGET);
+            fresh.pending = lost;
+            if self.active_out == Some(peer) {
+                self.in_channel = fresh.pending.len() as u32;
             }
-            self.retried.remove(&peer);
-            note_crash_verdict(self.lc.id, self.lc.lane, peer);
-            let acts = self.core.on_server_crashed(peer);
-            self.actions.extend(acts);
-            return;
+            if self.start_connect(&mut fresh) {
+                self.update_out_interest(&mut fresh);
+                self.ring_outs.insert(peer, fresh);
+                return;
+            }
+            conn = fresh;
         }
     }
 
     fn drop_out_sockets(&mut self, conn: &OutConn) {
         self.slots.remove(&conn.token);
-        match &conn.state {
-            OutState::Connecting { stream, .. } | OutState::Ready(stream) => {
-                self.poller.deregister(stream.as_raw_fd());
-            }
-            OutState::Waiting { .. } => {}
+        if let Some(stream) = conn.state.stream() {
+            self.poller.deregister(stream.as_raw_fd());
         }
     }
 
@@ -1012,9 +945,7 @@ impl Lane {
         };
         while (self.in_channel as usize) < self.pipeline_cap {
             let room = self.pipeline_cap - self.in_channel as usize;
-            let frames = self
-                .core
-                .drain_frames(room.min(self.batching.max_frames), self.batching.max_bytes);
+            let frames = self.core.next_batch(room);
             if frames.is_empty() {
                 break;
             }
@@ -1033,11 +964,7 @@ impl Lane {
 
     fn next_timeout(&self) -> Option<Duration> {
         let hellos = self.hellos.values().map(|conn| Some(conn.deadline));
-        let links = self.ring_outs.values().map(|conn| match &conn.state {
-            OutState::Waiting { retry_at } => Some(*retry_at),
-            OutState::Connecting { deadline, .. } => Some(*deadline),
-            OutState::Ready(_) => conn.linger_until,
-        });
+        let links = self.ring_outs.values().map(|conn| conn.state.timer());
         std::iter::once(self.accept_paused_until)
             .chain(hellos)
             .chain(links)
@@ -1049,34 +976,18 @@ impl Lane {
     fn handle_timers(&mut self) {
         self.resume_accepting();
         self.expire_hellos();
-        if self.ring_outs.is_empty() {
-            return;
-        }
         let now = Instant::now();
-        let mut due: Vec<(ServerId, Due)> = Vec::new();
-        for (peer, conn) in &self.ring_outs {
-            let fire = match &conn.state {
-                OutState::Waiting { retry_at } if *retry_at <= now => Some(Due::Retry),
-                OutState::Connecting { deadline, .. } if *deadline <= now => {
-                    Some(Due::ConnectTimeout)
-                }
-                OutState::Ready(_) if conn.linger_until.is_some_and(|d| d <= now) => {
-                    Some(Due::Linger)
-                }
-                _ => None,
-            };
-            if let Some(kind) = fire {
-                due.push((*peer, kind));
-            }
-        }
-        for (peer, kind) in due {
-            let Some(mut conn) = self.ring_outs.remove(&peer) else {
-                continue;
-            };
-            let healthy = match kind {
-                Due::Retry => self.start_connect(&mut conn),
-                Due::ConnectTimeout => self.connect_failed(&mut conn),
-                Due::Linger => self.resume_write(&mut conn).is_ok(),
+        let due: Vec<(ServerId, OutConn)> = self
+            .ring_outs
+            .extract_if(|_, conn| conn.state.timer().is_some_and(|at| at <= now))
+            .collect();
+        for (peer, mut conn) in due {
+            // A waiting link makes its next attempt; a connecting one
+            // timed out.
+            let healthy = if matches!(conn.state, OutState::Waiting { .. }) {
+                self.start_connect(&mut conn)
+            } else {
+                self.connect_failed(&mut conn)
             };
             if healthy {
                 self.update_out_interest(&mut conn);
@@ -1112,22 +1023,17 @@ impl Lane {
                     }
                 }
             }
-            Inject::FromClient(c, msg) => self.on_routed_request(c, msg),
+            Inject::FromClient(c, msg) => {
+                self.core.on_client(c, msg);
+            }
             Inject::Reply(c, msg) => self.deliver_reply(c, msg),
         }
     }
 
     fn add_client(&mut self, c: ClientId, accepted: u64, stream: TcpStream) {
-        let token = self.next_token;
-        self.next_token += 1;
-        if self
-            .poller
-            .register(stream.as_raw_fd(), Token(token), Interest::READABLE)
-            .is_err()
-        {
+        let Some(token) = self.watch(&stream, SlotKind::Client) else {
             return;
-        }
-        self.slots.insert(token, SlotKind::Client);
+        };
         self.clients.insert(c, ClientRoute::Local(token));
         self.client_conns.insert(
             token,
@@ -1146,16 +1052,9 @@ impl Lane {
     }
 
     fn add_ring_in(&mut self, s: ServerId, stream: TcpStream) {
-        let token = self.next_token;
-        self.next_token += 1;
-        if self
-            .poller
-            .register(stream.as_raw_fd(), Token(token), Interest::READABLE)
-            .is_err()
-        {
+        let Some(token) = self.watch(&stream, SlotKind::RingIn) else {
             return;
-        }
-        self.slots.insert(token, SlotKind::RingIn);
+        };
         self.ring_ins.insert(
             token,
             RingInConn {
@@ -1164,6 +1063,18 @@ impl Lane {
                 reader: NbMessageReader::new(),
             },
         );
+    }
+
+    /// Watches `stream` for reads under a fresh token, as a `kind` slot;
+    /// `None` when the poller refuses it.
+    fn watch(&mut self, stream: &TcpStream, kind: SlotKind) -> Option<u64> {
+        let token = self.next_token;
+        self.next_token += 1;
+        self.poller
+            .register(stream.as_raw_fd(), Token(token), Interest::READABLE)
+            .ok()?;
+        self.slots.insert(token, kind);
+        Some(token)
     }
 
     fn deliver_reply(&mut self, c: ClientId, msg: Message) {
@@ -1182,27 +1093,11 @@ impl Lane {
         }
     }
 
-    fn flush_actions(&mut self) {
-        if self.actions.is_empty() {
-            return;
-        }
-        let actions = std::mem::take(&mut self.actions);
-        for action in actions {
-            let (client, msg) = action_into_message(action);
-            self.deliver_reply(client, msg);
-        }
-    }
-
     fn flush_dirty(&mut self) {
         while let Some(token) = self.dirty.pop() {
-            let Some(mut conn) = self.client_conns.remove(&token) else {
-                continue;
-            };
-            if self.flush_client(&mut conn).is_err() {
-                self.client_down(token, conn);
-                continue;
+            if let Some(conn) = self.client_conns.remove(&token) {
+                self.flush_client(conn);
             }
-            self.client_conns.insert(token, conn);
         }
     }
 
@@ -1226,26 +1121,16 @@ impl Lane {
     /// one) unwatches the listener for a backoff rather than spin on its
     /// level-triggered readiness; the lane keeps serving meanwhile.
     fn accept_burst(&mut self) {
-        let Some(listener) = &self.listener else {
-            return;
-        };
-        loop {
+        while let Some(listener) = &self.listener {
             match listener.accept() {
                 Ok((stream, _)) => {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
                     stream.set_nodelay(true).ok();
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), Token(token), Interest::READABLE)
-                        .is_err()
-                    {
+                    let Some(token) = self.watch(&stream, SlotKind::Hello) else {
                         continue;
-                    }
-                    self.slots.insert(token, SlotKind::Hello);
+                    };
                     self.hellos.insert(
                         token,
                         HelloConn {

@@ -1,25 +1,26 @@
-//! The TCP server: deployment description, WAL recovery and the pieces
-//! of a ring lane that do not touch a socket.
+//! The TCP server: deployment description and WAL recovery for the ring
+//! lanes.
 //!
 //! A server hosts [`Config::lanes`](hts_core::Config) **parallel ring
 //! lanes**: objects are partitioned across lanes by the shared
 //! [`LaneMap`](hts_core::LaneMap) placement, and each lane is one
-//! epoll-driven thread ([`crate::reactor`]) that owns its protocol
-//! core, its outbound link to the successor (a separate TCP connection,
-//! tagged by a lane-aware handshake), its inbound ring stream, the
-//! client sockets routed to it and — with persistent durability — its
-//! own WAL directory. One node therefore scales across cores instead of
-//! funneling every object through a single event loop; `lanes = 1` (the
-//! default) is the paper's single ring.
+//! epoll-driven thread ([`crate::reactor`]) that owns its lane core
+//! ([`hts_core::LaneCore`]), its outbound link to the successor (a
+//! separate TCP connection, tagged by a lane-aware handshake), its
+//! inbound ring stream, the client sockets routed to it and — with
+//! persistent durability — its own WAL directory. One node therefore
+//! scales across cores instead of funneling every object through a
+//! single event loop; `lanes = 1` (the default) is the paper's single
+//! ring.
 
 use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 
-use hts_core::{Action, Config, Durability, MultiObjectServer};
-use hts_types::{codec, ClientId, Message, RingFrame, ServerId};
-use hts_wal::{recover, FsyncPolicy, Recovery, Wal, WalOptions, WalRecord};
+use hts_core::{Config, Durability};
+use hts_types::{codec, RingFrame, ServerId};
+use hts_wal::{recover, FsyncPolicy, Recovery, Wal, WalOptions};
 
 use crate::reactor::ReactorHandle;
 
@@ -92,58 +93,6 @@ pub(crate) fn recover_lanes(config: &ServerConfig) -> io::Result<Vec<Option<(Wal
         wal_states.push(state);
     }
     Ok(wal_states)
-}
-
-/// Builds one lane's protocol core from its recovered WAL state:
-/// restores the registers the log proves committed and flags a restart
-/// rejoin when the directory already held a log.
-pub(crate) fn build_core(
-    id: ServerId,
-    n: u16,
-    config: Config,
-    wal_state: Option<(Wal, Recovery)>,
-) -> (MultiObjectServer, Option<Wal>) {
-    let mut core = MultiObjectServer::new(id, n, config);
-    let mut wal = None;
-    if let Some((w, recovery)) = wal_state {
-        let restarting = recovery.had_log;
-        core.restore_state(
-            recovery
-                .state
-                .into_iter()
-                .map(|(object, (tag, value))| (object, tag, value)),
-        );
-        if restarting {
-            core.begin_rejoin();
-        }
-        wal = Some(w);
-    }
-    (core, wal)
-}
-
-/// The client-visible reply for one committed protocol action.
-pub(crate) fn action_into_message(action: Action) -> (ClientId, Message) {
-    match action {
-        Action::WriteAck {
-            object,
-            client,
-            request,
-        } => (client, Message::WriteAck { object, request }),
-        Action::ReadReply {
-            object,
-            client,
-            request,
-            value,
-            ..
-        } => (
-            client,
-            Message::ReadAck {
-                object,
-                request,
-                value,
-            },
-        ),
-    }
 }
 
 /// RAII increment of the `hts_net_threads` gauge: every server-side
@@ -261,51 +210,6 @@ pub(crate) fn wal_fsync_policy(durability: Durability) -> Option<FsyncPolicy> {
         Durability::SyncEveryN(n) => Some(FsyncPolicy::EveryN(n)),
         Durability::SyncAlways => Some(FsyncPolicy::Always),
     }
-}
-
-/// Appends the core's freshly committed writes to the log as ONE
-/// group-committed batch: a single fsync covers every commit drained by
-/// this loop iteration. Runs BEFORE actions flush, so under `SyncAlways`
-/// a client never sees an ack whose write is not on stable storage.
-/// Returns `false` on an unrecoverable log failure (the server then
-/// stops = crash-stop).
-pub(crate) fn persist_commits(
-    core: &mut MultiObjectServer,
-    wal: &mut Option<Wal>,
-    id: ServerId,
-    lane: u16,
-) -> bool {
-    let Some(wal) = wal.as_mut() else {
-        // Persistent durability without a wal_dir: nothing to log, but
-        // the core still accumulates commits — drain them or they pile
-        // up forever.
-        core.drain_commits();
-        return true;
-    };
-    let records: Vec<WalRecord> = core
-        .drain_commits()
-        .into_iter()
-        .map(|(object, tag, value)| WalRecord { object, tag, value })
-        .collect();
-    if let Err(e) = wal.append_batch(&records) {
-        eprintln!(
-            "hts-net server {id} lane {lane}: wal append failed ({e}); stopping to avoid \
-             acknowledging non-durable writes"
-        );
-        return false;
-    }
-    if wal.wants_compaction() {
-        let state: Vec<WalRecord> = core
-            .export_state()
-            .into_iter()
-            .map(|(object, tag, value)| WalRecord { object, tag, value })
-            .collect();
-        if let Err(e) = wal.compact(&state) {
-            // Non-fatal: the uncompacted log remains recoverable.
-            eprintln!("hts-net server {id} lane {lane}: wal compaction failed ({e})");
-        }
-    }
-    true
 }
 
 /// Everything one lane's event loop needs to know about its place in the

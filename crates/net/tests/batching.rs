@@ -1,19 +1,16 @@
 //! End-to-end TCP tests of the batched ring pipeline: aggressive frame
-//! coalescing (and a non-zero linger) must be invisible to clients — the
-//! full concurrent history stays linearizable through kill/restart.
+//! coalescing must be invisible to clients — the full concurrent history
+//! stays linearizable through kill/restart.
 
 use std::fs;
-use std::io::Write;
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hts_core::{BatchConfig, Config};
 use hts_lincheck::{check_conditions, History};
-use hts_net::{read_message, write_message, Client, Cluster, Session};
-use hts_sim::Nanos;
-use hts_types::{codec::Hello, ClientId, Message, ObjectId, RequestId, ServerId, Value};
+use hts_net::{Client, Cluster};
+use hts_types::{ClientId, ServerId, Value};
 
 fn tmp_base(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hts-net-batch-{name}-{}", std::process::id()));
@@ -25,15 +22,13 @@ fn nanos_since(epoch: Instant) -> u64 {
     epoch.elapsed().as_nanos() as u64
 }
 
-/// An aggressive batching configuration: deep batches, a real linger
-/// window, so the lane's coalescing paths (drain + linger) all run
-/// under load.
+/// An aggressive batching configuration: deep batches with a large
+/// byte budget, so the lane's coalescing path runs under load.
 fn batched_config() -> Config {
     Config {
         batching: BatchConfig {
             max_frames: 64,
             max_bytes: 1024 * 1024,
-            linger: Nanos::from_micros(200),
         },
         ..Config::default()
     }
@@ -173,71 +168,4 @@ fn restarted_server_resyncs_through_batched_stream() {
 
     cluster.shutdown();
     let _ = fs::remove_dir_all(&base);
-}
-
-/// Two-frame batches behind a linger far longer than any test: a batch
-/// one frame short waits for company, so whatever returns in under a
-/// second did not wait out the linger.
-fn long_linger_config() -> Config {
-    Config {
-        batching: BatchConfig {
-            max_frames: 2,
-            linger: Nanos::from_secs(5),
-            ..BatchConfig::default()
-        },
-        ..Config::default()
-    }
-}
-
-#[test]
-fn filled_batch_ships_at_once_mid_linger() {
-    // Two writes to two objects travel the ring side by side, so every
-    // hop's batch holds two frames — full — and must ship at once.
-    let cluster = Cluster::launch_with(2, long_linger_config()).expect("launch");
-    let mut session = Session::connect(1, cluster.addrs(), 2).expect("session");
-    let started = Instant::now();
-    let a = session
-        .begin_write_to(ObjectId(1), Value::from_u64(1))
-        .expect("begin");
-    let b = session
-        .begin_write_to(ObjectId(2), Value::from_u64(2))
-        .expect("begin");
-    session.wait(a).expect("first write");
-    session.wait(b).expect("second write");
-    assert!(
-        started.elapsed() < Duration::from_secs(1),
-        "a filled batch waited out the linger: {:?}",
-        started.elapsed()
-    );
-    cluster.shutdown();
-}
-
-#[test]
-fn shutdown_mid_linger_is_prompt() {
-    let cluster = Cluster::launch_with(2, long_linger_config()).expect("launch");
-    // A raw connection, because `Session::begin_write` only buffers:
-    // the request must be on the wire for a frame to be lingering.
-    let mut stream = TcpStream::connect(cluster.addrs()[0]).expect("connect");
-    stream
-        .write_all(&Hello::Client(ClientId(1)).encode())
-        .expect("hello");
-    let request = Message::WriteReq {
-        object: ObjectId(1),
-        request: RequestId(1),
-        value: Value::from_u64(1),
-    };
-    write_message(&mut stream, &request).expect("send");
-    // The lone pre-write is one frame short of a batch: no ack yet.
-    stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .expect("timeout");
-    read_message(&mut stream).expect_err("the write should still be lingering");
-
-    let stopping = Instant::now();
-    cluster.shutdown();
-    assert!(
-        stopping.elapsed() < Duration::from_secs(1),
-        "shutdown waited out the linger: {:?}",
-        stopping.elapsed()
-    );
 }

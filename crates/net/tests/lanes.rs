@@ -15,7 +15,6 @@ use std::time::{Duration, Instant};
 use hts_core::{BatchConfig, Config, LaneMap};
 use hts_lincheck::{check_conditions, History};
 use hts_net::{read_message, write_message, Client, Cluster};
-use hts_sim::Nanos;
 use hts_types::{codec::Hello, ClientId, Message, ObjectId, RequestId, ServerId, Value};
 
 fn tmp_base(name: &str) -> PathBuf {
@@ -28,15 +27,14 @@ fn nanos_since(epoch: Instant) -> u64 {
     epoch.elapsed().as_nanos() as u64
 }
 
-/// Aggressive batching + a real linger on top of multiple lanes: the
-/// coalescing paths all run under load, per lane.
+/// Aggressive batching on top of multiple lanes: the coalescing path
+/// runs under load, per lane.
 fn laned_config(lanes: u16) -> Config {
     Config {
         lanes,
         batching: BatchConfig {
             max_frames: 64,
             max_bytes: 1024 * 1024,
-            linger: Nanos::from_micros(200),
         },
         ..Config::default()
     }

@@ -21,8 +21,19 @@
 //!   Used to validate the analytical latency/throughput claims and Fig. 1.
 //!
 //! Processes are sans-io state machines implementing [`Process`] (packet
-//! model) or [`round::RoundProcess`]; the same protocol cores run on either
-//! model and on the real TCP runtime in `hts-net`.
+//! model) or [`round::RoundProcess`]. The adapters that run `hts-core`'s
+//! protocol on them live here too:
+//!
+//! * [`SimServer`] — a ring server driving one `hts_core::LaneCore` per
+//!   ring lane, the same lane policy the TCP runtime in `hts-net` runs;
+//!   the adapter keeps only NIC pacing, the modeled disk and the replay
+//!   timer. [`SimClient`] is a workload client over a
+//!   `hts_core::SessionCore` window (used by every benchmark).
+//! * [`RoundServer`] / [`RoundClient`] — the round-model adapters that
+//!   validate the §4 analytical claims.
+//!
+//! The dependency points one way: the simulator links the protocol, and
+//! the shipped server (`hts-core`, `hts-net`) links no simulator.
 //!
 //! # Examples
 //!
@@ -69,11 +80,16 @@
 pub mod disk;
 pub mod packet;
 pub mod round;
+mod round_adapter;
+mod sim_adapter;
 mod time;
 
 pub use disk::{DiskConfig, DiskModel};
+pub use hts_types::Nanos;
 pub use packet::{Ctx, NetworkId, PacketSim, Process, TimerId};
-pub use time::{Bandwidth, Nanos};
+pub use round_adapter::{RoundClient, RoundClientStats, RoundServer};
+pub use sim_adapter::{unique_value, ClientStats, OpMix, SimClient, SimServer, WorkloadConfig};
+pub use time::Bandwidth;
 
 /// Byte-level size accounting for simulated payloads.
 ///

@@ -1,9 +1,9 @@
 //! Adapters running the protocol on the synchronous round model.
 //!
-//! These validate the paper's §4 analytical claims against the same
-//! [`ServerCore`] used everywhere else: read latency 2 rounds, write
-//! latency `2N + 2` rounds, write throughput 1 op/round, read throughput
-//! `n` ops/round. Each server has a ring NIC and a client NIC (one send +
+//! These validate the paper's §4 analytical claims against the same lane
+//! policy used everywhere else: read latency 2 rounds, write latency
+//! `2N + 2` rounds, write throughput 1 op/round, read throughput `n`
+//! ops/round. Each server has a ring NIC and a client NIC (one send +
 //! one receive per round on each, per the model in §2) and sends exactly
 //! one (possibly piggybacked) ring frame per round.
 
@@ -11,15 +11,15 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use hts_sim::packet::NetworkId;
-use hts_sim::round::{RoundCtx, RoundProcess};
+use hts_core::{Config, LaneCore, SessionCore};
 use hts_types::{ClientId, Message, NodeId, ObjectId, ServerId, Value};
 
-use crate::{Action, ClientCore, Config, ServerCore};
+use crate::packet::NetworkId;
+use crate::round::{RoundCtx, RoundProcess};
 
 /// A ring server in the round model.
 pub struct RoundServer {
-    core: ServerCore,
+    core: LaneCore,
     ring_net: NetworkId,
     client_net: NetworkId,
     replies: VecDeque<(ClientId, Message)>,
@@ -35,44 +35,19 @@ impl RoundServer {
         client_net: NetworkId,
     ) -> Self {
         RoundServer {
-            core: ServerCore::new(me, n, ObjectId::SINGLE, config),
+            core: LaneCore::new(me, n, 0, config),
             ring_net,
             client_net,
             replies: VecDeque::new(),
         }
     }
 
-    /// The wrapped protocol core.
-    pub fn core(&self) -> &ServerCore {
-        &self.core
-    }
-
-    fn queue_actions(&mut self, actions: Vec<Action>) {
-        for action in actions {
-            match action {
-                Action::WriteAck {
-                    object,
-                    client,
-                    request,
-                } => self
-                    .replies
-                    .push_back((client, Message::WriteAck { object, request })),
-                Action::ReadReply {
-                    object,
-                    client,
-                    request,
-                    value,
-                    ..
-                } => self.replies.push_back((
-                    client,
-                    Message::ReadAck {
-                        object,
-                        request,
-                        value,
-                    },
-                )),
-            }
-        }
+    /// Ends the round's step: the model has no disk, so its commits are
+    /// durable at once and every reply is released.
+    fn settle(&mut self) {
+        self.core.take_commits();
+        self.core.commits_durable();
+        self.replies.extend(self.core.take_replies());
     }
 }
 
@@ -80,48 +55,22 @@ impl RoundProcess<Message> for RoundServer {
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, Message>, _round: u64) {
         // Receive (≤1 per NIC, per the model).
         if let Some((_, Message::Ring(frame))) = ctx.take_incoming(self.ring_net) {
-            let actions = self.core.on_frame(frame);
-            self.queue_actions(actions);
+            self.core.on_frame(frame);
         }
         if let Some((from, msg)) = ctx.take_incoming(self.client_net) {
             if let Some(client) = from.as_client() {
-                let actions = match msg {
-                    Message::WriteReq { request, value, .. } => {
-                        self.core.on_client_write(client, request, value)
-                    }
-                    Message::ReadReq { request, .. } => self.core.on_client_read(client, request),
-                    Message::StatsRequest { request } => {
-                        // Answered from the process-wide registry, outside
-                        // the protocol core: stats are observational.
-                        self.replies.push_back((
-                            client,
-                            Message::StatsReply {
-                                request,
-                                text: Value::from(hts_metrics::render().into_bytes()),
-                            },
-                        ));
-                        Vec::new()
-                    }
-                    // Clients never send replies or ring traffic; dropped
-                    // by name so a new wire variant forces a decision.
-                    Message::WriteAck { .. }
-                    | Message::ReadAck { .. }
-                    | Message::StatsReply { .. }
-                    | Message::Ring(_)
-                    | Message::RingBatch(_) => Vec::new(),
-                };
-                self.queue_actions(actions);
+                if let Some(reply) = self.core.on_client(client, msg) {
+                    self.replies.push_back((client, reply));
+                }
             }
         }
+        self.settle();
         // Send: one ring frame (the fairness-selected, possibly
         // piggybacked slot) and one client reply.
         if let Some(successor) = self.core.successor() {
-            if let Some(frame) = self.core.next_frame() {
-                ctx.send(
-                    self.ring_net,
-                    &[NodeId::Server(successor)],
-                    Message::Ring(frame),
-                );
+            if let Some(frame) = self.core.next_batch(1).pop() {
+                let to = [NodeId::Server(successor)];
+                ctx.send(self.ring_net, &to, Message::Ring(frame));
             }
         }
         if let Some((client, msg)) = self.replies.pop_front() {
@@ -131,8 +80,8 @@ impl RoundProcess<Message> for RoundServer {
 
     fn on_crashed(&mut self, node: NodeId) {
         if let Some(s) = node.as_server() {
-            let actions = self.core.on_server_crashed(s);
-            self.queue_actions(actions);
+            self.core.on_peer_crashed(s);
+            self.settle();
         }
     }
 }
@@ -150,7 +99,8 @@ pub struct RoundClientStats {
 
 /// A closed-loop round-model client issuing only reads or only writes.
 pub struct RoundClient {
-    core: ClientCore,
+    /// A window of one: the paper's sequential client.
+    core: SessionCore,
     client_net: NetworkId,
     reads: bool,
     op_limit: Option<u64>,
@@ -173,7 +123,7 @@ impl RoundClient {
         let stats = Rc::new(RefCell::new(RoundClientStats::default()));
         (
             RoundClient {
-                core: ClientCore::new(id, ObjectId::SINGLE, n, preferred),
+                core: SessionCore::new(id, ObjectId::SINGLE, n, preferred, 1),
                 client_net,
                 reads,
                 op_limit,
@@ -198,7 +148,7 @@ impl RoundProcess<Message> for RoundClient {
             }
         }
         let completed = self.stats.borrow().completed;
-        if self.core.is_busy() || self.op_limit.is_some_and(|l| completed >= l) {
+        if !self.core.has_capacity() || self.op_limit.is_some_and(|l| completed >= l) {
             return;
         }
         let (_, server, msg) = if self.reads {

@@ -1,10 +1,13 @@
-//! Adapters running the protocol cores on the packet-level simulator.
+//! Adapters running the protocol on the packet-level simulator.
 //!
-//! [`SimServer`] wires a [`MultiObjectServer`] to two (possibly identical)
-//! simulated networks — the ring network and the client network, matching
-//! the paper's dual-homed cluster. Ring transmissions are *pulled* through
-//! [`MultiObjectServer::next_frame`] whenever the ring NIC reports idle,
-//! which is exactly where the paper's fairness rule takes effect.
+//! [`SimServer`] drives one [`LaneCore`] per ring lane — the same lane
+//! policy the TCP runtime runs — over two (possibly identical) simulated
+//! networks: the ring network and the client network, matching the
+//! paper's dual-homed cluster. Ring batches are *pulled* from the lane
+//! whenever its ring NIC reports idle, which is exactly where the paper's
+//! fairness rule takes effect. The adapter itself keeps only what a
+//! simulated process owns: NIC pacing, the modeled log device and the
+//! replay timer.
 //!
 //! [`SimClient`] is a workload client over a [`SessionCore`] pipeline: at
 //! the default window of 1 it is closed-loop (like the paper's client
@@ -18,12 +21,12 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
+use hts_core::{Config, Durability, LaneCore, LaneMap, SessionCore};
 use hts_lincheck::{History, OpId};
-use hts_sim::packet::{Ctx, NetworkId, Process, TimerId};
-use hts_sim::{DiskConfig, DiskModel, Nanos};
-use hts_types::{ClientId, Message, NodeId, ObjectId, RequestId, ServerId, Tag, Value};
+use hts_types::{ClientId, Message, NodeId, ObjectId, RequestId, RingFrame, ServerId, Tag, Value};
 
-use crate::{Action, Config, Durability, LaneMap, MultiObjectServer, SessionCore};
+use crate::packet::{Ctx, NetworkId, Process, TimerId};
+use crate::{DiskConfig, DiskModel, Nanos};
 
 /// On-log framing overhead per record (frame header + fixed fields),
 /// mirroring `hts-wal`'s record layout for byte-accurate disk modeling.
@@ -34,11 +37,10 @@ const RECORD_OVERHEAD: usize = 26;
 /// modeled replay time tracks state size, not total history.
 const MODELED_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
-/// One parallel ring lane of a [`SimServer`]: an independent protocol
-/// instance with its own ring NIC, modeled log device and recovery
-/// state. A single-lane server is exactly the pre-lane adapter.
+/// One parallel ring lane of a [`SimServer`]: a lane core with its own
+/// ring NIC, modeled log device and recovery state.
 struct SimLane {
-    server: MultiObjectServer,
+    core: LaneCore,
     ring_net: NetworkId,
     /// Modeled log device (durability experiments only) — per lane, so
     /// group commit is modeled per lane exactly like `hts-net`'s
@@ -49,14 +51,79 @@ struct SimLane {
     persisted: BTreeMap<ObjectId, (Tag, Value)>,
     /// Appends since the last modeled fsync (`Durability::SyncEveryN`).
     appends_since_sync: u32,
-    /// Instant the last queued append (incl. fsync) completes.
+    /// Instant the last queued append (incl. fsync) completes: under
+    /// `Durability::SyncAlways` the lane's release gate opens then.
     durable_horizon: Nanos,
     /// Replay-in-progress timer after a restart; pumping waits for it.
     replaying: Option<TimerId>,
 }
 
-/// A ring storage server as a simulated process, hosting one protocol
-/// instance per configured ring lane (see [`Config::lanes`]).
+impl SimLane {
+    /// Logs one step's commits into the modeled log. Mirrors `hts-wal`'s
+    /// **group commit**: the whole step is one append, and one fsync
+    /// covers every commit in it.
+    fn persist(
+        &mut self,
+        commits: Vec<(ObjectId, Tag, Value)>,
+        durability: Durability,
+        now: Nanos,
+    ) {
+        if let Some(disk) = self.disk.as_mut() {
+            let batch_bytes: usize = commits
+                .iter()
+                .map(|(_, _, value)| RECORD_OVERHEAD + value.len())
+                .sum();
+            let sync = match durability {
+                Durability::SyncAlways => true,
+                Durability::SyncEveryN(n) => {
+                    self.appends_since_sync += commits.len() as u32;
+                    let due = self.appends_since_sync >= n.max(1);
+                    if due {
+                        self.appends_since_sync = 0;
+                    }
+                    due
+                }
+                Durability::Buffered | Durability::Volatile => false,
+            };
+            let done = disk.append(now, batch_bytes, sync);
+            if sync {
+                hts_metrics::histogram!("hts_sim_fsync_nanos")
+                    .record(done.saturating_sub(now).as_nanos());
+            }
+            self.durable_horizon = self.durable_horizon.max(done);
+        }
+        hts_metrics::histogram!("hts_sim_group_commit_records").record(commits.len() as u64);
+        for (object, tag, value) in commits {
+            let entry = self
+                .persisted
+                .entry(object)
+                .or_insert_with(|| (tag, value.clone()));
+            if entry.0 <= tag {
+                *entry = (tag, value);
+            }
+        }
+        // Modeled compaction (the real path: Wal::wants_compaction →
+        // compact): write a snapshot of the live state, then the
+        // replayable tail shrinks to it. Without this, replay time —
+        // and the benchmark's recovery_seconds — would grow with total
+        // history instead of state size.
+        if let Some(disk) = self.disk.as_mut() {
+            if disk.appended_bytes() >= MODELED_SEGMENT_BYTES {
+                let state_bytes: u64 = self
+                    .persisted
+                    .values()
+                    .map(|(_, v)| (RECORD_OVERHEAD + v.len()) as u64)
+                    .sum();
+                let done = disk.append(now, state_bytes as usize, true);
+                self.durable_horizon = self.durable_horizon.max(done);
+                disk.truncate(state_bytes);
+            }
+        }
+    }
+}
+
+/// A ring storage server as a simulated process, hosting one lane core
+/// per configured ring lane (see [`Config::lanes`]).
 pub struct SimServer {
     lanes: Vec<SimLane>,
     map: LaneMap,
@@ -71,10 +138,6 @@ pub struct SimServer {
     replies: VecDeque<(NodeId, Message)>,
     /// Shared-network alternation flag: reply next (vs ring frame).
     prefer_reply: bool,
-    /// Write acks gated on fsync completion (`Durability::SyncAlways`).
-    deferred_acks: Vec<(Nanos, (NodeId, Message))>,
-    /// Crash-restarts survived.
-    restarts: u64,
     /// Virtual-time arrival of each client request still awaiting its
     /// reply: the server-side latency histograms (what fig1's
     /// `srv_write_p50/p99` columns report) measure ack-send minus this.
@@ -89,11 +152,10 @@ impl SimServer {
     pub fn new(
         me: ServerId,
         n: u16,
-        config: Config,
+        mut config: Config,
         ring_net: NetworkId,
         client_net: NetworkId,
     ) -> Self {
-        let mut config = config;
         config.lanes = 1;
         SimServer::with_ring_lanes(me, n, config, vec![ring_net], client_net)
     }
@@ -127,8 +189,9 @@ impl SimServer {
         );
         let lanes = ring_nets
             .into_iter()
-            .map(|ring_net| SimLane {
-                server: MultiObjectServer::new(me, n, config.clone()),
+            .enumerate()
+            .map(|(lane, ring_net)| SimLane {
+                core: LaneCore::new(me, n, lane as u16, config.clone()),
                 ring_net,
                 disk: None,
                 persisted: BTreeMap::new(),
@@ -146,16 +209,15 @@ impl SimServer {
             client_net,
             replies: VecDeque::new(),
             prefer_reply: true,
-            deferred_acks: Vec::new(),
-            restarts: 0,
             arrivals: HashMap::new(),
         }
     }
 
     /// Attaches a modeled log device **per lane** (meaningful when the
     /// config's [`Durability`] is persistent: commits charge disk time,
-    /// and with [`Durability::SyncAlways`] write acks wait for the
-    /// fsync). Each lane logs — and group-commits — independently.
+    /// and with [`Durability::SyncAlways`] a lane releases nothing — no
+    /// reply, no ring batch — until its fsync completes). Each lane logs
+    /// — and group-commits — independently.
     pub fn with_disk(mut self, disk: DiskConfig) -> Self {
         for lane in &mut self.lanes {
             lane.disk = Some(DiskModel::new(disk));
@@ -163,194 +225,67 @@ impl SimServer {
         self
     }
 
-    /// Access to lane 0's multi-object server (tests/inspection).
-    pub fn server(&self) -> &MultiObjectServer {
-        &self.lanes[0].server
-    }
-
-    /// Access to one lane's multi-object server (tests/inspection).
-    pub fn lane_server(&self, lane: u16) -> &MultiObjectServer {
-        &self.lanes[usize::from(lane)].server
-    }
-
-    /// The object → lane placement this server routes by.
-    pub fn lane_map(&self) -> &LaneMap {
-        &self.map
-    }
-
-    /// Crash-restarts survived so far.
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-
-    /// Drains one lane's committed writes into its modeled log, charging
-    /// that lane's disk per the fsync policy. Mirrors `hts-wal`'s **group
-    /// commit**: the whole drained batch is one append, and one fsync
-    /// covers every commit in it (under `SyncAlways` each commit's ack is
-    /// still gated on that fsync — it just shares the flush).
-    fn persist_commits(&mut self, lane_idx: usize, now: Nanos) {
-        if !self.config.durability.is_persistent() {
-            return;
-        }
-        let lane = &mut self.lanes[lane_idx];
-        let commits = lane.server.drain_commits();
-        if commits.is_empty() {
-            return;
-        }
-        if let Some(disk) = lane.disk.as_mut() {
-            let batch_bytes: usize = commits
-                .iter()
-                .map(|(_, _, value)| RECORD_OVERHEAD + value.len())
-                .sum();
-            let sync = match self.config.durability {
-                Durability::SyncAlways => true,
-                Durability::SyncEveryN(n) => {
-                    lane.appends_since_sync += commits.len() as u32;
-                    if lane.appends_since_sync >= n.max(1) {
-                        lane.appends_since_sync = 0;
-                        true
-                    } else {
-                        false
-                    }
-                }
-                Durability::Buffered | Durability::Volatile => false,
-            };
-            let done = disk.append(now, batch_bytes, sync);
-            if sync {
-                hts_metrics::histogram!("hts_sim_fsync_nanos")
-                    .record(done.saturating_sub(now).as_nanos());
-            }
-            lane.durable_horizon = lane.durable_horizon.max(done);
-        }
-        hts_metrics::histogram!("hts_sim_group_commit_records").record(commits.len() as u64);
-        for (object, tag, value) in commits {
-            let entry = lane
-                .persisted
-                .entry(object)
-                .or_insert_with(|| (tag, value.clone()));
-            if entry.0 <= tag {
-                *entry = (tag, value);
-            }
-        }
-        // Modeled compaction (the real path: Wal::wants_compaction →
-        // compact): write a snapshot of the live state, then the
-        // replayable tail shrinks to it. Without this, replay time —
-        // and the benchmark's recovery_seconds — would grow with total
-        // history instead of state size.
-        if let Some(disk) = lane.disk.as_mut() {
-            if disk.appended_bytes() >= MODELED_SEGMENT_BYTES {
-                let state_bytes: u64 = lane
-                    .persisted
-                    .values()
-                    .map(|(_, v)| (RECORD_OVERHEAD + v.len()) as u64)
-                    .sum();
-                let done = disk.append(now, state_bytes as usize, true);
-                lane.durable_horizon = lane.durable_horizon.max(done);
-                disk.truncate(state_bytes);
-            }
-        }
-    }
-
-    fn flush(&mut self, ctx: &mut Ctx<'_, Message>, lane_idx: usize, actions: Vec<Action>) {
-        // Under ack-after-fsync durability, write acks wait until the
-        // lane's log device reports their commit record stable.
+    /// Ends one lane's step: logs its commits to the modeled disk, opens
+    /// the release gate at once unless `SyncAlways` must wait for the
+    /// fsync (then a timer reopens it), and queues what it releases.
+    fn settle(&mut self, ctx: &mut Ctx<'_, Message>, lane_idx: usize) {
         let now = ctx.now();
-        let lane = &self.lanes[lane_idx];
-        let gate = (self.config.durability == Durability::SyncAlways
-            && lane.disk.is_some()
-            && lane.durable_horizon > now)
-            .then_some(lane.durable_horizon);
-        for action in actions {
-            match action {
-                // Write acks are a couple dozen bytes: real NICs interleave
-                // them between large segments of other sockets, so they
-                // jump ahead of queued 64 KiB read replies here.
-                Action::WriteAck {
-                    object,
-                    client,
-                    request,
-                } => {
-                    // Server-side latency in *virtual* time: arrival to
-                    // the instant the ack leaves (the fsync gate counts —
-                    // durability is part of what the client waits for).
-                    if let Some(arrived) = self.arrivals.remove(&(client, request)) {
-                        hts_metrics::histogram!("hts_sim_server_write_nanos")
-                            .record(gate.unwrap_or(now).saturating_sub(arrived).as_nanos());
-                    }
-                    let reply = (
-                        NodeId::Client(client),
-                        Message::WriteAck { object, request },
-                    );
-                    match gate {
-                        Some(at) => {
-                            self.deferred_acks.push((at, reply));
-                            ctx.set_timer(at.saturating_sub(now));
-                        }
-                        None => self.replies.push_front(reply),
-                    }
-                }
-                Action::ReadReply {
-                    object,
-                    client,
-                    request,
-                    value,
-                    tag: _,
-                } => {
-                    if let Some(arrived) = self.arrivals.remove(&(client, request)) {
-                        hts_metrics::histogram!("hts_sim_server_read_nanos")
-                            .record(now.saturating_sub(arrived).as_nanos());
-                    }
-                    self.replies.push_back((
-                        NodeId::Client(client),
-                        Message::ReadAck {
-                            object,
-                            request,
-                            value,
-                        },
-                    ));
-                }
+        let durability = self.config.durability;
+        let lane = &mut self.lanes[lane_idx];
+        let commits = lane.core.take_commits();
+        if !commits.is_empty() {
+            lane.persist(commits, durability, now);
+            if durability == Durability::SyncAlways && lane.disk.is_some() {
+                ctx.set_timer(lane.durable_horizon.saturating_sub(now));
+            } else {
+                lane.core.commits_durable();
             }
         }
+        self.release(now, lane_idx);
     }
 
-    /// Routes an event through one lane: apply, persist that lane's
-    /// commits, flush its actions.
-    fn integrate(
-        &mut self,
-        ctx: &mut Ctx<'_, Message>,
-        lane_idx: usize,
-        apply: impl FnOnce(&mut MultiObjectServer) -> Vec<Action>,
-    ) {
-        let actions = apply(&mut self.lanes[lane_idx].server);
-        self.persist_commits(lane_idx, ctx.now());
-        self.flush(ctx, lane_idx, actions);
+    /// Queues the replies one lane's gate lets out. Write acks are a
+    /// couple dozen bytes: real NICs interleave them between large
+    /// segments of other sockets, so they jump ahead of queued 64 KiB
+    /// read replies here.
+    fn release(&mut self, now: Nanos, lane_idx: usize) {
+        for (client, reply) in self.lanes[lane_idx].core.take_replies() {
+            // A lane replies with acks only.
+            let (Message::WriteAck { request, .. } | Message::ReadAck { request, .. }) = reply
+            else {
+                continue;
+            };
+            let write = matches!(reply, Message::WriteAck { .. });
+            // Server-side latency in *virtual* time: arrival to the
+            // instant the reply leaves (the fsync gate counts —
+            // durability is part of what the client waits for).
+            if let Some(arrived) = self.arrivals.remove(&(client, request)) {
+                let latency = now.saturating_sub(arrived).as_nanos();
+                if write {
+                    hts_metrics::histogram!("hts_sim_server_write_nanos").record(latency);
+                } else {
+                    hts_metrics::histogram!("hts_sim_server_read_nanos").record(latency);
+                }
+            }
+            let reply = (NodeId::Client(client), reply);
+            if write {
+                self.replies.push_front(reply);
+            } else {
+                self.replies.push_back(reply);
+            }
+        }
     }
 
     fn send_ring_frame(&mut self, ctx: &mut Ctx<'_, Message>, lane_idx: usize) -> bool {
         let lane = &mut self.lanes[lane_idx];
-        let Some(successor) = lane.server.successor() else {
+        let Some(successor) = lane.core.successor() else {
             return false;
         };
         // Batch everything ready for the successor into one wire message
         // (one serialization, one per-message processing delay at the
         // receiver) — the simulated analogue of the coalescing TCP
-        // writer. A single ready frame travels as a plain `Ring`.
-        let batching = self.config.batching.normalized();
-        let mut frames = lane
-            .server
-            .drain_frames(batching.max_frames, batching.max_bytes);
-        if self.map.lanes() > 1 {
-            // Announce-only frames carry a placeholder object; stamp the
-            // lane's token object so the receiver's object-based demux
-            // delivers them to the right lane (the transport-level lane
-            // tag the TCP runtime gets from its per-lane connections).
-            let token = self.map.token_object(lane_idx as u16);
-            for frame in &mut frames {
-                if frame.pre_write.is_none() && frame.write.is_none() {
-                    frame.object = token;
-                }
-            }
-        }
+        // writer.
+        let frames = lane.core.next_batch(usize::MAX);
         if frames.is_empty() {
             return false;
         }
@@ -359,26 +294,41 @@ impl SimServer {
         hts_metrics::histogram!("hts_sim_ring_batch_frames").record(frames.len() as u64);
         // A single ready frame travels as a plain `Ring`; more coalesce
         // into one `RingBatch` wire message.
-        let msg = match frames.pop() {
-            Some(frame) if frames.is_empty() => Message::Ring(frame),
-            Some(frame) => {
-                frames.push(frame);
-                Message::RingBatch(frames)
-            }
-            None => return false,
+        let msg = match <[RingFrame; 1]>::try_from(frames) {
+            Ok([frame]) => Message::Ring(frame),
+            Err(frames) => Message::RingBatch(frames),
         };
         ctx.send(lane.ring_net, NodeId::Server(successor), msg);
         true
     }
 
-    fn send_reply(&mut self, ctx: &mut Ctx<'_, Message>) -> bool {
-        match self.replies.pop_front() {
-            Some((to, msg)) => {
-                ctx.send(self.client_net, to, msg);
-                true
-            }
-            None => false,
+    /// Applies one wire message's ring frames strictly in order — the
+    /// batch is the FIFO link's contents, nothing more. A batch is drained
+    /// from one lane's scheduler, so every frame routes to the same lane
+    /// (routing per frame keeps that a non-assumption), but each lane's
+    /// step ends once per BATCH: every commit the batch produced shares
+    /// one modeled append + fsync — the group-commit model the durability
+    /// benchmarks measure.
+    fn on_frames(&mut self, ctx: &mut Ctx<'_, Message>, frames: Vec<RingFrame>) {
+        let mut touched = vec![false; self.lanes.len()];
+        for frame in frames {
+            let lane_idx = usize::from(self.map.lane_of_frame(&frame));
+            self.lanes[lane_idx].core.on_frame(frame);
+            touched[lane_idx] = true;
         }
+        for (lane_idx, touched) in touched.into_iter().enumerate() {
+            if touched {
+                self.settle(ctx, lane_idx);
+            }
+        }
+    }
+
+    fn send_reply(&mut self, ctx: &mut Ctx<'_, Message>) -> bool {
+        let Some((to, msg)) = self.replies.pop_front() else {
+            return false;
+        };
+        ctx.send(self.client_net, to, msg);
+        true
     }
 
     fn pump(&mut self, ctx: &mut Ctx<'_, Message>) {
@@ -422,68 +372,25 @@ impl SimServer {
 impl Process<Message> for SimServer {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Message>, from: NodeId, msg: Message) {
         match msg {
-            Message::WriteReq {
-                object,
-                request,
-                value,
-            } => {
+            Message::WriteReq { request, .. }
+            | Message::ReadReq { request, .. }
+            | Message::StatsRequest { request } => {
                 if let Some(client) = from.as_client() {
-                    self.arrivals.insert((client, request), ctx.now());
-                    let lane_idx = usize::from(self.map.lane_of(object));
-                    self.integrate(ctx, lane_idx, |server| {
-                        server.on_client_write(object, client, request, value)
-                    });
-                }
-            }
-            Message::ReadReq { object, request } => {
-                if let Some(client) = from.as_client() {
-                    self.arrivals.insert((client, request), ctx.now());
-                    let lane_idx = usize::from(self.map.lane_of(object));
-                    self.integrate(ctx, lane_idx, |server| {
-                        server.on_client_read(object, client, request)
-                    });
-                }
-            }
-            Message::Ring(frame) => {
-                let lane_idx = usize::from(self.map.lane_of_frame(&frame));
-                self.integrate(ctx, lane_idx, |server| server.on_frame(frame));
-            }
-            Message::RingBatch(frames) => {
-                // Frames apply strictly in batch order — the batch is the
-                // FIFO link's contents, nothing more. A batch is drained
-                // from one lane's scheduler, so every frame routes to the
-                // same lane (routing per frame keeps that a
-                // non-assumption), but persistence stays per lane per
-                // BATCH: every commit the batch produced shares one
-                // modeled append + fsync — the group-commit model the
-                // durability benchmarks measure.
-                let mut lane_actions: Vec<Option<Vec<Action>>> = vec![None; self.lanes.len()];
-                for frame in frames {
-                    let lane_idx = usize::from(self.map.lane_of_frame(&frame));
-                    let actions = self.lanes[lane_idx].server.on_frame(frame);
-                    lane_actions[lane_idx]
-                        .get_or_insert_with(Vec::new)
-                        .extend(actions);
-                }
-                for (lane_idx, actions) in lane_actions.into_iter().enumerate() {
-                    if let Some(actions) = actions {
-                        self.persist_commits(lane_idx, ctx.now());
-                        self.flush(ctx, lane_idx, actions);
+                    let lane_idx = usize::from(self.map.lane_of(msg.object()));
+                    match self.lanes[lane_idx].core.on_client(client, msg) {
+                        // A stats request is answered at once, and paced
+                        // through the ordinary reply queue like any other
+                        // client-bound frame.
+                        Some(reply) => self.replies.push_back((from, reply)),
+                        None => {
+                            self.arrivals.insert((client, request), ctx.now());
+                            self.settle(ctx, lane_idx);
+                        }
                     }
                 }
             }
-            Message::StatsRequest { request } => {
-                // Stats bypass the protocol core entirely: answered from
-                // the process-wide registry and paced through the ordinary
-                // reply queue like any other client-bound frame.
-                self.replies.push_back((
-                    from,
-                    Message::StatsReply {
-                        request,
-                        text: Value::from(hts_metrics::render().into_bytes()),
-                    },
-                ));
-            }
+            Message::Ring(frame) => self.on_frames(ctx, vec![frame]),
+            Message::RingBatch(frames) => self.on_frames(ctx, frames),
             // Acks are client-bound; a server receiving one is a routing
             // bug in the harness.
             Message::WriteAck { .. } | Message::ReadAck { .. } | Message::StatsReply { .. } => {}
@@ -502,35 +409,27 @@ impl Process<Message> for SimServer {
             // A crash is process-wide on the peer: every lane's link to
             // it died, so every lane splices its own ring view.
             for lane_idx in 0..self.lanes.len() {
-                self.integrate(ctx, lane_idx, |server| server.on_server_crashed(s));
+                self.lanes[lane_idx].core.on_peer_crashed(s);
+                self.settle(ctx, lane_idx);
             }
             self.pump(ctx);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Message>, timer: TimerId) {
-        let mut replay_done = false;
-        for lane in &mut self.lanes {
-            if lane.replaying == Some(timer) {
-                // This lane's log replay finished: its rejoin
-                // announcement may now leave.
-                lane.replaying = None;
-                replay_done = true;
-            }
-        }
-        if replay_done {
-            self.pump(ctx);
-            return;
-        }
+        // A lane's log replay finished (its rejoin announcement may now
+        // leave), or a sync completed: every lane whose last append is
+        // now on the modeled disk opens its gate.
         let now = ctx.now();
-        let due: Vec<(NodeId, Message)> = {
-            let (ready, waiting): (Vec<_>, Vec<_>) =
-                self.deferred_acks.drain(..).partition(|(at, _)| *at <= now);
-            self.deferred_acks = waiting;
-            ready.into_iter().map(|(_, reply)| reply).collect()
-        };
-        for reply in due {
-            self.replies.push_front(reply);
+        for lane_idx in 0..self.lanes.len() {
+            let lane = &mut self.lanes[lane_idx];
+            if lane.replaying == Some(timer) {
+                lane.replaying = None;
+            }
+            if lane.durable_horizon <= now {
+                lane.core.commits_durable();
+                self.release(now, lane_idx);
+            }
         }
         self.pump(ctx);
     }
@@ -539,26 +438,18 @@ impl Process<Message> for SimServer {
         // Reboot: volatile state is gone; every lane rebuilds from its
         // own modeled log and rejoins its ring through the announcement
         // protocol, independently.
-        self.restarts += 1;
         self.replies.clear();
-        self.deferred_acks.clear();
         let now = ctx.now();
         let (me, n, config) = (self.me, self.n, self.config.clone());
-        for lane in &mut self.lanes {
+        for (lane_idx, lane) in self.lanes.iter_mut().enumerate() {
             lane.durable_horizon = now;
             lane.appends_since_sync = 0;
-            lane.server = MultiObjectServer::new(me, n, config.clone());
-            lane.server.restore_state(
-                lane.persisted
-                    .iter()
-                    .map(|(object, (tag, value))| (*object, *tag, value.clone())),
-            );
-            lane.server.begin_rejoin();
+            let state = lane.persisted.clone();
+            lane.core = LaneCore::restart(me, n, lane_idx as u16, config.clone(), state, true);
             let replay = lane
                 .disk
                 .as_ref()
-                .map(DiskModel::replay_time)
-                .unwrap_or(Nanos::ZERO);
+                .map_or(Nanos::ZERO, DiskModel::replay_time);
             lane.replaying = (replay > Nanos::ZERO).then(|| ctx.set_timer(replay));
         }
         self.pump(ctx);
@@ -596,7 +487,7 @@ pub struct WorkloadConfig {
     /// concurrently (default 1 — the paper's closed-loop client). Larger
     /// windows model open-loop load honestly: one client multiplexes
     /// `window` outstanding requests over its channel, each with its own
-    /// retry/timeout state (see [`SessionCore`](crate::SessionCore)).
+    /// retry/timeout state (see [`SessionCore`]).
     pub window: usize,
 }
 

@@ -4,9 +4,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use hts_core::{Config, RoundClient, RoundClientStats, RoundServer};
+use hts_core::Config;
 use hts_sim::round::RoundSim;
-use hts_sim::NetworkId;
+use hts_sim::{NetworkId, RoundClient, RoundClientStats, RoundServer};
 use hts_types::{ClientId, Message, NodeId, ServerId};
 
 struct Net {

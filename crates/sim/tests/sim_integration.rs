@@ -4,28 +4,22 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use hts_core::{Config, Durability, OpMix, SimClient, SimServer, WorkloadConfig};
+use hts_core::{Config, Durability};
 use hts_lincheck::{check_conditions, check_exhaustive_bounded, History, Outcome};
 use hts_sim::packet::{NetworkConfig, PacketSim};
-use hts_sim::{DiskConfig, Nanos};
+use hts_sim::{ClientStats, DiskConfig, Nanos, OpMix, SimClient, SimServer, WorkloadConfig};
 use hts_types::{ClientId, Message, NodeId, ServerId};
 
 struct Cluster {
     sim: PacketSim<Message>,
     history: Rc<RefCell<History>>,
-    client_stats: Vec<Rc<RefCell<hts_core::ClientStats>>>,
+    client_stats: Vec<Rc<RefCell<ClientStats>>>,
 }
 
 /// Builds `n` servers (dual-homed: ring + client networks) plus
-/// `clients_per_server` clients pinned round-robin, every client running
-/// the same workload.
-fn cluster(
-    seed: u64,
-    n: u16,
-    clients_per_server: u32,
-    workload: WorkloadConfig,
-    config: Config,
-) -> Cluster {
+/// `clients` clients pinned round-robin, every client running the same
+/// workload.
+fn cluster(seed: u64, n: u16, clients: u32, workload: WorkloadConfig, config: Config) -> Cluster {
     let mut sim = PacketSim::new(seed);
     let mut net_cfg = NetworkConfig::fast_ethernet();
     // Small payloads in tests: shrink delays so runs are quick.
@@ -45,7 +39,7 @@ fn cluster(
         sim.attach(id, client_net);
     }
     let mut client_stats = Vec::new();
-    for c in 0..(u32::from(n) * clients_per_server) {
+    for c in 0..clients {
         let id = NodeId::Client(ClientId(c));
         let preferred = ServerId((c % u32::from(n)) as u16);
         let (client, stats) = SimClient::new(
@@ -105,7 +99,7 @@ fn mixed_workload_is_linearizable() {
         timeout: Nanos::from_millis(500),
         window: 1,
     };
-    let mut c = cluster(11, 3, 2, workload, Config::default());
+    let mut c = cluster(11, 3, 6, workload, Config::default());
     c.sim.run_to_quiescence();
     let (w, r) = total_completed(&c);
     assert_eq!(w + r, 6 * 8, "every client finished its ops");
@@ -122,7 +116,7 @@ fn write_heavy_contention_is_linearizable() {
         timeout: Nanos::from_millis(500),
         window: 1,
     };
-    let mut c = cluster(13, 4, 2, workload, Config::default());
+    let mut c = cluster(13, 4, 8, workload, Config::default());
     c.sim.run_to_quiescence();
     let (w, _) = total_completed(&c);
     assert_eq!(w, 8 * 10);
@@ -141,7 +135,7 @@ fn read_only_load_never_blocks() {
         timeout: Nanos::from_millis(500),
         window: 1,
     };
-    let mut c = cluster(17, 3, 2, workload, Config::default());
+    let mut c = cluster(17, 3, 6, workload, Config::default());
     c.sim.run_to_quiescence();
     let (_, r) = total_completed(&c);
     assert_eq!(r, 6 * 20);
@@ -163,7 +157,7 @@ fn server_crash_mid_run_preserves_atomicity_and_liveness() {
         timeout: Nanos::from_millis(5),
         window: 1,
     };
-    let mut c = cluster(19, 3, 2, workload, Config::default());
+    let mut c = cluster(19, 3, 6, workload, Config::default());
     // Kill s1 while traffic is in flight.
     c.sim
         .crash_at(NodeId::Server(ServerId(1)), Nanos::from_millis(2));
@@ -185,7 +179,7 @@ fn cascading_crashes_down_to_one_server() {
         timeout: Nanos::from_millis(5),
         window: 1,
     };
-    let mut c = cluster(23, 3, 1, workload, Config::default());
+    let mut c = cluster(23, 3, 3, workload, Config::default());
     c.sim
         .crash_at(NodeId::Server(ServerId(0)), Nanos::from_millis(2));
     c.sim
@@ -212,7 +206,7 @@ fn crash_restart_mid_run_preserves_atomicity_and_liveness() {
         durability: Durability::SyncAlways,
         ..Config::default()
     };
-    let mut c = cluster(37, 3, 2, workload, config);
+    let mut c = cluster(37, 3, 6, workload, config);
     // s1 dies at 2 ms and reboots from its modeled log at 8 ms: the ring
     // splices it out, then splices it back in via the rejoin circuit.
     c.sim
@@ -241,7 +235,7 @@ fn repeated_crash_restart_cycles_stay_linearizable() {
         durability: Durability::Buffered,
         ..Config::default()
     };
-    let mut c = cluster(41, 3, 2, workload, config);
+    let mut c = cluster(41, 3, 6, workload, config);
     // The same server bounces twice; a different one bounces in between.
     c.sim
         .crash_at(NodeId::Server(ServerId(2)), Nanos::from_millis(2));
@@ -274,7 +268,7 @@ fn determinism_same_seed_same_history() {
             timeout: Nanos::from_millis(500),
             window: 1,
         };
-        let mut c = cluster(seed, 3, 2, workload, Config::default());
+        let mut c = cluster(seed, 3, 6, workload, Config::default());
         c.sim.run_to_quiescence();
         let h = c.history.borrow();
         (h.len(), format!("{h}"), c.sim.events_processed())
@@ -298,7 +292,7 @@ fn fast_path_reads_remain_linearizable() {
         read_fast_path: true,
         ..Config::default()
     };
-    let mut c = cluster(29, 3, 2, workload, config);
+    let mut c = cluster(29, 3, 6, workload, config);
     c.sim.run_to_quiescence();
     let (w, r) = total_completed(&c);
     assert_eq!(w + r, 6 * 10);
@@ -319,7 +313,7 @@ fn write_carries_value_remains_linearizable() {
         write_carries_value: true,
         ..Config::default()
     };
-    let mut c = cluster(31, 3, 2, workload, config);
+    let mut c = cluster(31, 3, 6, workload, config);
     c.sim.run_to_quiescence();
     let (w, r) = total_completed(&c);
     assert_eq!(w + r, 6 * 8);
@@ -339,7 +333,7 @@ fn pipelined_window_stays_linearizable() {
         timeout: Nanos::from_millis(500),
         window: 6,
     };
-    let mut c = cluster(33, 3, 2, workload, Config::default());
+    let mut c = cluster(33, 3, 6, workload, Config::default());
     c.sim.run_to_quiescence();
     let (w, r) = total_completed(&c);
     assert_eq!(w + r, 6 * 18, "every pipelined op completed exactly once");
@@ -358,7 +352,7 @@ fn pipelined_window_survives_crash_mid_flight() {
         timeout: Nanos::from_millis(200),
         window: 8,
     };
-    let mut c = cluster(35, 3, 2, workload, Config::default());
+    let mut c = cluster(35, 3, 6, workload, Config::default());
     c.sim
         .crash_at(NodeId::Server(ServerId(1)), Nanos::from_millis(1));
     c.sim.run_to_quiescence();
@@ -381,10 +375,49 @@ fn pipelined_and_sequential_complete_the_same_ops() {
             timeout: Nanos::from_millis(500),
             window,
         };
-        let mut c = cluster(37, 3, 2, workload, Config::default());
+        let mut c = cluster(37, 3, 6, workload, Config::default());
         c.sim.run_to_quiescence();
         let (w, _) = total_completed(&c);
         assert_eq!(w, 6 * 16, "window {window}");
         assert_linearizable(&c);
+    }
+}
+
+/// Mean write latency of one closed-loop writer of 1 KiB values on an
+/// `n`-server ring (servers on an NVMe-class modeled disk when durable).
+fn lone_writer_mean_latency(n: u16, durability: Durability) -> Nanos {
+    let workload = WorkloadConfig {
+        mix: OpMix::WriteOnly,
+        value_size: 1024,
+        op_limit: Some(50),
+        ..WorkloadConfig::default()
+    };
+    let config = Config {
+        durability,
+        ..Config::default()
+    };
+    let mut c = cluster(61, n, 1, workload, config);
+    c.sim.run_to_quiescence();
+    let stats = c.client_stats[0].borrow();
+    assert_eq!(stats.writes_done, 50, "n = {n}, {durability:?}");
+    stats.mean_write_latency().expect("writes completed")
+}
+
+#[test]
+fn sync_always_writes_pay_one_fsync_per_hop() {
+    // A server forwards a commit only once it is durable, so a write's
+    // commit phase pays each server's fsync in series: at least n − 1 of
+    // them over a volatile write, growing with the ring.
+    let fsync = DiskConfig::nvme_ssd().fsync_latency;
+    for n in [3u16, 5] {
+        let volatile = lone_writer_mean_latency(n, Durability::Volatile);
+        let durable = lone_writer_mean_latency(n, Durability::SyncAlways);
+        let chain = durable.saturating_sub(volatile);
+        assert!(
+            chain.as_nanos() >= u64::from(n - 1) * fsync.as_nanos(),
+            "n = {n}: SyncAlways costs {chain} over volatile ({volatile}), \
+             less than {} fsyncs of {fsync}",
+            n - 1
+        );
     }
 }

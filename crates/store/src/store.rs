@@ -4,9 +4,9 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use hts_core::{BatchConfig, Config, Durability, SessionCore, SimServer};
+use hts_core::{BatchConfig, Config, Durability, SessionCore};
 use hts_sim::packet::{Ctx, NetworkConfig, PacketSim, Process, TimerId};
-use hts_sim::{DiskConfig, Nanos};
+use hts_sim::{DiskConfig, Nanos, SimServer};
 use hts_types::{ClientId, Message, NodeId, ObjectId, RequestId, ServerId, Value};
 
 use crate::KeyMapper;

@@ -43,10 +43,12 @@ mod error;
 mod id;
 mod message;
 mod tag;
+mod time;
 mod value;
 
 pub use error::DecodeError;
 pub use id::{ClientId, NodeId, ObjectId, ProcessRole, RequestId, ServerId};
 pub use message::{Message, PreWrite, Rejoin, RingFrame, WriteNotice};
 pub use tag::Tag;
+pub use time::Nanos;
 pub use value::Value;

@@ -10,10 +10,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use hts::core::{Config, OpMix, SimClient, SimServer, WorkloadConfig};
+use hts::core::Config;
 use hts::lincheck::{check_conditions, History};
 use hts::sim::packet::{NetworkConfig, PacketSim};
-use hts::sim::Nanos;
+use hts::sim::{Nanos, OpMix, SimClient, SimServer, WorkloadConfig};
 use hts::types::{ClientId, NodeId, ServerId};
 
 fn main() {

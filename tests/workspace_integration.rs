@@ -4,11 +4,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use hts::core::{Config, OpMix, SimClient, SimServer, WorkloadConfig};
+use hts::core::Config;
 use hts::lincheck::{check_conditions, check_exhaustive_bounded, History, Outcome};
 use hts::net::{Client, Cluster};
 use hts::sim::packet::{NetworkConfig, PacketSim};
-use hts::sim::Nanos;
+use hts::sim::{Nanos, OpMix, SimClient, SimServer, WorkloadConfig};
 use hts::store::ShardedStore;
 use hts::types::{ClientId, NodeId, ServerId, Value};
 
