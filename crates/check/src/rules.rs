@@ -8,7 +8,7 @@
 //! | L4 `message_catch_all` | `_ =>` catch-alls in a `match` dispatching [`Message`] wire variants |
 //! | L5 `unsafe_safety` | an `unsafe` block without a `// SAFETY:` comment |
 //! | L6 `ring_hot_loop` | `Instant::now()` / allocation constructors inside the per-frame ring hot functions |
-//! | L7 `atomic_ordering` | `Ordering::Relaxed` or a fence without a `// ordering:` comment arguing why it is sound |
+//! | L7 `atomic_ordering` | `Ordering::Relaxed` or a fence without a `// ordering:` comment arguing why it is sound; an atomic constructed outside the allow-listed files |
 //!
 //! All rules skip test scope (`#[cfg(test)]` items and `#[test]` fns) and
 //! honor `// lint: allow(<rule>): reason` suppressions on the violating
@@ -35,7 +35,8 @@ pub enum Rule {
     /// ring hot functions.
     L6,
     /// Every `Ordering::Relaxed` and every fence carries a
-    /// `// ordering:` comment (pure-counter modules excepted).
+    /// `// ordering:` comment (pure-counter modules excepted), and only
+    /// allow-listed files construct atomics.
     L7,
 }
 
@@ -150,7 +151,7 @@ fn tok_in_test(toks: &[Tok<'_>], mask: &[bool], line: u32) -> bool {
 }
 
 /// Marks every token covered by a `#[cfg(test)]`/`#[test]` item.
-pub(crate) fn test_mask(toks: &[Tok<'_>]) -> Vec<bool> {
+fn test_mask(toks: &[Tok<'_>]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     let mut i = 0usize;
     while i < toks.len() {
@@ -672,8 +673,20 @@ fn rule_l6(file: &str, toks: &[Tok<'_>], out: &mut Vec<Violation>) {
 /// signal. Fences are still flagged even here.
 const L7_COUNTER_FILES: [&str; 2] = ["crates/metrics/src/lib.rs", "crates/metrics/src/hist.rs"];
 
+/// The only protocol files that may construct an atomic: the metrics
+/// primitives above, and the reactor's shutdown flag (set once, read by
+/// pollers that an eventfd also wakes, so only eventual visibility
+/// matters). An atomic anywhere else is a new concurrent protocol, which
+/// must be argued for with an explicit edit to this list.
+const L7_ATOMIC_FILES: [&str; 3] = [
+    "crates/metrics/src/lib.rs",
+    "crates/metrics/src/hist.rs",
+    "crates/net/src/reactor.rs",
+];
+
 fn rule_l7(file: &str, toks: &[Tok<'_>], comments: &[Comment], out: &mut Vec<Violation>) {
     let counter_file = L7_COUNTER_FILES.contains(&file);
+    let atomic_file = L7_ATOMIC_FILES.contains(&file);
     let mut i = 0usize;
     while i < toks.len() {
         let t = &toks[i];
@@ -693,6 +706,25 @@ fn rule_l7(file: &str, toks: &[Tok<'_>], comments: &[Comment], out: &mut Vec<Vio
         // any one access is the easiest kind to break by refactoring.
         let fence = (t.is_ident("fence") || t.is_ident("compiler_fence"))
             && toks.get(i + 1).is_some_and(|n| n.is('('));
+        // `AtomicU64::new(..)` and the like.
+        let atomic_ctor = t.kind == TokKind::Ident
+            && t.text.starts_with("Atomic")
+            && toks.get(i + 1).is_some_and(|n| n.is(':'))
+            && toks.get(i + 2).is_some_and(|n| n.is(':'))
+            && toks.get(i + 3).is_some_and(|n| n.is_ident("new"))
+            && toks.get(i + 4).is_some_and(|n| n.is('('));
+        if atomic_ctor && !atomic_file {
+            out.push(Violation {
+                rule: Rule::L7,
+                file: file.to_string(),
+                line: t.line,
+                what: format!(
+                    "`{}::new` outside the files allowed to construct atomics; use a \
+                     lock, or argue for adding this file to L7_ATOMIC_FILES",
+                    t.text
+                ),
+            });
+        }
         if (relaxed && !counter_file) || fence {
             let justified = comments.iter().any(|c| {
                 c.text.contains("ordering:") && c.end_line <= t.line && c.end_line + 2 >= t.line
@@ -830,6 +862,20 @@ mod tests {
         // Fences need a justification even in counter files.
         let fenced = "fn f() { fence(Ordering::SeqCst); }";
         assert_eq!(check_file("crates/metrics/src/hist.rs", fenced).len(), 1);
+    }
+
+    #[test]
+    fn l7_flags_atomics_outside_the_allow_list() {
+        let src = "static F: AtomicBool = AtomicBool::new(false);\n\
+                   #[cfg(test)]\nmod t { fn g() { let _ = AtomicU32::new(1); } }\n";
+        assert_eq!(rules_of(src), vec![(Rule::L7, 1)]);
+    }
+
+    #[test]
+    fn l7_allows_atomics_in_listed_files() {
+        let src = "static F: AtomicBool = AtomicBool::new(false);\n";
+        assert!(check_file("crates/net/src/reactor.rs", src).is_empty());
+        assert!(check_file("crates/metrics/src/hist.rs", src).is_empty());
     }
 
     #[test]

@@ -1,47 +1,47 @@
-//! The per-op flight recorder: a fixed-size lock-free ring of structured
-//! trace events.
+//! The per-op flight recorder: a fixed-size ring of structured trace
+//! events behind one mutex.
 //!
-//! Writers claim a slot with one `fetch_add` ticket and publish through a
-//! per-slot sequence word (a seqlock), so recording from any number of
-//! threads is wait-free and allocation-free; the ring simply wraps,
-//! keeping the most recent [`SLOTS`] events. Readers ([`snapshot`])
-//! detect torn or in-progress slots via the sequence word plus a field
-//! checksum and skip them — a snapshot is best-effort by design, which is
-//! exactly right for its job: when a linearizability check fails or a
-//! server reaches a crash verdict, [`dump_to_stderr`] prints the recent
-//! event tail so the failure is diagnosable after the fact.
+//! Recording locks, writes one slot and unlocks; the ring wraps, keeping
+//! the most recent [`SLOTS`] events. When a linearizability check fails
+//! or a server reaches a crash verdict, [`dump_to_stderr`] prints the
+//! recent event tail so the failure is diagnosable after the fact. The
+//! dump copies the ring out first and prints with the lock released.
 //!
-//! Events are four `u64`s of caller payload with a kind tag; the protocol
-//! layers record op begin / phase / retry / complete keyed by
-//! `(ClientId, RequestId)`. With the `metrics` feature off, recording is
-//! a no-op and snapshots are empty.
+//! An uncontended record costs tens of nanoseconds, most of it the clock
+//! read (EXPERIMENTS.md, "What recording costs"), against tens of
+//! microseconds of server CPU per op, and a snapshot never sees a torn
+//! event.
 //!
-//! The ring itself is the generic [`FlightRing`] — the process-global
-//! recorder is one `FlightRing<4096>` behind the free functions, and the
-//! `hts-mc` models in `crates/mc` explore tiny instances (`FlightRing<2>`)
-//! whose full interleaving space is exhaustively checkable.
+//! Events are three `u64`s of caller payload with a kind tag; each
+//! `KIND_*` code documents what its recording sites put in `a`, `b` and
+//! `c`. With the `metrics` feature off, recording is a no-op and
+//! snapshots are empty.
 
 #[cfg(feature = "metrics")]
-use crate::mc_shim::AtomicU64;
-#[cfg(feature = "metrics")]
-use std::sync::atomic::Ordering;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Ring capacity: the recorder keeps the most recent this-many events.
 pub const SLOTS: usize = 4096;
 
-/// A write operation was initiated at its origin server
-/// (`a` = client, `b` = request, `c` = object).
+/// A server framed the pre-write of a write it originates
+/// (`a` = client request id, 0 for none; `b` = tag timestamp;
+/// `c` = tag origin server).
 pub const KIND_OP_BEGIN: u8 = 1;
-/// An op finished a protocol phase (`c` = phase code: 1 pre-write).
+/// A write's pre-write phase completed at its origin server; the payload
+/// is the same as [`KIND_OP_BEGIN`]'s.
 pub const KIND_OP_PHASE: u8 = 2;
-/// A client re-sent an op after a timeout (`c` = attempt count).
+/// A client session re-sent an op after a timeout or a server-down
+/// report (`a` = request id, `b` = server it left, `c` = server it
+/// retries at).
 pub const KIND_OP_RETRY: u8 = 3;
-/// An op completed (`a` = client, `b` = request, `c` = object).
+/// A write was acknowledged at its origin server; the payload is the
+/// same as [`KIND_OP_BEGIN`]'s.
 pub const KIND_OP_COMPLETE: u8 = 4;
 /// A server reached a crash verdict on a peer (`a` = suspect server,
-/// `b` = strike count, `c` = lane).
+/// `b` = reporting server, `c` = lane).
 pub const KIND_CRASH_VERDICT: u8 = 5;
-/// A client routing transition (`a` = server, `b` = 1 up / 0 down).
+/// A client session's routing transition (`a` = server, `b` = 1 up /
+/// 0 down, `c` = session id).
 pub const KIND_ALIVE_TRANSITION: u8 = 6;
 
 /// Human-readable name of a kind code (for dumps).
@@ -60,167 +60,112 @@ pub fn kind_name(kind: u8) -> &'static str {
 /// One recovered trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
-    /// Global recording order (ticket number; later events have larger
-    /// sequence numbers, including across wraparounds).
+    /// Global recording order (later events have larger sequence
+    /// numbers, including across wraparounds).
     pub seq: u64,
     /// [`crate::now_nanos`] at recording time.
     pub at_nanos: u64,
     /// Event kind — one of the `KIND_*` codes.
     pub kind: u8,
-    /// First payload word (conventionally the client id).
+    /// First payload word (see the event's `KIND_*` code).
     pub a: u64,
-    /// Second payload word (conventionally the request id).
+    /// Second payload word.
     pub b: u64,
-    /// Third payload word (kind-specific).
+    /// Third payload word.
     pub c: u64,
 }
 
+/// Bits of a slot's first word that hold the timestamp; the kind tag
+/// sits in the top byte (monotonic nanos fit 56 bits for ~2 years of
+/// process uptime).
 #[cfg(feature = "metrics")]
-struct Slot {
-    /// Publication word: `2·ticket + 1` while the slot is being written,
-    /// `2·ticket + 2` once published. Odd ⇒ in progress.
-    seq: AtomicU64,
-    /// Timestamp with the kind tag packed in the top byte (monotonic
-    /// nanos fit 56 bits for ~2 years of process uptime).
-    at_kind: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
-    c: AtomicU64,
-    /// XOR checksum over (seq, at_kind, a, b, c): catches the rare
-    /// cross-wraparound write race the seqlock alone cannot (a writer
-    /// descheduled for a whole ring lap).
-    check: AtomicU64,
+const AT_MASK: u64 = (1 << 56) - 1;
+
+/// An event ring of `N` slots. Slot `seq % N` holds event `seq` as
+/// `[at_nanos | kind << 56, a, b, c]`, so a slot costs 32 bytes and the
+/// sequence number is implied by `recorded`.
+#[cfg(feature = "metrics")]
+struct Ring<const N: usize> {
+    /// Events recorded so far, which is also the next event's `seq`.
+    recorded: u64,
+    slots: [[u64; 4]; N],
 }
 
 #[cfg(feature = "metrics")]
-impl Slot {
-    const fn new() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            at_kind: AtomicU64::new(0),
-            a: AtomicU64::new(0),
-            b: AtomicU64::new(0),
-            c: AtomicU64::new(0),
-            check: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A lock-free event ring of `N` slots — the engine behind the global
-/// recorder (one `FlightRing<{SLOTS}>`). `N` is generic so the `hts-mc`
-/// models can exhaustively explore tiny instances where every writer
-/// collision and wraparound is reachable within the schedule budget.
-#[cfg(feature = "metrics")]
-pub struct FlightRing<const N: usize> {
-    slots: [Slot; N],
-    head: AtomicU64,
-}
-
-#[cfg(feature = "metrics")]
-impl<const N: usize> Default for FlightRing<N> {
-    fn default() -> Self {
-        FlightRing::new()
-    }
-}
-
-#[cfg(feature = "metrics")]
-impl<const N: usize> FlightRing<N> {
-    /// A fresh, empty ring.
-    pub const fn new() -> FlightRing<N> {
-        FlightRing {
-            slots: [const { Slot::new() }; N],
-            head: AtomicU64::new(0),
+impl<const N: usize> Ring<N> {
+    const fn new() -> Ring<N> {
+        Ring {
+            recorded: 0,
+            slots: [[0; 4]; N],
         }
     }
 
-    /// Records one event (wait-free, allocation-free).
-    #[inline]
-    pub fn record(&self, kind: u8, a: u64, b: u64, c: u64) {
-        // ordering: Relaxed — the ticket is a pure allocation counter;
-        // publication ordering is carried by the per-slot seq word.
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket % N as u64) as usize];
-        let at_kind = (crate::now_nanos() & ((1 << 56) - 1)) | (u64::from(kind) << 56);
-        let published = 2 * ticket + 2;
-        slot.seq.store(2 * ticket + 1, Ordering::Release);
-        let payload = [
-            (&slot.at_kind, at_kind),
-            (&slot.a, a),
-            (&slot.b, b),
-            (&slot.c, c),
-            (&slot.check, published ^ at_kind ^ a ^ b ^ c),
-        ];
-        for (cell, v) in payload {
-            // ordering: Relaxed — fenced by the seq Release stores around
-            // them; readers validate via seq + checksum, dropping torn slots.
-            cell.store(v, Ordering::Relaxed);
-        }
-        slot.seq.store(published, Ordering::Release);
+    fn push(&mut self, at_nanos: u64, kind: u8, a: u64, b: u64, c: u64) {
+        let slot = (self.recorded % N as u64) as usize;
+        self.slots[slot] = [(at_nanos & AT_MASK) | (u64::from(kind) << 56), a, b, c];
+        self.recorded += 1;
     }
 
-    /// Collects the currently readable events, oldest first. Slots being
-    /// concurrently rewritten (or torn by a wraparound race) are skipped.
-    pub fn snapshot(&self) -> Vec<FlightEvent> {
-        let mut out = Vec::new();
-        for slot in self.slots.iter() {
-            let seq1 = slot.seq.load(Ordering::Acquire);
-            if seq1 == 0 || seq1 % 2 != 0 {
-                continue; // never written, or write in progress
-            }
-            let cells = [&slot.at_kind, &slot.a, &slot.b, &slot.c, &slot.check];
-            // ordering: Relaxed — validated after the fact: the Acquire
-            // re-load of seq plus the checksum reject any torn read.
-            let [at_kind, a, b, c, check] = cells.map(|cell| cell.load(Ordering::Relaxed));
-            let seq2 = slot.seq.load(Ordering::Acquire);
-            if seq1 != seq2 || check != (seq1 ^ at_kind ^ a ^ b ^ c) {
-                continue; // torn read
-            }
-            out.push(FlightEvent {
-                seq: seq1 / 2 - 1,
-                at_nanos: at_kind & ((1 << 56) - 1),
-                kind: (at_kind >> 56) as u8,
-                a,
-                b,
-                c,
-            });
-        }
-        out.sort_by_key(|e| e.seq);
-        out
-    }
-
-    /// Dumps this ring's readable tail to stderr with a reason header.
-    /// Silent when empty.
-    pub fn dump_to_stderr(&self, reason: &str) {
-        dump_events(&self.snapshot(), reason);
+    fn events(&self) -> Vec<FlightEvent> {
+        let oldest = self.recorded.saturating_sub(N as u64);
+        (oldest..self.recorded)
+            .map(|seq| {
+                let [at_kind, a, b, c] = self.slots[(seq % N as u64) as usize];
+                FlightEvent {
+                    seq,
+                    at_nanos: at_kind & AT_MASK,
+                    kind: (at_kind >> 56) as u8,
+                    a,
+                    b,
+                    c,
+                }
+            })
+            .collect()
     }
 }
 
 #[cfg(feature = "metrics")]
-static RING: FlightRing<SLOTS> = FlightRing::new();
+static RING: Mutex<Ring<SLOTS>> = Mutex::new(Ring::new());
 
-/// Records one event into the global ring (wait-free, allocation-free;
-/// no-op with the `metrics` feature off).
+/// The global ring, locked. A poisoned lock only means a panic elsewhere
+/// while it was held; a slot is written in one assignment, so the ring is
+/// still coherent, and recording must never panic the data path.
+#[cfg(feature = "metrics")]
+fn ring() -> MutexGuard<'static, Ring<SLOTS>> {
+    RING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Records one event into the global ring (allocation-free; no-op with
+/// the `metrics` feature off). The clock is read before the lock is
+/// taken, so the lock covers only the slot write.
 #[inline]
 pub fn record(kind: u8, a: u64, b: u64, c: u64) {
     #[cfg(feature = "metrics")]
-    RING.record(kind, a, b, c);
+    {
+        let at_nanos = crate::now_nanos();
+        ring().push(at_nanos, kind, a, b, c);
+    }
     #[cfg(not(feature = "metrics"))]
     let _ = (kind, a, b, c);
 }
 
-/// Collects the currently readable events, oldest first. Slots being
-/// concurrently rewritten (or torn by a wraparound race) are skipped —
-/// the snapshot is a best-effort recent tail, not a transaction.
+/// The recorded tail, oldest first: at most [`SLOTS`] events, each one
+/// as it was recorded, copied out under the lock.
 pub fn snapshot() -> Vec<FlightEvent> {
     #[cfg(feature = "metrics")]
     {
-        RING.snapshot()
+        ring().events()
     }
     #[cfg(not(feature = "metrics"))]
     Vec::new()
 }
 
-fn dump_events(events: &[FlightEvent], reason: &str) {
+/// Dumps the recorded tail to stderr with a reason header — called on
+/// lincheck failures and crash verdicts so a failing run leaves its
+/// recent per-op trace behind. Silent when the recorder is empty (e.g.
+/// the `metrics` feature is off, or nothing instrumented ran).
+pub fn dump_to_stderr(reason: &str) {
+    let events = snapshot();
     if events.is_empty() {
         return;
     }
@@ -228,7 +173,7 @@ fn dump_events(events: &[FlightEvent], reason: &str) {
         "=== flight recorder: {} event(s), reason: {reason} ===",
         events.len()
     );
-    for e in events {
+    for e in &events {
         eprintln!(
             "  [{:>12} ns] #{:<8} {:<16} a={} b={} c={}",
             e.at_nanos,
@@ -240,14 +185,6 @@ fn dump_events(events: &[FlightEvent], reason: &str) {
         );
     }
     eprintln!("=== end flight recorder dump ===");
-}
-
-/// Dumps the recorded tail to stderr with a reason header — called on
-/// lincheck failures and crash verdicts so a failing run leaves its
-/// recent per-op trace behind. Silent when the recorder is empty (e.g.
-/// the `metrics` feature is off, or nothing instrumented ran).
-pub fn dump_to_stderr(reason: &str) {
-    dump_events(&snapshot(), reason);
 }
 
 #[cfg(test)]
@@ -275,11 +212,11 @@ mod tests {
     #[cfg(feature = "metrics")]
     #[test]
     fn tiny_ring_wraps_keeping_the_tail() {
-        let ring: FlightRing<2> = FlightRing::new();
+        let mut ring: Ring<2> = Ring::new();
         for i in 0..5u64 {
-            ring.record(KIND_OP_BEGIN, i, 0, 0);
+            ring.push(i, KIND_OP_BEGIN, i, 0, 0);
         }
-        let events = ring.snapshot();
+        let events = ring.events();
         assert_eq!(events.len(), 2, "a 2-slot ring holds 2 events");
         assert_eq!(
             events.iter().map(|e| e.a).collect::<Vec<_>>(),

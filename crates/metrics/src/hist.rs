@@ -9,9 +9,7 @@
 //! `fetch_add` per recording.
 
 #[cfg(feature = "metrics")]
-use crate::mc_shim::AtomicU64;
-#[cfg(feature = "metrics")]
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets in every [`Histogram`].
 pub const BUCKETS: usize = 256;

@@ -2,16 +2,16 @@
 //! hts workspace.
 //!
 //! The paper's headline claim is *throughput*, so the instrumentation
-//! must never become the bottleneck it is measuring. Every primitive here
-//! is a plain atomic:
+//! must never become the bottleneck it is measuring. Every metric here
+//! is a plain atomic, each one an independent statistic:
 //!
 //! * [`Counter`] / [`Gauge`] — one relaxed `fetch_add` per event.
 //! * [`Histogram`] — log-bucketed (4 sub-buckets per power of two, ≤ ~19 %
 //!   relative quantile error): one relaxed `fetch_add` into one of 256
 //!   buckets per recording. Snapshots are mergeable and diffable, with
 //!   p50/p99/p99.9 extraction — see [`HistogramSnapshot`].
-//! * [`flight`] — a fixed-size lock-free ring of structured trace events
-//!   (op begin / phase / retry / complete), dumpable when a
+//! * [`flight`] — a fixed-size ring of structured trace events (op begin
+//!   / phase / retry / complete) behind one mutex, dumpable when a
 //!   linearizability check fails or a crash verdict fires.
 //!
 //! Metrics live in a **process-global registry** keyed by name: servers,
@@ -45,15 +45,11 @@
 
 pub mod flight;
 mod hist;
-#[cfg(feature = "metrics")]
-mod mc_shim;
 
 pub use hist::{bucket_bound, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
 
 #[cfg(feature = "metrics")]
-use crate::mc_shim::{AtomicI64, AtomicU64};
-#[cfg(feature = "metrics")]
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 #[cfg(feature = "metrics")]
 use std::sync::Mutex;
 #[cfg(feature = "metrics")]
