@@ -7,15 +7,15 @@
 //! paper only argues analytically:
 //!
 //! * [`abd`] — the classic majority-quorum register (Attiya–Bar-Noy–Dolev
-//!   [4], multi-writer variant per Lynch–Shvartsman [24]). Reads and
+//!   \[4\], multi-writer variant per Lynch–Shvartsman \[24\]). Reads and
 //!   writes each contact a majority; every operation costs `Θ(n)` messages
 //!   and, crucially, the *values* cross Θ(n) links per read, so throughput
-//!   does not scale with servers ([25], cited in §4.2).
-//! * [`chain`] — chain replication (van Renesse–Schneider [28]): writes
+//!   does not scale with servers (\[25\], cited in §4.2).
+//! * [`chain`] — chain replication (van Renesse–Schneider \[28\]): writes
 //!   stream down a chain (high write throughput, like the ring), but all
 //!   reads are served by the single tail — read throughput is flat.
 //! * [`tob`] — a total-order-broadcast register on the same ring transport
-//!   (the modular approach of [15] discussed in §1): *reads are ordered
+//!   (the modular approach of \[15\] discussed in §1): *reads are ordered
 //!   too*, so they consume ring slots and read throughput collapses to the
 //!   broadcast throughput (≈1/round) instead of scaling with `n`.
 //! * [`fig1`] — the two toy read protocols of the paper's Figure 1 in the

@@ -3,7 +3,7 @@
 //! The modular design the paper's §1 considers and rejects: implement the
 //! register by totally ordering **all** operations — including reads —
 //! with a ring-based total order broadcast (the authors' own LCR-style
-//! primitive [15] is the throughput-optimal representative). Each
+//! primitive \[15\] is the throughput-optimal representative). Each
 //! operation is announced around the ring, then committed with a second
 //! turn, exactly like the storage algorithm's writes — so writes perform
 //! identically, but *reads now consume ring slots too*: aggregate

@@ -16,7 +16,7 @@
 //! * **L3 `guard_across_io`** — no lock guard bound live across a
 //!   `write`/`flush`/`sync` call in the same block.
 //! * **L4 `message_catch_all`** — no `_ =>` catch-all when matching on
-//!   [`Message`] wire variants; every variant is dispatched by name.
+//!   `Message` wire variants; every variant is dispatched by name.
 //! * **L5 `unsafe_safety`** — every `unsafe` block carries a
 //!   `// SAFETY:` comment.
 //! * **L6 `ring_hot_loop`** — no `Instant::now()` or allocation

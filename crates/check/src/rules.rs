@@ -5,7 +5,7 @@
 //! | L1 `no_panic` | `unwrap`/`expect`/`panic!`/`assert!`-family in non-test protocol code — errors must propagate |
 //! | L2 `no_sleep` | `thread::sleep` on event-loop / writer / client-attempt paths |
 //! | L3 `guard_across_io` | a lock guard bound live across a `write`/`flush`/`sync` call in the same block |
-//! | L4 `message_catch_all` | `_ =>` catch-alls in a `match` dispatching [`Message`] wire variants |
+//! | L4 `message_catch_all` | `_ =>` catch-alls in a `match` dispatching `Message` wire variants |
 //! | L5 `unsafe_safety` | an `unsafe` block without a `// SAFETY:` comment |
 //! | L6 `ring_hot_loop` | `Instant::now()` / allocation constructors inside the per-frame ring hot functions |
 //! | L7 `atomic_ordering` | `Ordering::Relaxed` or a fence without a `// ordering:` comment arguing why it is sound; an atomic constructed outside the allow-listed files |
@@ -27,7 +27,7 @@ pub enum Rule {
     L2,
     /// No lock guard bound across a blocking write/flush/sync call.
     L3,
-    /// No `_ =>` catch-all in a `match` over [`Message`] variants.
+    /// No `_ =>` catch-all in a `match` over `Message` variants.
     L4,
     /// Every `unsafe` block carries a `// SAFETY:` comment.
     L5,
@@ -541,7 +541,7 @@ fn rule_l5(file: &str, toks: &[Tok<'_>], comments: &[Comment], out: &mut Vec<Vio
 /// throughput regression, not a style nit. The metrics helpers
 /// (`hts_metrics::now_nanos`, the `counter!`-family macros) are designed
 /// alloc-free and are not in the flagged construct set.
-const HOT_FUNCTIONS: [&str; 13] = [
+const HOT_FUNCTIONS: [&str; 12] = [
     // The lane core's batch selection, which both runtimes pull ring
     // batches through, and the scheduler beneath it.
     "next_batch",
@@ -550,10 +550,9 @@ const HOT_FUNCTIONS: [&str; 13] = [
     "next_frame",
     "next_object_frame",
     // The drivers' ring pumps (the reactor's and the simulator's) and
-    // the reactor's staging of one claimed batch onto the wire.
+    // the reactor's claim and staging of one batch onto the wire.
     "pump",
     "encode_next",
-    "drain_batch",
     // The zero-copy decode: a per-call allocation here is exactly what
     // zero-copy framing exists to avoid.
     "decode_shared",
@@ -819,7 +818,7 @@ mod tests {
     #[test]
     fn l6_flags_clocks_and_allocs_in_hot_functions_only() {
         let src =
-            "fn drain_batch() {\n    let d = Instant::now();\n    let mut b = Vec::new();\n    \
+            "fn encode_next() {\n    let d = Instant::now();\n    let mut b = Vec::new();\n    \
                    let s = format!(\"x\");\n    let v = slice.to_vec();\n}\n\
                    fn cold_path() {\n    let d = Instant::now();\n    let b = Vec::new();\n}\n";
         assert_eq!(

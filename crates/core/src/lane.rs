@@ -1,6 +1,6 @@
 //! The policy of one ring lane, with no sockets, clocks or files.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 
 use hts_types::{ClientId, Message, ObjectId, RingFrame, ServerId, Tag, Value};
 
@@ -9,12 +9,12 @@ use crate::{Action, BatchConfig, Config, LaneMap, MultiObjectServer};
 /// What a failed successor link gets under the strike rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Strike {
-    /// The first failure: resend these frames, in order, over one fresh
-    /// connection. A failure alone is not yet a verdict: a parked
-    /// connection may simply predate the peer's restart (a non-adjacent
-    /// server never observes the crash of a peer it was not connected
-    /// to).
-    Retry(VecDeque<RingFrame>),
+    /// The first failure: resend these frames — the batch the link had
+    /// staged — in order, over one fresh connection. A failure alone is
+    /// not yet a verdict: a parked connection may simply predate the
+    /// peer's restart (a non-adjacent server never observes the crash of
+    /// a peer it was not connected to).
+    Retry(Vec<RingFrame>),
     /// The second failure in a row: the peer is crashed and the lane's
     /// ring is spliced past it. The lost frames are covered by the
     /// splice retransmission.
@@ -153,7 +153,7 @@ impl LaneCore {
     }
 
     /// The successor link to `peer` failed with `lost` frames unwritten.
-    pub fn on_link_failed(&mut self, peer: ServerId, lost: VecDeque<RingFrame>) -> Strike {
+    pub fn on_link_failed(&mut self, peer: ServerId, lost: Vec<RingFrame>) -> Strike {
         if self.struck.insert(peer) {
             return Strike::Retry(lost);
         }
@@ -270,7 +270,7 @@ mod tests {
     fn strike_retries_once_then_crashes_and_a_drain_clears_it() {
         let mut lane = LaneCore::new(ServerId(0), 3, 0, Config::default());
         let frame = RingFrame::write(ObjectId(1), Tag::new(1, ServerId(0)));
-        let lost = VecDeque::from([frame]);
+        let lost = vec![frame];
         // First failure: the lost frames come back for the fresh link.
         assert_eq!(
             lane.on_link_failed(ServerId(1), lost.clone()),
@@ -288,7 +288,7 @@ mod tests {
         // The verdict cleared the strike: a later link to the rejoined
         // peer starts with its second chance again.
         assert!(matches!(
-            lane.on_link_failed(ServerId(1), VecDeque::new()),
+            lane.on_link_failed(ServerId(1), Vec::new()),
             Strike::Retry(_)
         ));
     }

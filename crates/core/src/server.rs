@@ -120,7 +120,7 @@ const PREWRITE: usize = 0;
 /// timestamp seen from an origin.
 const WRITE: usize = 1;
 
-/// The per-object server state machine. See the [module docs](self).
+/// The per-object server state machine: the paper's §3 server, sans-io.
 ///
 /// # What a register costs
 ///

@@ -22,7 +22,8 @@ use std::collections::HashMap;
 
 use crate::{History, OpId};
 
-/// A concrete linearizability violation found by [`check_conditions`].
+/// A concrete linearizability violation found by
+/// [`check_conditions`](crate::check_conditions).
 ///
 /// `OpId`s index into the checked [`History`]; `None` stands for the
 /// initial value `⊥` pseudo-write.

@@ -18,7 +18,7 @@
 //!   "read inversion"), but it may miss exotic ones. Use as a fast triage on
 //!   huge simulator histories.
 //! * [`check_witnessed`] — exact and `O(n log n)` when the implementation
-//!   discloses the [`Tag`] each operation resolved to (white-box). Verifies
+//!   discloses the [`Tag`](hts_types::Tag) each operation resolved to (white-box). Verifies
 //!   that the tag order is a valid linearization.
 //!
 //! # Examples

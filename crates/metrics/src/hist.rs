@@ -43,7 +43,8 @@ pub fn bucket_bound(i: usize) -> u64 {
     }
 }
 
-/// A fixed-size log-bucketed histogram; see the [module docs](self).
+/// A fixed-size log-bucketed histogram; see [`bucket_index`] for the
+/// buckets.
 /// Zero-sized no-op with the `metrics` feature off.
 #[derive(Debug)]
 pub struct Histogram {

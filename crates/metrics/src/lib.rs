@@ -305,7 +305,7 @@ pub fn histogram(name: &'static str) -> &'static Histogram {
     }
 }
 
-/// Caches a [`counter`] registry lookup in a call-site static: the steady
+/// Caches a [`counter()`] registry lookup in a call-site static: the steady
 /// state is one atomic load + one relaxed `fetch_add`.
 #[macro_export]
 macro_rules! counter {
@@ -316,7 +316,7 @@ macro_rules! counter {
     }};
 }
 
-/// Caches a [`gauge`] registry lookup in a call-site static.
+/// Caches a [`gauge()`] registry lookup in a call-site static.
 #[macro_export]
 macro_rules! gauge {
     ($name:expr) => {{
@@ -326,7 +326,7 @@ macro_rules! gauge {
     }};
 }
 
-/// Caches a [`histogram`] registry lookup in a call-site static.
+/// Caches a [`histogram()`] registry lookup in a call-site static.
 #[macro_export]
 macro_rules! histogram {
     ($name:expr) => {{

@@ -2,12 +2,13 @@
 //!
 //! Every wire message is a `u32` big-endian length followed by the codec
 //! bytes. The write paths frame straight into the connection's own
-//! reusable buffer (a reactor [`WriteBuf`], the session's coalescing
-//! writer), so the hot loops (ring-batch staging, client-reply flushing)
-//! neither allocate nor copy a message on its way to the socket, and
-//! [`encode_ring_frames`] turns a whole frame batch into **one** wire
-//! message. The read paths receive each body into reserved, unwritten
-//! capacity: a declared length costs memory only as its bytes arrive.
+//! reusable [`WriteBuf`] (at both the server and the session end), so
+//! the hot loops (ring-batch staging, client-reply flushing, request
+//! coalescing) neither allocate nor copy a message on its way to the
+//! socket, and [`encode_ring_frames`] turns a whole frame batch into
+//! **one** wire message (several only past the receiver's cap). The
+//! read paths receive each body into reserved, unwritten capacity: a
+//! declared length costs memory only as its bytes arrive.
 
 use std::io::{self, Read, Write};
 
@@ -42,29 +43,48 @@ pub fn write_message<W: Write>(writer: &mut W, msg: &Message) -> io::Result<()> 
     writer.flush()
 }
 
-/// Encodes a coalesced batch of ring frames as **one** wire message: a
-/// lone frame travels as [`Message::Ring`], several as
-/// [`Message::RingBatch`] (frames keep their order — the batch is the
-/// FIFO link's contents). Appends the complete wire bytes, length prefix
-/// included, to `buf` — the lane passes its link's [`WriteBuf`] and lets
-/// epoll writability drive the actual sends. An empty batch encodes to
-/// nothing.
-pub(crate) fn encode_ring_frames(frames: &[RingFrame], buf: &mut BytesMut) {
-    if frames.is_empty() {
-        return;
+/// Encodes a staged batch of ring frames onto `buf`, length prefixes
+/// included: a lone frame travels as [`Message::Ring`], several as
+/// [`Message::RingBatch`], in order (the batch is the FIFO link's
+/// contents). A batch too large for one message under
+/// [`MAX_FRAME_BYTES`] goes as several consecutive ones: the receiver
+/// takes an oversized message for a broken link. The lane passes its
+/// link's [`WriteBuf`] and lets epoll writability drive the sends.
+/// Returns the frames' summed [`codec::frame_wire_size`]; an empty batch
+/// encodes to nothing.
+pub(crate) fn encode_ring_frames(frames: &[RingFrame], buf: &mut BytesMut) -> usize {
+    encode_ring_frames_within(frames, buf, MAX_FRAME_BYTES)
+}
+
+/// [`encode_ring_frames`] with each wire message at most `cap` bytes,
+/// length prefix included — but for a lone frame larger than that, which
+/// goes alone.
+fn encode_ring_frames_within(frames: &[RingFrame], buf: &mut BytesMut, cap: usize) -> usize {
+    let mut total = 0;
+    let mut rest = frames;
+    while !rest.is_empty() {
+        // The longest prefix that fits behind a batch message's length
+        // prefix, discriminant and count (7 bytes).
+        let (mut n, mut sum) = (0, 0);
+        for size in rest.iter().map(codec::frame_wire_size) {
+            if n > 0 && 7 + sum + size > cap {
+                break;
+            }
+            (n, sum) = (n + 1, sum + size);
+        }
+        let (chunk, tail) = rest.split_at(n);
+        let body = if n == 1 { 1 + sum } else { 3 + sum };
+        buf.reserve(4 + body);
+        buf.extend_from_slice(&(body as u32).to_be_bytes());
+        if n == 1 {
+            codec::encode_ring_into(&chunk[0], buf);
+        } else {
+            codec::encode_ring_batch_into(chunk, buf);
+        }
+        total += sum;
+        rest = tail;
     }
-    let body = if frames.len() == 1 {
-        1 + codec::frame_wire_size(&frames[0])
-    } else {
-        3 + frames.iter().map(codec::frame_wire_size).sum::<usize>()
-    };
-    buf.reserve(4 + body);
-    buf.extend_from_slice(&(body as u32).to_be_bytes());
-    if frames.len() == 1 {
-        codec::encode_ring_into(&frames[0], buf);
-    } else {
-        codec::encode_ring_batch_into(frames, buf);
-    }
+    total
 }
 
 /// A connection's outbound bytes. Messages are framed straight into
@@ -77,6 +97,8 @@ pub(crate) fn encode_ring_frames(frames: &[RingFrame], buf: &mut BytesMut) {
 pub(crate) struct WriteBuf {
     buf: BytesMut,
     pos: usize,
+    /// Bytes the socket has taken over the buffer's lifetime.
+    flushed: u64,
 }
 
 impl WriteBuf {
@@ -85,18 +107,32 @@ impl WriteBuf {
         WriteBuf::default()
     }
 
+    /// Bytes queued and not yet flushed.
+    pub(crate) fn len(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Whether everything queued has been flushed.
     pub(crate) fn is_empty(&self) -> bool {
-        self.pos == self.buf.len()
+        self.len() == 0
+    }
+
+    /// Bytes the socket has taken over the buffer's lifetime: a message
+    /// appended when `flushed() + len()` read `end` has entirely left
+    /// once this reaches `end`.
+    pub(crate) fn flushed(&self) -> u64 {
+        self.flushed
     }
 
     /// The buffer to append the next bytes to, behind whatever is still
-    /// unflushed. The already-written prefix is compacted away first, so
-    /// the buffer never grows past the unflushed tail plus the new bytes.
+    /// unflushed. The flushed prefix is compacted away once it is at
+    /// least as long as the unflushed rest, so every byte copied is paid
+    /// for by a byte already gone.
     pub(crate) fn tail(&mut self) -> &mut BytesMut {
-        if self.pos > 0 {
+        let rest = self.len();
+        if self.pos > 0 && self.pos >= rest {
             self.buf.copy_within(self.pos.., 0);
-            self.buf.truncate(self.buf.len() - self.pos);
+            self.buf.truncate(rest);
             self.pos = 0;
         }
         &mut self.buf
@@ -120,7 +156,10 @@ impl WriteBuf {
                         "socket accepted zero bytes",
                     ))
                 }
-                Ok(n) => self.pos += n,
+                Ok(n) => {
+                    self.pos += n;
+                    self.flushed += n as u64;
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) => return Err(e),
@@ -393,6 +432,41 @@ mod tests {
         assert!(scratch.is_empty());
     }
 
+    #[test]
+    fn a_batch_past_the_receiver_cap_goes_as_consecutive_messages_within_it() {
+        let tag = Tag::new(2, ServerId(1));
+        let frames: Vec<RingFrame> = (0..12)
+            .map(|i| RingFrame::pre_write(ObjectId(i), tag, Value::filled(i as u8, 40)))
+            .collect();
+        let summed: usize = frames.iter().map(codec::frame_wire_size).sum();
+        let cap = 200;
+        assert!(summed > 2 * cap);
+        let mut buf = BytesMut::new();
+        assert_eq!(encode_ring_frames_within(&frames, &mut buf, cap), summed);
+
+        let mut cursor = &buf[..];
+        let (mut messages, mut got) = (0, Vec::new());
+        while !cursor.is_empty() {
+            let len = u32::from_be_bytes(cursor[..4].try_into().unwrap()) as usize;
+            assert!(4 + len <= cap, "a {}-byte message past the cap", 4 + len);
+            match read_message(&mut cursor).unwrap() {
+                Message::Ring(frame) => got.push(frame),
+                Message::RingBatch(batch) => got.extend(batch),
+                other => panic!("not ring traffic: {other}"),
+            }
+            messages += 1;
+        }
+        assert!(messages > 2, "{messages} messages");
+        assert_eq!(got, frames, "every frame, in order");
+
+        // A lone frame past the cap is unshippable batched or not: it
+        // goes alone rather than wedge the link.
+        let big = RingFrame::pre_write(ObjectId(1), tag, Value::filled(1, 500));
+        buf.clear();
+        encode_ring_frames_within(std::slice::from_ref(&big), &mut buf, cap);
+        assert_eq!(read_message(&mut &buf[..]).unwrap(), Message::Ring(big));
+    }
+
     /// A writer that doles out a script of results one call at a time and
     /// keeps what it accepted.
     struct Sink {
@@ -438,7 +512,7 @@ mod tests {
         let mut wb = WriteBuf::new();
         wb.tail().extend_from_slice(b"abcdefgh");
         let mut sink = Sink::new(vec![
-            WriteStep::Accept(3),
+            WriteStep::Accept(5),
             WriteStep::Interrupt,
             WriteStep::WouldBlock,
         ]);
@@ -447,11 +521,35 @@ mod tests {
 
         // More bytes arrive while blocked; the drained prefix compacts.
         wb.tail().extend_from_slice(b"ij");
-        assert_eq!(&wb.buf[..], b"defghij");
+        assert_eq!(&wb.buf[..], b"fghij");
         sink.steps = vec![WriteStep::Accept(4), WriteStep::Accept(64)].into();
         assert!(wb.flush(&mut sink).unwrap());
         assert!(wb.is_empty());
         assert_eq!(sink.got, b"abcdefghij");
+    }
+
+    #[test]
+    fn write_buf_compacts_only_a_prefix_as_long_as_the_rest_and_counts_flushed_bytes() {
+        let mut wb = WriteBuf::new();
+        wb.tail().extend_from_slice(b"abcdefgh");
+        let mut sink = Sink::new(vec![WriteStep::Accept(3), WriteStep::WouldBlock]);
+        assert!(!wb.flush(&mut sink).unwrap());
+        assert_eq!((wb.len(), wb.flushed()), (5, 3));
+
+        // 3 flushed bytes against 5 unflushed: appending copies nothing.
+        wb.tail().extend_from_slice(b"ij");
+        assert_eq!(&wb.buf[..], b"abcdefghij");
+        sink.steps = vec![WriteStep::Accept(4), WriteStep::WouldBlock].into();
+        assert!(!wb.flush(&mut sink).unwrap());
+        assert_eq!((wb.len(), wb.flushed()), (3, 7));
+
+        // 7 flushed against 3 unflushed: the next append compacts first.
+        wb.tail().extend_from_slice(b"k");
+        assert_eq!(&wb.buf[..], b"hijk");
+        sink.steps = vec![WriteStep::Accept(64)].into();
+        assert!(wb.flush(&mut sink).unwrap());
+        assert_eq!((wb.len(), wb.flushed()), (0, 11));
+        assert_eq!(sink.got, b"abcdefghijk");
     }
 
     #[test]

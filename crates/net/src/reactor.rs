@@ -11,31 +11,32 @@
 //! lane's policy: restart, the strike rule, the release gate (a step's
 //! commits reach the WAL before its replies and ring batches leave) and
 //! batch selection. The shell owns the sockets, the WAL and these
-//! ring-link rules: frames to the successor coalesce into `RingBatch`
-//! messages under `BatchConfig`; at most two batches are claimed from
-//! the core ahead of a full socket drain (pipeline credit returns when a
-//! staged batch has entirely left the write buffer); a link comes up as
-//! soon as its peer listens — a refused or timed-out connect is retried
-//! after 1 ms, the pause doubling up to 50 ms, for 2 s before the peer
-//! counts as down; and the strike rule's retry over a fresh connection
-//! runs on the same schedule for 100 ms.
+//! ring-link rules: a link holds at most one staged batch, and claims
+//! the core's next one only once its write buffer has fully drained and
+//! only while its peer is the core's successor — the simulator's rule of
+//! claiming a batch when the link can send. A parked link finishes its
+//! staged batch and claims nothing more. A link comes up as soon as its
+//! peer listens: a refused or timed-out connect is retried after 1 ms,
+//! the pause doubling up to 50 ms, for 2 s before the peer counts as
+//! down; and the strike rule's retry, which re-sends the lost batch over
+//! a fresh connection, runs on the same schedule for 100 ms.
 //!
 //! Each lane owns its lane core, WAL and every socket routed to it.
 //! Lane 0 also owns the listener and every connection still mid
 //! handshake (closed if its hello is not complete within a second): a
 //! completed hello hands the socket to its lane (ring streams to the
-//! lane the handshake names, clients to their home lane,
-//! `ClientId % lanes`), keeping it when that lane is lane 0. Sockets and
-//! cross-lane client traffic travel as [`Inject`] messages over a
-//! channel plus an eventfd wake (requests to the object's lane, replies
-//! back to the socket's home lane).
+//! lane the handshake names, clients to their [`home_lane`]), keeping
+//! it when that lane is lane 0. Sockets and cross-lane client traffic
+//! travel as [`Inject`] messages over a channel plus an eventfd wake:
+//! requests go to the object's lane, replies to the client's home lane,
+//! which every lane computes from the client id alone.
 //!
 //! Shutdown is deterministic: `ReactorHandle::stop` flips the shared
 //! flag, wakes every lane, and joins them; each lane deregisters and
 //! closes every fd it owns — lane 0 the listener too — before exiting,
 //! so the listen port is immediately rebindable.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
@@ -45,7 +46,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use hts_core::{BatchConfig, LaneCore, LaneMap, Strike};
+use hts_core::{LaneCore, LaneMap, Strike};
 use hts_poll::{
     connect_nonblocking, read_nb, Event, Events, Interest, Poller, ReadStatus, Token, Waker,
 };
@@ -54,9 +55,7 @@ use hts_types::{ClientId, Message, RingFrame, ServerId};
 use hts_wal::{Recovery, Wal, WalRecord};
 
 use crate::framing::{encode_ring_frames, frame_into, MessagePoll, NbMessageReader, WriteBuf};
-use crate::server::{
-    drain_batch, note_crash_verdict, recover_lanes, LaneConfig, ServerConfig, ThreadTally,
-};
+use crate::server::{note_crash_verdict, recover_lanes, LaneConfig, ServerConfig, ThreadTally};
 
 /// Token 0 is every poller's eventfd waker.
 const WAKER_TOKEN: u64 = 0;
@@ -176,25 +175,20 @@ pub(crate) fn spawn(config: ServerConfig) -> io::Result<(ReactorHandle, SocketAd
 enum Inject {
     /// A handshaken inbound ring stream from server `s`.
     NewRing(ServerId, TcpStream),
-    /// A handshaken client connection this lane will own, with its
-    /// accept token (lane 0's poller token during the handshake): unique
-    /// per accepted socket, so two connections under one client id can
-    /// be told apart.
-    NewClient(ClientId, u64, TcpStream),
-    /// A client connected somewhere: its socket (accept token last)
-    /// lives on `home` lane. Delivered to every *other* lane before the
-    /// home lane learns of the socket, so reply routes always exist
-    /// before requests route.
-    ClientUp(ClientId, u16, u64),
-    /// The client connection with this accept token died; drop its
-    /// reply route unless a newer connection already replaced it.
-    ClientDown(ClientId, u64),
+    /// A handshaken connection of client `c`, whose home lane this is.
+    NewClient(ClientId, TcpStream),
     /// A request from client `c` for one of this lane's objects,
-    /// forwarded by the lane that owns the socket.
+    /// forwarded by the client's home lane.
     FromClient(ClientId, Message),
-    /// A reply for client `c`, routed back to the lane owning its
-    /// socket.
+    /// A reply for client `c`, sent to its home lane.
     Reply(ClientId, Message),
+}
+
+/// The lane that owns every connection of client `c` on a node of
+/// `lanes` lanes: the hello hands the socket there, and every lane sends
+/// the client's replies there.
+fn home_lane(c: ClientId, lanes: usize) -> usize {
+    c.0 as usize % lanes
 }
 
 /// What kind of connection a poller token identifies.
@@ -206,18 +200,8 @@ enum SlotKind {
     RingOut(ServerId),
 }
 
-/// Where a client's replies go: a socket on this lane (by poller
-/// token), or a sibling lane that owns the socket (with the socket's
-/// accept token).
-enum ClientRoute {
-    Local(u64),
-    Remote(u16, u64),
-}
-
 struct ClientConn {
     token: u64,
-    /// The socket's accept token (see [`Inject::NewClient`]).
-    accepted: u64,
     stream: TcpStream,
     id: ClientId,
     reader: NbMessageReader,
@@ -297,17 +281,15 @@ impl ConnectSchedule {
     }
 }
 
-/// One outbound ring connection. At most one encoded batch is staged
-/// in `out` at a time: `unacked` holds its frames until the buffer
-/// fully drains (pipeline credit and strike clearing happen at that
-/// moment), `pending` holds frames the pump has claimed from the core
-/// but not yet staged.
+/// One outbound ring connection, holding at most one staged batch:
+/// `staged` keeps the batch's frames until `out` has fully drained (they
+/// are what a failed link loses), and only then may the link claim the
+/// core's next batch.
 struct OutConn {
     token: u64,
     peer: ServerId,
     state: OutState,
-    pending: VecDeque<RingFrame>,
-    unacked: Vec<RingFrame>,
+    staged: Vec<RingFrame>,
     out: WriteBuf,
     schedule: ConnectSchedule,
     /// Whether the registration currently includes write interest.
@@ -316,6 +298,17 @@ struct OutConn {
     /// none staged). Feeds `hts_net_ring_write_nanos`: the wall time a
     /// batch takes to fully drain into the socket.
     staged_at: u64,
+}
+
+impl OutConn {
+    /// Encodes the staged batch behind whatever `out` already holds and
+    /// starts the batch's write clock.
+    fn encode_staged(&mut self) {
+        let bytes = encode_ring_frames(&self.staged, self.out.tail());
+        hts_metrics::histogram!("hts_net_ring_batch_frames").record(self.staged.len() as u64);
+        hts_metrics::histogram!("hts_net_ring_batch_bytes").record(bytes as u64);
+        self.staged_at = hts_metrics::now_nanos();
+    }
 }
 
 /// Everything a lane shares with the rest of the reactor.
@@ -340,8 +333,6 @@ struct HelloConn {
 
 struct Lane {
     lc: LaneConfig,
-    batching: BatchConfig,
-    pipeline_cap: usize,
     core: LaneCore,
     wal: Option<Wal>,
     poller: Poller,
@@ -359,14 +350,11 @@ struct Lane {
     next_token: u64,
     slots: HashMap<u64, SlotKind>,
     client_conns: HashMap<u64, ClientConn>,
-    clients: HashMap<ClientId, ClientRoute>,
+    /// The clients whose home lane this is, each with the poller token
+    /// of its newest socket.
+    clients: HashMap<ClientId, u64>,
     ring_ins: HashMap<u64, RingInConn>,
     ring_outs: HashMap<ServerId, OutConn>,
-    /// The current successor's peer id (its link may be mid-connect).
-    active_out: Option<ServerId>,
-    /// Frames claimed from the core and not yet fully written (active
-    /// link only) — the pipeline pacing counter.
-    in_channel: u32,
     dirty: Vec<u64>,
 }
 
@@ -374,12 +362,6 @@ impl Lane {
     fn new(lc: LaneConfig, plumbing: LanePlumbing, wal_state: Option<(Wal, Recovery)>) -> Lane {
         let n = lc.addrs.len() as u16;
         let lanes = lc.config.lanes.max(1);
-        let batching = lc.config.batching.normalized();
-        // Frames the lane may hand its staged/pending buffers ahead of
-        // drain acknowledgement: one batch on the wire, one queued
-        // behind it, so the socket never idles while the core is asked
-        // for more and the fairness rule still runs close to the wire.
-        let pipeline_cap = batching.max_frames.max(1) * 2;
         // A lane whose directory already held a log restarts: it restores
         // the registers the log proves committed and rejoins its ring.
         let (wal, state, rejoin) = match wal_state {
@@ -389,8 +371,6 @@ impl Lane {
         let core = LaneCore::restart(lc.id, n, lc.lane, lc.config.clone(), state, rejoin);
         Lane {
             lc,
-            batching,
-            pipeline_cap,
             core,
             wal,
             poller: plumbing.poller,
@@ -408,8 +388,6 @@ impl Lane {
             clients: HashMap::new(),
             ring_ins: HashMap::new(),
             ring_outs: HashMap::new(),
-            active_out: None,
-            in_channel: 0,
             dirty: Vec::new(),
         }
     }
@@ -591,12 +569,10 @@ impl Lane {
     fn client_down(&mut self, conn: ClientConn) {
         self.poller.deregister(conn.stream.as_raw_fd());
         self.slots.remove(&conn.token);
-        if matches!(self.clients.get(&conn.id), Some(ClientRoute::Local(t)) if *t == conn.token) {
+        // A newer connection under the same id may already own the
+        // route; only the socket that died takes its own route down.
+        if self.clients.get(&conn.id) == Some(&conn.token) {
             self.clients.remove(&conn.id);
-        }
-        let me = usize::from(self.lc.lane);
-        for lane in (0..self.peers.len()).filter(|&lane| lane != me) {
-            self.send_inject(lane, Inject::ClientDown(conn.id, conn.accepted));
         }
     }
 
@@ -640,9 +616,8 @@ impl Lane {
         self.slots.remove(&token);
         let s = conn.from;
         // Any connection to the crashed server died with it; a parked
-        // entry must not be reused after a rejoin. `active_out` and the
-        // pipeline counter are left to `ensure_ring_out`, which resets
-        // them once the core's successor moves past `s`.
+        // entry must not be reused after a rejoin. The next pump links
+        // up with whichever successor the core moves to.
         if let Some(out) = self.ring_outs.remove(&s) {
             self.drop_out_sockets(&out);
         }
@@ -694,11 +669,11 @@ impl Lane {
         true
     }
 
-    /// Resumes the staged batch after write readiness, crediting the
-    /// pipeline and clearing the retry strike each time the buffer
-    /// fully drains (the link is proven healthy), then stages the
-    /// next batch while the socket keeps accepting. Hot: alloc-free —
-    /// staging happens in [`Lane::encode_next`].
+    /// Moves the link's bytes into the socket until it pushes back or
+    /// nothing is left to stage. Each full drain clears the retry strike
+    /// (the link is proven healthy) and lets [`Lane::encode_next`] claim
+    /// the next batch. Hot: alloc-free — staging happens in
+    /// `encode_next`.
     fn resume_write(&mut self, conn: &mut OutConn) -> io::Result<()> {
         loop {
             if conn.out.is_empty() && !self.encode_next(conn) {
@@ -717,36 +692,23 @@ impl Lane {
                 conn.staged_at = 0;
             }
             self.core.on_link_drained(conn.peer);
-            if self.active_out == Some(conn.peer) {
-                self.in_channel = self.in_channel.saturating_sub(conn.unacked.len() as u32);
-            }
-            conn.unacked.clear();
+            conn.staged.clear();
         }
     }
 
-    /// Stages the next coalesced batch into `conn.out` (one encoded
-    /// batch at a time, hello bytes may precede the first). Returns
-    /// `false` when nothing was staged.
+    /// Claims the core's next batch into a drained link, but only into
+    /// the core's current successor's: a parked link never claims.
+    /// Returns `false` when nothing was staged.
     fn encode_next(&mut self, conn: &mut OutConn) -> bool {
-        if !matches!(conn.state, OutState::Ready(_))
-            || !conn.unacked.is_empty()
-            || conn.pending.is_empty()
-        {
+        if !matches!(conn.state, OutState::Ready(_)) || self.core.successor() != Some(conn.peer) {
             return false;
         }
-        let mut bytes = 0usize;
-        drain_batch(
-            &mut conn.pending,
-            self.batching.max_frames,
-            self.batching.max_bytes,
-            &mut bytes,
-            &mut conn.unacked,
-        );
-        hts_metrics::histogram!("hts_net_ring_batch_frames").record(conn.unacked.len() as u64);
-        hts_metrics::histogram!("hts_net_ring_batch_bytes").record(bytes as u64);
-        encode_ring_frames(&conn.unacked, conn.out.tail());
-        conn.staged_at = hts_metrics::now_nanos();
-        !conn.unacked.is_empty()
+        conn.staged = self.core.next_batch(usize::MAX);
+        if conn.staged.is_empty() {
+            return false;
+        }
+        conn.encode_staged();
+        true
     }
 
     fn drain_out_readable(&mut self, conn: &mut OutConn) -> bool {
@@ -811,9 +773,9 @@ impl Lane {
     }
 
     /// A nonblocking connect completed: become `Ready` and stage the
-    /// lane-tagged handshake. The first full drain of the buffer then
-    /// clears any retry strike: the link is proven healthy by connect +
-    /// handshake alone, even if no frame follows for a while.
+    /// lane-tagged handshake (with a retry's lost batch behind it). The
+    /// first full drain of the buffer then clears any retry strike: the
+    /// link is proven healthy even if no frame follows for a while.
     fn finish_connect(&mut self, conn: &mut OutConn) {
         let placeholder = OutState::Waiting {
             retry_at: Instant::now(),
@@ -826,6 +788,8 @@ impl Lane {
         self.push_hello(conn);
     }
 
+    /// Stages the handshake on a link that just connected, and behind
+    /// it the batch a failed connection lost, if any.
     fn push_hello(&mut self, conn: &mut OutConn) {
         // Lane 0 keeps the legacy handshake (a single-lane cluster
         // speaks the pre-lane wire protocol bit for bit).
@@ -835,6 +799,9 @@ impl Lane {
             Hello::ServerLane(self.lc.id, self.lc.lane)
         };
         conn.out.tail().extend_from_slice(&hello.encode());
+        if !conn.staged.is_empty() {
+            conn.encode_staged();
+        }
     }
 
     /// Keeps write interest armed only while the link has (or is about
@@ -858,8 +825,7 @@ impl Lane {
             token,
             peer,
             state: OutState::Waiting { retry_at: now },
-            pending: VecDeque::new(),
-            unacked: Vec::new(),
+            staged: Vec::new(),
             out: WriteBuf::new(),
             schedule: ConnectSchedule::new(now, budget),
             writing: false,
@@ -868,26 +834,19 @@ impl Lane {
     }
 
     /// Runs the lane core's strike rule on a failed link: the first
-    /// failure moves every lost frame onto one fresh connection, a
-    /// second failure in a row is a crash verdict.
+    /// failure moves the lost batch onto one fresh connection, a second
+    /// failure in a row is a crash verdict.
     fn fail_out(&mut self, mut conn: OutConn) {
         loop {
             self.drop_out_sockets(&conn);
             let peer = conn.peer;
-            let mut lost: VecDeque<RingFrame> = std::mem::take(&mut conn.unacked).into();
-            lost.append(&mut conn.pending);
-            if self.active_out == Some(peer) {
-                self.in_channel = 0;
-            }
+            let lost = std::mem::take(&mut conn.staged);
             let Strike::Retry(lost) = self.core.on_link_failed(peer, lost) else {
                 note_crash_verdict(self.lc.id, self.lc.lane, peer);
                 return;
             };
             let mut fresh = self.new_out_conn(peer, RETRY_BUDGET);
-            fresh.pending = lost;
-            if self.active_out == Some(peer) {
-                self.in_channel = fresh.pending.len() as u32;
-            }
+            fresh.staged = lost;
             if self.start_connect(&mut fresh) {
                 self.update_out_interest(&mut fresh);
                 self.ring_outs.insert(peer, fresh);
@@ -904,60 +863,30 @@ impl Lane {
         }
     }
 
-    /// Keeps the outbound link tracking the core's successor: parked
-    /// links are reactivated with their leftover frames counted against
-    /// the pipeline, new successors get a fresh connection.
-    fn ensure_ring_out(&mut self) {
-        let successor = self.core.successor();
-        if self.active_out == successor {
-            return;
-        }
-        self.active_out = None;
-        self.in_channel = 0;
-        let Some(next) = successor else { return };
-        if let Some(conn) = self.ring_outs.get(&next) {
-            // Reactivating a parked link: frames from its previous
-            // activation may still be queued; count them or the
-            // pipeline pacing would over-fill.
-            self.in_channel = (conn.pending.len() + conn.unacked.len()) as u32;
-        } else {
-            let mut conn = self.new_out_conn(next, CONNECT_BUDGET);
-            if self.start_connect(&mut conn) {
-                self.ring_outs.insert(next, conn);
-            } else {
-                self.active_out = Some(next);
-                self.fail_out(conn);
-                return;
-            }
-        }
-        self.active_out = Some(next);
-    }
-
-    /// Drains the core's batch scheduler into the active link, up to
-    /// the pipeline cap, and kicks a flush.
+    /// Feeds the core's successor until the core has nothing ready or
+    /// the socket pushes back. A successor without a link (a parked one
+    /// is reused as it stands) gets a fresh connection first.
     fn pump(&mut self) {
-        self.ensure_ring_out();
-        let Some(active) = self.active_out else {
+        let Some(next) = self.core.successor() else {
             return;
         };
-        let Some(mut conn) = self.ring_outs.remove(&active) else {
-            return;
-        };
-        while (self.in_channel as usize) < self.pipeline_cap {
-            let room = self.pipeline_cap - self.in_channel as usize;
-            let frames = self.core.next_batch(room);
-            if frames.is_empty() {
-                break;
+        let mut conn = match self.ring_outs.remove(&next) {
+            Some(conn) => conn,
+            None => {
+                let mut conn = self.new_out_conn(next, CONNECT_BUDGET);
+                if !self.start_connect(&mut conn) {
+                    self.fail_out(conn);
+                    return;
+                }
+                conn
             }
-            self.in_channel += frames.len() as u32;
-            conn.pending.extend(frames);
-        }
+        };
         if self.resume_write(&mut conn).is_err() {
             self.fail_out(conn);
             return;
         }
         self.update_out_interest(&mut conn);
-        self.ring_outs.insert(active, conn);
+        self.ring_outs.insert(next, conn);
     }
 
     // ---- timers ------------------------------------------------------
@@ -1009,20 +938,7 @@ impl Lane {
     fn on_inject(&mut self, inj: Inject) {
         match inj {
             Inject::NewRing(s, stream) => self.add_ring_in(s, stream),
-            Inject::NewClient(c, accepted, stream) => self.add_client(c, accepted, stream),
-            Inject::ClientUp(c, home, accepted) => {
-                self.clients.insert(c, ClientRoute::Remote(home, accepted));
-            }
-            Inject::ClientDown(c, accepted) => {
-                // A newer connection under the same id may already own
-                // the route; only the socket that died takes its own
-                // route down.
-                if let Some(&ClientRoute::Remote(_, live)) = self.clients.get(&c) {
-                    if live == accepted {
-                        self.clients.remove(&c);
-                    }
-                }
-            }
+            Inject::NewClient(c, stream) => self.add_client(c, stream),
             Inject::FromClient(c, msg) => {
                 self.core.on_client(c, msg);
             }
@@ -1030,16 +946,15 @@ impl Lane {
         }
     }
 
-    fn add_client(&mut self, c: ClientId, accepted: u64, stream: TcpStream) {
+    fn add_client(&mut self, c: ClientId, stream: TcpStream) {
         let Some(token) = self.watch(&stream, SlotKind::Client) else {
             return;
         };
-        self.clients.insert(c, ClientRoute::Local(token));
+        self.clients.insert(c, token);
         self.client_conns.insert(
             token,
             ClientConn {
                 token,
-                accepted,
                 stream,
                 id: c,
                 reader: NbMessageReader::new(),
@@ -1077,20 +992,23 @@ impl Lane {
         Some(token)
     }
 
+    /// Frames a reply onto its client's newest socket, which lives on
+    /// the client's home lane: any other lane sends the reply there.
     fn deliver_reply(&mut self, c: ClientId, msg: Message) {
-        match self.clients.get(&c) {
-            Some(&ClientRoute::Local(token)) => {
-                let Some(conn) = self.client_conns.get_mut(&token) else {
-                    return;
-                };
-                frame_into(conn.out.tail(), &msg);
-                self.dirty.push(token);
-            }
-            Some(&ClientRoute::Remote(home, _)) => {
-                self.send_inject(usize::from(home), Inject::Reply(c, msg));
-            }
-            None => {}
+        let home = home_lane(c, self.peers.len());
+        if home != usize::from(self.lc.lane) {
+            self.send_inject(home, Inject::Reply(c, msg));
+            return;
         }
+        let Some(conn) = self
+            .clients
+            .get(&c)
+            .and_then(|t| self.client_conns.get_mut(t))
+        else {
+            return;
+        };
+        frame_into(conn.out.tail(), &msg);
+        self.dirty.push(conn.token);
     }
 
     fn flush_dirty(&mut self) {
@@ -1193,20 +1111,19 @@ impl Lane {
     }
 
     /// Advances one pending handshake: hello bytes accumulate across
-    /// any number of partial reads (first the role byte, then the 3- or
-    /// 5-byte form it implies). A complete hello hands the socket on; an
+    /// any number of partial reads (first the role byte, then the whole
+    /// hello, whose length the codec reads off that byte). A complete hello hands the socket on; an
     /// unknown role, EOF or error drops it.
     fn drive_hello(&mut self, token: u64) {
         let Some(mut conn) = self.hellos.remove(&token) else {
             return;
         };
         let hello = loop {
-            let need = match (conn.filled, conn.buf[0]) {
-                (0, _) => 1,
-                (_, 0x01) => 3,
-                (_, 0x02 | 0x03) => 5,
-                _ => break None,
+            let need = match conn.filled {
+                0 => Some(1),
+                _ => Hello::encoded_len(conn.buf[0]),
             };
+            let Some(need) = need else { break None };
             if conn.filled >= need {
                 break Hello::decode(&conn.buf[..need]).ok();
             }
@@ -1229,15 +1146,7 @@ impl Lane {
                 self.send_inject(usize::from(lane), Inject::NewRing(s, conn.stream));
             }
             Some(Hello::Client(c)) => {
-                let home = c.0 as usize % lanes;
-                // Reply routes first, socket last: every sibling lane
-                // knows where client `c` lives before the home lane can
-                // read (and forward) a single request, so a forwarded
-                // request's reply always finds its way back.
-                for lane in (0..lanes).filter(|&lane| lane != home) {
-                    self.send_inject(lane, Inject::ClientUp(c, home as u16, token));
-                }
-                self.send_inject(home, Inject::NewClient(c, token, conn.stream));
+                self.send_inject(home_lane(c, lanes), Inject::NewClient(c, conn.stream));
             }
             Some(Hello::ServerLane(..)) | None => {}
         }

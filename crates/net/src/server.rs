@@ -13,13 +13,12 @@
 //! single event loop; `lanes = 1` (the default) is the paper's single
 //! ring.
 
-use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 
 use hts_core::{Config, Durability};
-use hts_types::{codec, RingFrame, ServerId};
+use hts_types::ServerId;
 use hts_wal::{recover, FsyncPolicy, Recovery, Wal, WalOptions};
 
 use crate::reactor::ReactorHandle;
@@ -55,6 +54,32 @@ pub struct ServerConfig {
 pub struct Server {
     reactor: ReactorHandle,
     addr: SocketAddr,
+}
+
+/// Validates a cluster address map: non-empty, small enough to index by
+/// [`ServerId`], and holding an entry for `member`, so a bad deployment
+/// description surfaces as an [`io::ErrorKind::InvalidInput`] error
+/// instead of a panic.
+pub(crate) fn validate_addrs(addrs: &[SocketAddr], member: ServerId) -> io::Result<()> {
+    if addrs.is_empty() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "need at least one server address",
+        ));
+    }
+    if addrs.len() > usize::from(u16::MAX) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{} servers exceed the u16 ServerId space", addrs.len()),
+        ));
+    }
+    if member.index() >= addrs.len() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{member} outside the {}-server address map", addrs.len()),
+        ));
+    }
+    Ok(())
 }
 
 /// The WAL directory of one lane: the base directory itself for a
@@ -123,10 +148,13 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns the bind error if the listen address is unavailable, the
-    /// I/O error if log recovery / creation fails, or the error of
+    /// Returns [`io::ErrorKind::InvalidInput`] if `config.addrs` is
+    /// empty or has no entry for `config.id` (before any log is
+    /// touched), the bind error if the listen address is unavailable,
+    /// the I/O error if log recovery / creation fails, or the error of
     /// creating a lane's poller.
     pub fn spawn(config: ServerConfig) -> io::Result<Server> {
+        validate_addrs(&config.addrs, config.id)?;
         let (reactor, addr) = crate::reactor::spawn(config)?;
         Ok(Server { reactor, addr })
     }
@@ -150,36 +178,6 @@ impl Drop for Server {
         // Joined, not just signalled: drop-then-rebind must be
         // deterministic, and the eventfd wake makes the join prompt.
         self.reactor.stop();
-    }
-}
-
-/// Extends `batch` from the queue, tracking the running encoded size in
-/// `bytes` (reported back for the batch-size histogram). The soft
-/// `max_bytes` cap admits the frame that crosses it; the hard cap is the
-/// receiver's [`MAX_FRAME_BYTES`](crate::framing::MAX_FRAME_BYTES) —
-/// individually-shippable frames must never coalesce into a wire
-/// message the other end will reject as oversized. The first frame is
-/// admitted unconditionally: even a zero byte budget must not wedge the
-/// link (and a single frame beyond the hard cap is unshippable batched
-/// or not).
-pub(crate) fn drain_batch(
-    q: &mut VecDeque<RingFrame>,
-    max_frames: usize,
-    max_bytes: usize,
-    bytes: &mut usize,
-    batch: &mut Vec<RingFrame>,
-) {
-    // Headroom for the batch discriminant + count and the length prefix.
-    const HARD_CAP: usize = crate::framing::MAX_FRAME_BYTES - 16;
-    while batch.len() < max_frames.max(1) && (batch.is_empty() || *bytes < max_bytes) {
-        let Some(frame) = q.front() else { break };
-        let frame_bytes = codec::frame_wire_size(frame);
-        if !batch.is_empty() && *bytes + frame_bytes > HARD_CAP {
-            break;
-        }
-        let Some(frame) = q.pop_front() else { break };
-        *bytes += frame_bytes;
-        batch.push(frame);
     }
 }
 

@@ -23,12 +23,12 @@ use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
 use hts_core::SessionCore;
 use hts_poll::{Event, Events, Interest, Poller, Token};
 use hts_types::{codec::Hello, ClientId, Message, ObjectId, RequestId, ServerId, Value};
 
-use crate::framing::{frame_into, MessagePoll, NbMessageReader};
+use crate::framing::{frame_into, MessagePoll, NbMessageReader, WriteBuf};
+use crate::server::validate_addrs;
 
 /// Retry budget: an operation is abandoned after this many full cycles
 /// of attempts around the ring (`addrs.len() * RETRY_CYCLES` sends in
@@ -45,18 +45,14 @@ struct Conn {
     /// session's poller under [`token`]`(gen, server)`.
     stream: TcpStream,
     reader: NbMessageReader,
-    /// Encoded requests (the coalescing writer's buffer); `out[..sent]`
-    /// has already left.
-    out: BytesMut,
-    sent: usize,
+    /// Encoded requests: the coalescing writer's buffer.
+    out: WriteBuf,
     /// Requests with bytes still in `out`, oldest first, each with the
-    /// value `written` reaches as its last byte leaves. Retry deadlines
+    /// value `out.flushed()` reaches as its last byte leaves. Retry deadlines
     /// arm at that moment, not when the request was encoded — a caller
     /// that sits between `begin_*` and `wait` must not make its own
     /// requests look timed out.
     staged: VecDeque<(RequestId, u64)>,
-    /// Bytes handed to the socket over the connection's lifetime.
-    written: u64,
     /// `Some` while a send is parked on write readiness (a flush hit
     /// `WouldBlock`; the registration carries write interest exactly
     /// that long): the instant, one timeout after the socket last took
@@ -65,38 +61,6 @@ struct Conn {
     /// Connection generation. Readiness reports carry it, so one for a
     /// connection replaced earlier in the same batch is ignored.
     gen: u64,
-}
-
-impl Conn {
-    fn unsent(&self) -> usize {
-        self.out.len() - self.sent
-    }
-}
-
-/// Validates a cluster address map: non-empty, small enough to index by
-/// [`ServerId`], and containing `preferred`, so a bad deployment
-/// description surfaces as a real connect error instead of a panic in
-/// the session core.
-fn validate_addrs(addrs: &[SocketAddr], preferred: ServerId) -> io::Result<()> {
-    if addrs.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "need at least one server address",
-        ));
-    }
-    if addrs.len() > usize::from(u16::MAX) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("{} servers exceed the u16 ServerId space", addrs.len()),
-        ));
-    }
-    if preferred.index() >= addrs.len() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("{preferred} outside the {}-server address map", addrs.len()),
-        ));
-    }
-    Ok(())
 }
 
 /// Unwraps the value of a completed read: the core attaches one to every
@@ -392,7 +356,7 @@ impl Session {
         let gen = conn.gen;
         self.stats_seq += 1;
         let request = RequestId(u64::MAX - self.stats_seq);
-        frame_into(&mut conn.out, &Message::StatsRequest { request });
+        frame_into(conn.out.tail(), &Message::StatsRequest { request });
         // Armed like an op's deadline so `pump` sleeps no longer than the
         // budget; the core knows no such request, so expiry only disarms.
         let deadline = Instant::now() + self.timeout;
@@ -427,7 +391,7 @@ impl Session {
     /// window is full or a connection is over its send cap (`dispatch`
     /// flushes at the cap, so only a parked send still holds that much).
     fn admit(&mut self) -> io::Result<()> {
-        let over_cap = |conn: &Conn| conn.unsent() >= SEND_FLUSH_BYTES;
+        let over_cap = |conn: &Conn| conn.out.len() >= SEND_FLUSH_BYTES;
         while !self.core.has_capacity() || self.conns.iter().flatten().any(over_cap) {
             self.pump()?;
         }
@@ -446,18 +410,10 @@ impl Session {
         let Some(conn) = self.conns[server.index()].as_mut() else {
             return self.fail_server(server);
         };
-        // A parked send leaves a written prefix behind: reclaim it once it
-        // outweighs the rest, so the copy is paid for by bytes already gone.
-        if conn.sent > 0 && conn.sent >= conn.unsent() {
-            let rest = conn.unsent();
-            conn.out.copy_within(conn.sent.., 0);
-            conn.out.resize(rest, 0);
-            conn.sent = 0;
-        }
-        frame_into(&mut conn.out, msg);
-        conn.staged
-            .push_back((request, conn.written + conn.unsent() as u64));
-        if conn.unsent() >= SEND_FLUSH_BYTES {
+        frame_into(conn.out.tail(), msg);
+        let end = conn.out.flushed() + conn.out.len() as u64;
+        conn.staged.push_back((request, end));
+        if conn.out.len() >= SEND_FLUSH_BYTES {
             self.flush_server(server)?;
         }
         Ok(())
@@ -467,7 +423,7 @@ impl Session {
     /// send is already parked there waiting for write readiness.
     fn flush_server(&mut self, server: ServerId) -> io::Result<()> {
         match &self.conns[server.index()] {
-            Some(conn) if conn.unsent() > 0 && conn.stalls_at.is_none() => {
+            Some(conn) if !conn.out.is_empty() && conn.stalls_at.is_none() => {
                 self.write_staged(server)
             }
             _ => Ok(()),
@@ -492,27 +448,15 @@ impl Session {
         let Some(conn) = self.conns[server.index()].as_mut() else {
             return Ok(());
         };
-        let before = conn.sent;
-        let parked = loop {
-            if conn.unsent() == 0 {
-                break Ok(false);
-            }
-            match conn.stream.write(&conn.out[conn.sent..]) {
-                Ok(0) => break Err(io::Error::from(io::ErrorKind::WriteZero)),
-                Ok(n) => conn.sent += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(true),
-                Err(e) => break Err(e),
-            }
-        };
+        let before = conn.out.flushed();
         // The stranded requests reroute through the failure path.
-        let Ok(parked) = parked else {
+        let Ok(drained) = conn.out.flush(&mut conn.stream) else {
             return self.fail_server(server);
         };
+        let parked = !drained;
         let now = Instant::now();
-        conn.written += (conn.sent - before) as u64;
         while let Some(&(request, end)) = conn.staged.front() {
-            if end > conn.written {
+            if end > conn.out.flushed() {
                 break;
             }
             conn.staged.pop_front();
@@ -525,10 +469,8 @@ impl Session {
         }
         let was_parked = conn.stalls_at.is_some();
         if !parked {
-            conn.out.clear();
-            conn.sent = 0;
             conn.stalls_at = None;
-        } else if conn.sent > before || !was_parked {
+        } else if conn.out.flushed() > before || !was_parked {
             conn.stalls_at = Some(now + self.timeout);
         }
         if parked != was_parked {
@@ -724,10 +666,8 @@ impl Session {
         self.conns[server.index()] = Some(Conn {
             stream,
             reader: NbMessageReader::new(),
-            out: BytesMut::new(),
-            sent: 0,
+            out: WriteBuf::new(),
             staged: VecDeque::new(),
-            written: 0,
             stalls_at: None,
             gen,
         });

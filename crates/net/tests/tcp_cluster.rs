@@ -170,3 +170,28 @@ fn first_write_lands_promptly_in_either_boot_order() {
         "first write after the last spawn, highest id first and 0 first: {took:?}"
     );
 }
+
+#[test]
+fn a_bad_address_map_is_invalid_input_before_any_log_is_touched() {
+    let wal_dir = std::env::temp_dir().join(format!("hts-bad-addrs-{}", std::process::id()));
+    let durable = Config {
+        durability: hts_core::Durability::SyncAlways,
+        ..Config::default()
+    };
+    let addr: SocketAddr = "127.0.0.1:0".parse().unwrap();
+    for (id, addrs) in [(ServerId(3), vec![addr; 3]), (ServerId(0), Vec::new())] {
+        let spawned = Server::spawn(ServerConfig {
+            id,
+            addrs: addrs.clone(),
+            config: durable.clone(),
+            wal_dir: Some(wal_dir.clone()),
+        });
+        let err = spawned.err().expect("spawned on a bad address map");
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "{id} in {addrs:?}"
+        );
+        assert!(!wal_dir.exists(), "{id} in {addrs:?} created its log");
+    }
+}

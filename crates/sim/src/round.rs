@@ -23,7 +23,7 @@ use crate::packet::NetworkId;
 
 /// A process driven by the round simulator.
 pub trait RoundProcess<M> {
-    /// One round: inspect [`RoundCtx::incoming`], optionally send.
+    /// One round: inspect `RoundCtx::incoming`, optionally send.
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, M>, round: u64);
 
     /// A crash of `node` detected at the start of this round (perfect

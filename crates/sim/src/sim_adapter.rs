@@ -565,7 +565,7 @@ struct PendingOp {
 
 /// A simulated workload client: closed-loop at `window = 1` (the paper's
 /// client processes), an open-loop pipeline of `window` concurrent
-/// operations otherwise. See the [module docs](self).
+/// operations otherwise.
 pub struct SimClient {
     core: SessionCore,
     workload: WorkloadConfig,

@@ -485,6 +485,16 @@ impl Hello {
         v.freeze()
     }
 
+    /// The encoded length of a hello whose first byte is `role`, or
+    /// `None` for a role byte no hello starts with.
+    pub fn encoded_len(role: u8) -> Option<usize> {
+        match role {
+            0x01 => Some(3),
+            0x02 | 0x03 => Some(5),
+            _ => None,
+        }
+    }
+
     /// Decodes a handshake produced by [`Hello::encode`].
     ///
     /// # Errors
@@ -738,7 +748,9 @@ mod tests {
         ] {
             let bytes = hello.encode();
             assert_eq!(Hello::decode(&bytes).unwrap(), hello);
+            assert_eq!(Hello::encoded_len(bytes[0]), Some(bytes.len()));
         }
+        assert_eq!(Hello::encoded_len(0x09), None);
         assert!(Hello::decode(&[0x09]).is_err());
         assert!(Hello::decode(&[0x01, 0x00]).is_err());
         assert!(Hello::decode(&[0x03, 0x00, 0x01]).is_err());

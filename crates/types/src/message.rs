@@ -181,7 +181,8 @@ impl RingFrame {
 
 /// Every message exchanged in the system.
 ///
-/// See the [module documentation](self) for the two message families and
+/// Two families: client ↔ server requests and replies, and server →
+/// server ring traffic ([`Message::Ring`], [`Message::RingBatch`]). See
 /// [`crate::codec`] for the wire format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
