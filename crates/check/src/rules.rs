@@ -542,17 +542,17 @@ fn rule_l5(file: &str, toks: &[Tok<'_>], comments: &[Comment], out: &mut Vec<Vio
 /// (`hts_metrics::now_nanos`, the `counter!`-family macros) are designed
 /// alloc-free and are not in the flagged construct set.
 const HOT_FUNCTIONS: [&str; 12] = [
-    // The lane core's batch selection, which both runtimes pull ring
-    // batches through, and the scheduler beneath it.
+    // The lane core's claim of a link's next batch and its batch
+    // selection, which both runtimes pull ring batches through, and the
+    // scheduler beneath them.
+    "claim",
     "next_batch",
     "drain_frames",
     "drain_frames_with",
     "next_frame",
     "next_object_frame",
-    // The drivers' ring pumps (the reactor's and the simulator's) and
-    // the reactor's claim and staging of one batch onto the wire.
+    // The runtimes' ring pumps (the reactor's and the simulator's).
     "pump",
-    "encode_next",
     // The zero-copy decode: a per-call allocation here is exactly what
     // zero-copy framing exists to avoid.
     "decode_shared",
@@ -570,8 +570,18 @@ const HOT_FUNCTIONS: [&str; 12] = [
 const ALLOC_TYPES: [&str; 4] = ["Vec", "VecDeque", "String", "Box"];
 /// Macros that heap-allocate.
 const ALLOC_MACROS: [&str; 2] = ["vec", "format"];
-/// Allocating methods/associated fns flagged by bare name.
-const ALLOC_CALLS: [&str; 2] = ["to_vec", "with_capacity"];
+/// Allocating methods/associated fns flagged by bare name, called
+/// directly or through a turbofish (`collect::<Vec<_>>()`).
+const ALLOC_CALLS: [&str; 3] = ["to_vec", "with_capacity", "collect"];
+
+/// The token after the name at `k`, past its turbofish if it has one.
+fn after_turbofish<'t>(toks: &'t [Tok<'_>], k: usize) -> Option<&'t Tok<'t>> {
+    let is = |d: usize, c: char| toks.get(k + d).is_some_and(|t| t.is(c));
+    if is(1, ':') && is(2, ':') && is(3, '<') {
+        return toks.get(matching(toks, k + 3, '<', '>')? + 1);
+    }
+    toks.get(k + 1)
+}
 
 fn rule_l6(file: &str, toks: &[Tok<'_>], out: &mut Vec<Violation>) {
     let mut i = 0usize;
@@ -642,7 +652,8 @@ fn rule_l6(file: &str, toks: &[Tok<'_>], out: &mut Vec<Violation>) {
                 && ALLOC_TYPES.contains(&toks[k - 3].text)
                 && next.is_some_and(|n| n.is('('));
             let alloc_macro = ALLOC_MACROS.contains(&t.text) && next.is_some_and(|n| n.is('!'));
-            let alloc_call = ALLOC_CALLS.contains(&t.text) && next.is_some_and(|n| n.is('('));
+            let alloc_call = ALLOC_CALLS.contains(&t.text)
+                && after_turbofish(toks, k).is_some_and(|n| n.is('('));
             if alloc_new || alloc_macro || alloc_call {
                 let shown = if alloc_macro {
                     format!("{}!", t.text)
@@ -817,13 +828,21 @@ mod tests {
 
     #[test]
     fn l6_flags_clocks_and_allocs_in_hot_functions_only() {
-        let src =
-            "fn encode_next() {\n    let d = Instant::now();\n    let mut b = Vec::new();\n    \
-                   let s = format!(\"x\");\n    let v = slice.to_vec();\n}\n\
-                   fn cold_path() {\n    let d = Instant::now();\n    let b = Vec::new();\n}\n";
+        let src = "fn claim() {\n    let d = Instant::now();\n    let mut b = Vec::new();\n    \
+                   let s = format!(\"x\");\n    let v = slice.to_vec();\n    \
+                   let ids: Vec<u32> = keys.collect();\n    \
+                   let ids = keys.collect::<Vec<Vec<u32>>>();\n    let n = keys.count();\n}\n\
+                   fn cold_path() {\n    let d = Instant::now();\n    let b = keys.collect();\n}\n";
         assert_eq!(
             rules_of(src),
-            vec![(Rule::L6, 2), (Rule::L6, 3), (Rule::L6, 4), (Rule::L6, 5)]
+            vec![
+                (Rule::L6, 2),
+                (Rule::L6, 3),
+                (Rule::L6, 4),
+                (Rule::L6, 5),
+                (Rule::L6, 6),
+                (Rule::L6, 7)
+            ]
         );
     }
 

@@ -1,7 +1,5 @@
 //! Protocol configuration and ablation flags.
 
-use hts_types::Nanos;
-
 /// How a server multiplexes its own new writes with forwarded ring traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FairnessMode {
@@ -148,23 +146,12 @@ pub struct Config {
     /// *Paper ablation* (A3). Scheduling of local writes vs. forwarded
     /// traffic; anything but [`FairnessMode::Fair`] starves one side.
     pub fairness: FairnessMode,
-    /// *Paper ablation*. Reply to an unblocked read with the value of
-    /// the unblocking `write` *message* — the conference pseudo-code's
-    /// literal line 82 — instead of the (≥) locally stored value. When
-    /// concurrent writes overtake each other on the ring, the message
-    /// that unblocks a read can carry an older value than one a previous
-    /// read already returned: a read inversion. Exists to demonstrate
-    /// that anomaly. **Unsafe**; tests only.
-    pub unblock_replies_message_value: bool,
     /// *Paper ablation*. Complete writes orphaned by the crash of their
     /// originating server: the dead origin's first alive successor
     /// re-issues them under their original tags (surrogate-origin
     /// adoption). Without it, readers can block forever on a pre-write
     /// whose `write` phase died with its origin.
     pub adopt_orphans: bool,
-    /// *Operator knob*. How long a client waits for a reply before
-    /// re-issuing the request to the next server.
-    pub client_timeout: Nanos,
     /// *Operator knob*. Persistence of committed writes (crash-stop vs
     /// crash-recovery).
     pub durability: Durability,
@@ -192,9 +179,7 @@ impl Default for Config {
             write_carries_value: false,
             read_fast_path: false,
             fairness: FairnessMode::Fair,
-            unblock_replies_message_value: false,
             adopt_orphans: true,
-            client_timeout: Nanos::from_millis(250),
             durability: Durability::Volatile,
             batching: BatchConfig::default(),
             lanes: 1,
@@ -219,7 +204,6 @@ mod tests {
         assert!(!c.write_carries_value);
         assert!(!c.read_fast_path);
         assert_eq!(c.fairness, FairnessMode::Fair);
-        assert!(!c.unblock_replies_message_value);
         assert!(c.adopt_orphans);
         assert_eq!(c.durability, Durability::Volatile);
         assert!(!c.durability.is_persistent());

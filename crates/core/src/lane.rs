@@ -1,25 +1,11 @@
 //! The policy of one ring lane, with no sockets, clocks or files.
 
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 
 use hts_types::{ClientId, Message, ObjectId, RingFrame, ServerId, Tag, Value};
 
+use crate::link::Link;
 use crate::{Action, BatchConfig, Config, LaneMap, MultiObjectServer};
-
-/// What a failed successor link gets under the strike rule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Strike {
-    /// The first failure: resend these frames — the batch the link had
-    /// staged — in order, over one fresh connection. A failure alone is
-    /// not yet a verdict: a parked connection may simply predate the
-    /// peer's restart (a non-adjacent server never observes the crash of
-    /// a peer it was not connected to).
-    Retry(Vec<RingFrame>),
-    /// The second failure in a row: the peer is crashed and the lane's
-    /// ring is spliced past it. The lost frames are covered by the
-    /// splice retransmission.
-    Crashed,
-}
 
 /// The policy of one ring lane, with no sockets, clocks or files.
 ///
@@ -32,9 +18,10 @@ pub enum Strike {
 ///   registers and, when its log existed, announces its rejoin
 ///   ([`LaneCore::restart`]);
 /// * **input** — client requests, stats requests and inbound ring frames;
-/// * **the strike rule** — a failed successor link is retried once over a
-///   fresh connection, and only a second failure is a crash verdict
-///   ([`LaneCore::on_link_failed`]);
+/// * **successor links** — the connect back-off, the one staged batch
+///   per link and the strike rule that turns link failures into crash
+///   verdicts ([`LaneCore::poll_links`] and its siblings, in the `link`
+///   module);
 /// * **the release gate** — the driver takes each step's commits
 ///   ([`LaneCore::take_commits`]), and no reply and no ring batch leaves
 ///   until it reports them durable ([`LaneCore::commits_durable`]). A
@@ -59,8 +46,8 @@ pub struct LaneCore {
     held: Vec<Action>,
     /// Commits were taken and not yet reported durable: the gate is shut.
     unsynced: bool,
-    /// Peers whose link failed once and runs on its fresh connection.
-    struck: HashSet<ServerId>,
+    /// The successor links, one per peer the lane has linked to.
+    pub(crate) links: BTreeMap<ServerId, Link>,
 }
 
 impl LaneCore {
@@ -76,7 +63,7 @@ impl LaneCore {
             staged: Vec::new(),
             held: Vec::new(),
             unsynced: false,
-            struck: HashSet::new(),
+            links: BTreeMap::new(),
         }
     }
 
@@ -145,26 +132,12 @@ impl LaneCore {
     }
 
     /// A failure detector reported `peer` crashed: splice the ring past
-    /// it. The simulator's detector is perfect and reports here
-    /// directly; the TCP driver does on an inbound stream's EOF.
+    /// it and forget the lane's link to it. The simulator's detector is
+    /// perfect and reports here directly; the TCP runtime does when an
+    /// inbound stream closes.
     pub fn on_peer_crashed(&mut self, peer: ServerId) {
-        self.struck.remove(&peer);
+        self.links.remove(&peer);
         self.staged.extend(self.server.on_server_crashed(peer));
-    }
-
-    /// The successor link to `peer` failed with `lost` frames unwritten.
-    pub fn on_link_failed(&mut self, peer: ServerId, lost: Vec<RingFrame>) -> Strike {
-        if self.struck.insert(peer) {
-            return Strike::Retry(lost);
-        }
-        self.on_peer_crashed(peer);
-        Strike::Crashed
-    }
-
-    /// Everything staged on the link to `peer` reached the socket: the
-    /// link is proven healthy and its strike clears.
-    pub fn on_link_drained(&mut self, peer: ServerId) {
-        self.struck.remove(&peer);
     }
 
     /// Ends the step: hands the driver every commit applied since the
@@ -203,16 +176,16 @@ impl LaneCore {
         released.into_iter().map(reply_for)
     }
 
-    /// The next ring batch for the successor — at most `room` frames
-    /// (and the configured batch limits), empty while the gate is shut.
-    pub fn next_batch(&mut self, room: usize) -> Vec<RingFrame> {
+    /// The next ring batch for the successor, within the configured batch
+    /// limits; empty while the gate is shut.
+    pub fn next_batch(&mut self) -> Vec<RingFrame> {
         if self.unsynced {
             // lint: allow(ring_hot_loop): an empty Vec holds no heap buffer
             return Vec::new();
         }
         let mut frames = self
             .server
-            .drain_frames(room.min(self.batching.max_frames), self.batching.max_bytes);
+            .drain_frames(self.batching.max_frames, self.batching.max_bytes);
         if let Some(token) = self.token {
             // Announce-only frames carry a placeholder object; the token
             // routes them home through a receiver's object-based lane
@@ -267,33 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn strike_retries_once_then_crashes_and_a_drain_clears_it() {
-        let mut lane = LaneCore::new(ServerId(0), 3, 0, Config::default());
-        let frame = RingFrame::write(ObjectId(1), Tag::new(1, ServerId(0)));
-        let lost = vec![frame];
-        // First failure: the lost frames come back for the fresh link.
-        assert_eq!(
-            lane.on_link_failed(ServerId(1), lost.clone()),
-            Strike::Retry(lost.clone())
-        );
-        // The fresh link drained a batch: proven healthy, strike cleared.
-        lane.on_link_drained(ServerId(1));
-        assert_eq!(
-            lane.on_link_failed(ServerId(1), lost.clone()),
-            Strike::Retry(lost.clone())
-        );
-        // Second failure in a row: a crash verdict splices the ring.
-        assert_eq!(lane.on_link_failed(ServerId(1), lost), Strike::Crashed);
-        assert_eq!(lane.successor(), Some(ServerId(2)));
-        // The verdict cleared the strike: a later link to the rejoined
-        // peer starts with its second chance again.
-        assert!(matches!(
-            lane.on_link_failed(ServerId(1), Vec::new()),
-            Strike::Retry(_)
-        ));
-    }
-
-    #[test]
     fn nothing_leaves_before_its_commits_are_durable() {
         // A write over a 2-ring: each server commits it in turn, and
         // forwards the commit notice (or releases the ack) only once
@@ -310,27 +256,27 @@ mod tests {
             origin.take_commits().is_empty(),
             "a pre-write commits nothing"
         );
-        for frame in origin.next_batch(usize::MAX) {
+        for frame in origin.next_batch() {
             peer.on_frame(frame);
         }
         assert!(peer.take_commits().is_empty());
-        for frame in peer.next_batch(usize::MAX) {
+        for frame in peer.next_batch() {
             origin.on_frame(frame);
         }
         // The pre-write came home: the origin commits and must log it.
         assert_eq!(origin.take_commits().len(), 1);
-        assert!(origin.next_batch(usize::MAX).is_empty(), "notice held");
+        assert!(origin.next_batch().is_empty(), "notice held");
         origin.commits_durable();
-        let notice = origin.next_batch(usize::MAX);
+        let notice = origin.next_batch();
         assert_eq!(notice.len(), 1);
         for frame in notice {
             peer.on_frame(frame);
         }
         // The peer commits on the notice and holds its forward.
         assert_eq!(peer.take_commits().len(), 1);
-        assert!(peer.next_batch(usize::MAX).is_empty(), "forward held");
+        assert!(peer.next_batch().is_empty(), "forward held");
         peer.commits_durable();
-        for frame in peer.next_batch(usize::MAX) {
+        for frame in peer.next_batch() {
             origin.on_frame(frame);
         }
         // The notice's return acks the write; no new commit, so the ack
@@ -349,7 +295,7 @@ mod tests {
     fn a_restarted_lane_leads_with_its_rejoin_announcement() {
         let state = [(ObjectId(1), (Tag::new(4, ServerId(1)), Value::from_u64(5)))];
         let mut lane = LaneCore::restart(ServerId(0), 3, 0, durable(), state, true);
-        let batch = lane.next_batch(usize::MAX);
+        let batch = lane.next_batch();
         let first = batch.first().expect("a rejoin announcement");
         assert_eq!(first.rejoin.map(|r| r.server), Some(ServerId(0)));
         assert_eq!(
@@ -360,7 +306,7 @@ mod tests {
         assert_eq!(lane.export_state().len(), 1, "state restored");
         // A fresh lane (no log) has nothing to announce.
         let mut fresh = LaneCore::restart(ServerId(0), 3, 0, durable(), [], false);
-        assert!(fresh.next_batch(usize::MAX).is_empty());
+        assert!(fresh.next_batch().is_empty());
         // On a laned node the announcement carries the lane's token
         // object, which routes it home through the receiver's demux.
         let laned = Config {
@@ -369,6 +315,6 @@ mod tests {
         };
         let mut lane2 = LaneCore::restart(ServerId(0), 3, 2, laned, [], true);
         let token = LaneMap::new(4).token_object(2);
-        assert_eq!(lane2.next_batch(usize::MAX)[0].object, token);
+        assert_eq!(lane2.next_batch()[0].object, token);
     }
 }

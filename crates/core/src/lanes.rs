@@ -88,17 +88,6 @@ impl LaneMap {
     pub fn token_object(&self, lane: u16) -> ObjectId {
         self.tokens[usize::from(lane)]
     }
-
-    /// Splits a drained frame sequence into per-lane sequences, keeping
-    /// each lane's (and therefore each object's) relative order — the
-    /// reference semantics lane-routing transports must match.
-    pub fn split_frames(&self, frames: Vec<RingFrame>) -> Vec<Vec<RingFrame>> {
-        let mut out: Vec<Vec<RingFrame>> = (0..self.lanes).map(|_| Vec::new()).collect();
-        for frame in frames {
-            out[usize::from(self.lane_of_frame(&frame))].push(frame);
-        }
-        out
-    }
 }
 
 /// FNV-1a over the object id's big-endian bytes, reduced mod `lanes` —
@@ -119,7 +108,6 @@ fn hash_lane(object: ObjectId, lanes: u16) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hts_types::{Rejoin, ServerId, Tag, Value};
 
     #[test]
     fn deterministic_and_in_range() {
@@ -162,67 +150,6 @@ mod tests {
                     assert_ne!(map.lane_of(ObjectId(id)), lane);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn split_preserves_per_object_frame_order() {
-        // The drain-equivalence property the laned transports rely on:
-        // partitioning a frame stream across lanes never reorders a
-        // single object's frames, because an object maps to exactly one
-        // lane and each lane keeps arrival order.
-        let map = LaneMap::new(3);
-        let mut frames = Vec::new();
-        for ts in 1..=40u64 {
-            let object = ObjectId((ts % 7) as u32);
-            frames.push(if ts % 2 == 0 {
-                RingFrame::pre_write(object, Tag::new(ts, ServerId(0)), Value::from_u64(ts))
-            } else {
-                RingFrame::write(object, Tag::new(ts, ServerId(0)))
-            });
-        }
-        // A lane-stamped announcement rides lane 2's stream.
-        let announce = RingFrame {
-            object: map.token_object(2),
-            rejoin: Some(Rejoin::announce(ServerId(1))),
-            ..RingFrame::write(map.token_object(2), Tag::new(99, ServerId(1)))
-        };
-        frames.push(RingFrame {
-            pre_write: None,
-            write: None,
-            ..announce
-        });
-
-        let lanes = map.split_frames(frames.clone());
-        assert_eq!(lanes.len(), 3);
-        assert_eq!(lanes.iter().map(Vec::len).sum::<usize>(), frames.len());
-        for (lane, lane_frames) in lanes.iter().enumerate() {
-            // Every frame landed on its own lane...
-            for f in lane_frames {
-                assert_eq!(usize::from(map.lane_of_frame(f)), lane);
-            }
-            // ...and the lane's sequence is exactly the original stream
-            // filtered to that lane (order preserved).
-            let expected: Vec<&RingFrame> = frames
-                .iter()
-                .filter(|f| usize::from(map.lane_of_frame(f)) == lane)
-                .collect();
-            assert_eq!(lane_frames.iter().collect::<Vec<_>>(), expected);
-        }
-        // Per-object order is a corollary: each object's frames are a
-        // subsequence of one lane.
-        for object in (0..7u32).map(ObjectId) {
-            let original: Vec<u64> = frames
-                .iter()
-                .filter(|f| f.object == object)
-                .filter_map(|f| f.write.as_ref().map(|w| w.tag.ts))
-                .collect();
-            let through_lanes: Vec<u64> = lanes[usize::from(map.lane_of(object))]
-                .iter()
-                .filter(|f| f.object == object)
-                .filter_map(|f| f.write.as_ref().map(|w| w.tag.ts))
-                .collect();
-            assert_eq!(original, through_lanes, "{object:?} reordered");
         }
     }
 }

@@ -5,9 +5,14 @@
 //!
 //! A multi-writer multi-reader **atomic (linearizable) register** served by
 //! `n` cluster servers organized in a ring, tolerating the crash of `n − 1`
-//! servers and of any number of clients, assuming reliable (perfect)
-//! failure detection — realistic on a LAN where per-neighbor TCP
-//! connections double as failure detectors.
+//! servers and of any number of clients.
+//!
+//! The paper assumes a perfect failure detector; the simulator has one.
+//! The TCP runtime (`hts-net`) draws crash verdicts from its ring links
+//! ([`LaneCore::poll_links`]): a server condemns its predecessor at once
+//! on any close or decode error of the inbound stream, and its successor
+//! after the strike rule, within about 100 ms. A server not adjacent to
+//! the dead peer learns of it only when the ring routes it there.
 //!
 //! Two design points give it its performance profile:
 //!
@@ -34,10 +39,11 @@
 //!   client.
 //! * [`MultiObjectServer`] — many registers multiplexed over one ring.
 //! * [`LaneCore`] — the policy of one ring lane around a
-//!   [`MultiObjectServer`]: restart, the strike rule for failed links,
-//!   the release gate that holds replies and ring batches until their
-//!   commits are durable, and batch selection. The TCP runtime
-//!   (`hts-net`) and the simulator (`hts-sim`) are its two drivers.
+//!   [`MultiObjectServer`]: restart, the successor links (connect
+//!   back-off, one staged batch per link and the strike rule, driven
+//!   through [`LinkOp`]s), the release gate that holds replies and ring
+//!   batches until their commits are durable, and batch selection. The
+//!   TCP runtime (`hts-net`) and the simulator (`hts-sim`) both run it.
 //! * [`Config`] — paper-faithful defaults plus documented ablations.
 //!
 //! # Examples
@@ -86,6 +92,7 @@ mod config;
 mod fairness;
 mod lane;
 mod lanes;
+mod link;
 mod multi;
 mod pending;
 mod ring;
@@ -95,8 +102,9 @@ mod small;
 
 pub use config::{BatchConfig, Config, Durability, FairnessMode};
 pub use fairness::{ForwardScheduler, Selection};
-pub use lane::{LaneCore, Strike};
+pub use lane::LaneCore;
 pub use lanes::LaneMap;
+pub use link::LinkOp;
 pub use multi::MultiObjectServer;
 pub use pending::PendingSet;
 pub use ring::RingView;

@@ -219,12 +219,6 @@ impl MultiObjectServer {
         self.syncing
     }
 
-    /// Convenience wrapper for runtimes with an out-of-band rejoin
-    /// detector: equivalent to receiving a fresh announcement for `s`.
-    pub fn on_server_rejoined(&mut self, s: ServerId) -> Vec<Action> {
-        self.on_rejoin_announcement(Rejoin::announce(s))
-    }
-
     /// Handles a rejoin announcement (usually piggybacked on a ring
     /// frame). Our own announcement returning certifies the resync —
     /// unless the flags say the predecessor that vouched for the

@@ -115,15 +115,6 @@ impl RingView {
     pub fn is_adopter_of(&self, origin: ServerId) -> bool {
         !self.is_alive(origin) && self.next_alive_after(origin) == Some(self.me)
     }
-
-    /// Iterates over the alive servers in id order.
-    pub fn alive_servers(&self) -> impl Iterator<Item = ServerId> + '_ {
-        self.alive
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| **a)
-            .map(|(i, _)| ServerId(i as u16))
-    }
 }
 
 #[cfg(test)]
@@ -198,14 +189,6 @@ mod tests {
         // Alive origins have no adopter.
         let healthy = RingView::new(ServerId(1), 4);
         assert!(!healthy.is_adopter_of(ServerId(0)));
-    }
-
-    #[test]
-    fn alive_servers_iterates_in_id_order() {
-        let mut r = RingView::new(ServerId(0), 4);
-        r.mark_crashed(ServerId(2));
-        let alive: Vec<ServerId> = r.alive_servers().collect();
-        assert_eq!(alive, vec![ServerId(0), ServerId(1), ServerId(3)]);
     }
 
     #[test]

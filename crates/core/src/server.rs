@@ -680,7 +680,7 @@ impl ServerCore {
                 tag,
                 value: Some(pw.value),
             });
-            self.check_waiting_reads(tag, None, actions);
+            self.check_waiting_reads(tag, actions);
             return;
         }
 
@@ -728,7 +728,7 @@ impl ServerCore {
                         tag,
                         value: Some(pw.value),
                     });
-                    self.check_waiting_reads(tag, None, actions);
+                    self.check_waiting_reads(tag, actions);
                 }
             }
             return;
@@ -827,7 +827,7 @@ impl ServerCore {
             }
         }
 
-        self.check_waiting_reads(tag, resolved.as_ref(), actions);
+        self.check_waiting_reads(tag, actions);
 
         if !mine {
             // Forward the commit around the ring (tag-only in steady
@@ -851,27 +851,12 @@ impl ServerCore {
     /// line 81). Replies carry the *stored* value: the pseudo-code's
     /// literal reply (the message value) admits a read inversion when
     /// ring writes overtake each other — the unblocking message can carry
-    /// an older value than one a previous read already returned. That
-    /// behaviour is available as the `unblock_replies_message_value`
-    /// ablation.
-    fn check_waiting_reads(
-        &mut self,
-        tag: Tag,
-        message_value: Option<&Value>,
-        actions: &mut Vec<Action>,
-    ) {
+    /// an older value than one a previous read already returned.
+    fn check_waiting_reads(&mut self, tag: Tag, actions: &mut Vec<Action>) {
         if self.waiting_reads.is_empty() {
             return;
         }
-        let literal = self.config.unblock_replies_message_value;
-        let (reply_value, reply_tag) = if literal {
-            match message_value {
-                Some(v) => (v.clone(), tag),
-                None => (self.stored_value.clone(), self.stored_tag),
-            }
-        } else {
-            (self.stored_value.clone(), self.stored_tag)
-        };
+        let (reply_value, reply_tag) = (self.stored_value.clone(), self.stored_tag);
         let object = self.object;
         self.waiting_reads.retain(|wr| {
             if wr.target > tag {

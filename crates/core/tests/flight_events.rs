@@ -35,12 +35,12 @@ fn a_write_records_begin_and_complete_as_request_ts_origin() {
         if acked {
             break;
         }
-        let out = origin.next_batch(usize::MAX);
+        let out = origin.next_batch();
         tag = tag.or_else(|| out.iter().find_map(|f| f.pre_write.as_ref().map(|p| p.tag)));
         for frame in out {
             peer.on_frame(frame);
         }
-        for frame in peer.next_batch(usize::MAX) {
+        for frame in peer.next_batch() {
             origin.on_frame(frame);
         }
     }

@@ -12,10 +12,15 @@
 //!   calling);
 //! * each server keeps one long-lived TCP connection **per ring lane**
 //!   to its ring successor (`Config::lanes`, default 1 — exactly the
-//!   single connection §2 prescribes); a broken connection **is** the
-//!   perfect failure detector — the predecessor splices the lane's ring
-//!   and retransmits, the successor-side adopter completes orphaned
-//!   writes;
+//!   single connection §2 prescribes). These links stand in for the
+//!   paper's perfect failure detector, and only approximate it: the
+//!   successor of a dead server issues a crash verdict at once on any
+//!   close or decode error of its inbound stream; the predecessor issues
+//!   one after the strike rule (`hts_core::LaneCore::link_failed`),
+//!   within about 100 ms; a server not adjacent to the dead peer learns
+//!   of it only when the ring routes it there. A verdict splices the
+//!   lane's ring past the peer and retransmits, and the adopter completes
+//!   orphaned writes;
 //! * ring frames are pulled from the core a batch at a time as the
 //!   previous batch drains into the socket, which is where the fairness
 //!   rule runs (the kernel's send buffer plays the role of the NIC TX

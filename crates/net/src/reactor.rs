@@ -8,18 +8,22 @@
 //! clients or peers connect: one at the default single lane.
 //!
 //! Each lane is a thin I/O shell over a [`LaneCore`], which holds the
-//! lane's policy: restart, the strike rule, the release gate (a step's
-//! commits reach the WAL before its replies and ring batches leave) and
-//! batch selection. The shell owns the sockets, the WAL and these
-//! ring-link rules: a link holds at most one staged batch, and claims
-//! the core's next one only once its write buffer has fully drained and
-//! only while its peer is the core's successor — the simulator's rule of
-//! claiming a batch when the link can send. A parked link finishes its
-//! staged batch and claims nothing more. A link comes up as soon as its
-//! peer listens: a refused or timed-out connect is retried after 1 ms,
-//! the pause doubling up to 50 ms, for 2 s before the peer counts as
-//! down; and the strike rule's retry, which re-sends the lost batch over
-//! a fresh connection, runs on the same schedule for 100 ms.
+//! lane's policy: restart, the release gate (a step's commits reach the
+//! WAL before its replies and ring batches leave), batch selection and
+//! the successor links' rules — the connect back-off, one staged batch
+//! per link and the strike rule. The shell owns the sockets and the WAL.
+//! Each pump runs the core's due [`LinkOp`]s (connect, close a timed-out
+//! attempt, act on a crash verdict) and writes what the successor's link
+//! may [`claim`](LaneCore::claim); the shell reports back when a connect
+//! completes or fails and when a link's buffer drains, and the core's
+//! next link timer bounds the epoll wait.
+//!
+//! Crash verdicts come from the links. An inbound ring stream that closes
+//! or fails to decode condemns its peer at once. An outbound link's
+//! failures become a verdict through the strike rule: about 100 ms after
+//! it first breaks, its fresh connection still refused. A server whose
+//! links do not touch the dead peer learns of the crash only when its
+//! ring routes it there.
 //!
 //! Each lane owns its lane core, WAL and every socket routed to it.
 //! Lane 0 also owns the listener and every connection still mid
@@ -46,12 +50,12 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use hts_core::{LaneCore, LaneMap, Strike};
+use hts_core::{LaneCore, LaneMap, LinkOp};
 use hts_poll::{
     connect_nonblocking, read_nb, Event, Events, Interest, Poller, ReadStatus, Token, Waker,
 };
 use hts_types::codec::Hello;
-use hts_types::{ClientId, Message, RingFrame, ServerId};
+use hts_types::{ClientId, Message, Nanos, RingFrame, ServerId};
 use hts_wal::{Recovery, Wal, WalRecord};
 
 use crate::framing::{encode_ring_frames, frame_into, MessagePoll, NbMessageReader, WriteBuf};
@@ -61,24 +65,9 @@ use crate::server::{note_crash_verdict, recover_lanes, LaneConfig, ServerConfig,
 const WAKER_TOKEN: u64 = 0;
 /// Lane 0's listener registers under token 1.
 const LISTENER_TOKEN: u64 = 1;
-/// How long a nonblocking connect may stay in progress before the
-/// attempt counts as failed, and how long an accepted socket has to
-/// complete its hello before lane 0 closes it.
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
-/// Pause after the first failed successor connect attempt; each further
-/// failure doubles it, up to [`MAX_CONNECT_PAUSE`]. A peer that is not
-/// listening yet refuses at once, so a short first pause brings the link
-/// up within a millisecond or two of the peer's `listen`.
-const FIRST_CONNECT_PAUSE: Duration = Duration::from_millis(1);
-/// Longest pause between successor connect attempts.
-const MAX_CONNECT_PAUSE: Duration = Duration::from_millis(50);
-/// How long a new successor link keeps trying before its peer counts as
-/// down: outlasts a peer that is still booting (or restarting).
-const CONNECT_BUDGET: Duration = Duration::from_secs(2);
-/// How long the strike rule's fresh-connection retry keeps trying: the
-/// peer was reachable moments ago, so a short budget keeps the crash
-/// verdict prompt.
-const RETRY_BUDGET: Duration = Duration::from_millis(100);
+/// How long an accepted socket has to complete its hello before lane 0
+/// closes it.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(1);
 /// How long the listener stays unwatched after an accept error. It waits
 /// for a resource (a free descriptor, say), not for a peer, so it keeps
 /// a fixed pause.
@@ -216,96 +205,28 @@ struct RingInConn {
     reader: NbMessageReader,
 }
 
-/// Outbound successor link lifecycle. `Waiting` holds no fd (between
-/// connect attempts); `Connecting` is a nonblocking connect in flight.
-enum OutState {
-    Waiting {
-        retry_at: Instant,
-    },
-    Connecting {
-        stream: TcpStream,
-        deadline: Instant,
-    },
-    Ready(TcpStream),
-}
-
-impl OutState {
-    /// When the link's timer fires: its next connect attempt, or the
-    /// timeout of the one in flight.
-    fn timer(&self) -> Option<Instant> {
-        match self {
-            OutState::Waiting { retry_at } => Some(*retry_at),
-            OutState::Connecting { deadline, .. } => Some(*deadline),
-            OutState::Ready(_) => None,
-        }
-    }
-
-    /// The link's socket, once a connect attempt made one.
-    fn stream(&self) -> Option<&TcpStream> {
-        match self {
-            OutState::Connecting { stream, .. } | OutState::Ready(stream) => Some(stream),
-            OutState::Waiting { .. } => None,
-        }
-    }
-}
-
-/// A successor link's connect schedule. The first attempt runs at once;
-/// a failed attempt is retried after [`FIRST_CONNECT_PAUSE`], the pause
-/// doubling per failure up to [`MAX_CONNECT_PAUSE`], and the last pause
-/// is clamped so the final attempt starts exactly at the deadline. A
-/// failure at or past the deadline ends the schedule: the link is down.
-struct ConnectSchedule {
-    deadline: Instant,
-    pause: Duration,
-}
-
-impl ConnectSchedule {
-    /// A schedule whose first attempt runs at `now` and whose attempts
-    /// stop `budget` later.
-    fn new(now: Instant, budget: Duration) -> ConnectSchedule {
-        ConnectSchedule {
-            deadline: now + budget,
-            pause: FIRST_CONNECT_PAUSE,
-        }
-    }
-
-    /// After an attempt failed at `now`: when the next one starts, or
-    /// `None` once the deadline has passed.
-    fn retry_at(&mut self, now: Instant) -> Option<Instant> {
-        if now >= self.deadline {
-            return None;
-        }
-        let at = (now + self.pause).min(self.deadline);
-        self.pause = (self.pause * 2).min(MAX_CONNECT_PAUSE);
-        Some(at)
-    }
-}
-
-/// One outbound ring connection, holding at most one staged batch:
-/// `staged` keeps the batch's frames until `out` has fully drained (they
-/// are what a failed link loses), and only then may the link claim the
-/// core's next batch.
+/// The socket of one outbound ring link. Its policy (phase, staged
+/// batch, connect schedule, strike) lives in the lane core's link table.
 struct OutConn {
     token: u64,
-    peer: ServerId,
-    state: OutState,
-    staged: Vec<RingFrame>,
+    stream: TcpStream,
     out: WriteBuf,
-    schedule: ConnectSchedule,
+    /// Whether the nonblocking connect is still in flight.
+    connecting: bool,
     /// Whether the registration currently includes write interest.
     writing: bool,
-    /// When the currently staged batch was encoded (`now_nanos`; 0 =
-    /// none staged). Feeds `hts_net_ring_write_nanos`: the wall time a
-    /// batch takes to fully drain into the socket.
+    /// When the batch in `out` was encoded (`now_nanos`; 0 = none).
+    /// Feeds `hts_net_ring_write_nanos`: the wall time a batch takes to
+    /// fully drain into the socket.
     staged_at: u64,
 }
 
 impl OutConn {
-    /// Encodes the staged batch behind whatever `out` already holds and
-    /// starts the batch's write clock.
-    fn encode_staged(&mut self) {
-        let bytes = encode_ring_frames(&self.staged, self.out.tail());
-        hts_metrics::histogram!("hts_net_ring_batch_frames").record(self.staged.len() as u64);
+    /// Encodes `frames` behind whatever `out` already holds and starts
+    /// the batch's write clock.
+    fn encode(&mut self, frames: &[RingFrame]) {
+        let bytes = encode_ring_frames(frames, self.out.tail());
+        hts_metrics::histogram!("hts_net_ring_batch_frames").record(frames.len() as u64);
         hts_metrics::histogram!("hts_net_ring_batch_bytes").record(bytes as u64);
         self.staged_at = hts_metrics::now_nanos();
     }
@@ -354,8 +275,11 @@ struct Lane {
     /// of its newest socket.
     clients: HashMap<ClientId, u64>,
     ring_ins: HashMap<u64, RingInConn>,
+    /// The sockets of the lane core's links that have one.
     ring_outs: HashMap<ServerId, OutConn>,
     dirty: Vec<u64>,
+    /// The zero of the clock the lane core's links read.
+    epoch: Instant,
 }
 
 impl Lane {
@@ -389,6 +313,7 @@ impl Lane {
             ring_ins: HashMap::new(),
             ring_outs: HashMap::new(),
             dirty: Vec::new(),
+            epoch: Instant::now(),
         }
     }
 
@@ -413,7 +338,8 @@ impl Lane {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            self.handle_timers();
+            self.resume_accepting();
+            self.expire_hellos();
             if !self.persist_commits() {
                 break;
             }
@@ -497,7 +423,7 @@ impl Lane {
         let hellos = self.hellos.values().map(|c| &c.stream);
         let clients = self.client_conns.values().map(|c| &c.stream);
         let ring_ins = self.ring_ins.values().map(|c| &c.stream);
-        let ring_outs = self.ring_outs.values().filter_map(|c| c.state.stream());
+        let ring_outs = self.ring_outs.values().map(|c| &c.stream);
         let streams = hellos.chain(clients).chain(ring_ins).chain(ring_outs);
         let listener = self.listener.as_ref().map(AsRawFd::as_raw_fd);
         for fd in streams.map(AsRawFd::as_raw_fd).chain(listener) {
@@ -616,74 +542,71 @@ impl Lane {
         self.slots.remove(&token);
         let s = conn.from;
         // Any connection to the crashed server died with it; a parked
-        // entry must not be reused after a rejoin. The next pump links
-        // up with whichever successor the core moves to.
-        if let Some(out) = self.ring_outs.remove(&s) {
-            self.drop_out_sockets(&out);
-        }
+        // one must not be reused after a rejoin. The core forgets the
+        // link too, and the next pump links up with whichever successor
+        // it moves to.
+        self.close_out(s);
         note_crash_verdict(self.lc.id, self.lc.lane, s);
         self.core.on_peer_crashed(s);
     }
 
     // ---- outbound ring connections -----------------------------------
 
+    /// The lane's clock, as the lane core's links read it.
+    fn now(&self) -> Nanos {
+        Nanos(self.epoch.elapsed().as_nanos() as u64)
+    }
+
     fn on_out_event(&mut self, peer: ServerId, ev: Event) {
         let Some(mut conn) = self.ring_outs.remove(&peer) else {
             return;
         };
-        if self.drive_out(&mut conn, ev) {
+        if self.drive_out(peer, &mut conn, ev) {
             self.update_out_interest(&mut conn);
             self.ring_outs.insert(peer, conn);
         } else {
-            self.fail_out(conn);
+            self.out_failed(peer, &conn);
         }
     }
 
     /// Advances one outbound link on a readiness report. Returns
-    /// `false` when the link failed (caller runs the strike logic).
-    fn drive_out(&mut self, conn: &mut OutConn, ev: Event) -> bool {
-        match &conn.state {
-            // No fd in this state; a stale event for a closed fd.
-            OutState::Waiting { .. } => return true,
+    /// `false` when the link failed.
+    fn drive_out(&mut self, peer: ServerId, conn: &mut OutConn, ev: Event) -> bool {
+        if conn.connecting {
             // Writable resolves the attempt; SO_ERROR says how.
-            OutState::Connecting { stream, .. } if ev.is_error() || ev.writable() => {
-                if ev.is_error() || !matches!(stream.take_error(), Ok(None)) {
-                    return self.connect_failed(conn);
-                }
-                self.finish_connect(conn);
+            if !(ev.is_error() || ev.writable()) {
+                return true;
             }
-            OutState::Connecting { .. } | OutState::Ready(_) => {}
-        }
-        if !matches!(conn.state, OutState::Ready(_)) {
-            return true;
+            if ev.is_error() || !matches!(conn.stream.take_error(), Ok(None)) {
+                return false;
+            }
+            self.link_up(peer, conn);
         }
         // The successor never sends data back on this link: anything
         // readable is EOF or an error, caught here without waiting
         // for the next write to fail.
-        if ev.readable() && !self.drain_out_readable(conn) {
+        if ev.readable() && !drain_out_readable(&mut conn.stream) {
             return false;
         }
-        if ev.writable() && self.resume_write(conn).is_err() {
+        if ev.writable() && self.resume_write(peer, conn).is_err() {
             return false;
         }
         true
     }
 
     /// Moves the link's bytes into the socket until it pushes back or
-    /// nothing is left to stage. Each full drain clears the retry strike
-    /// (the link is proven healthy) and lets [`Lane::encode_next`] claim
-    /// the next batch. Hot: alloc-free — staging happens in
-    /// `encode_next`.
-    fn resume_write(&mut self, conn: &mut OutConn) -> io::Result<()> {
+    /// the lane core has no batch for it to claim. Each full drain is
+    /// reported to the core. Hot: alloc-free — the core stages batches.
+    fn resume_write(&mut self, peer: ServerId, conn: &mut OutConn) -> io::Result<()> {
         loop {
-            if conn.out.is_empty() && !self.encode_next(conn) {
-                return Ok(());
+            if conn.out.is_empty() {
+                let batch = self.core.claim(peer);
+                if batch.is_empty() {
+                    return Ok(());
+                }
+                conn.encode(batch);
             }
-            let drained = match &mut conn.state {
-                OutState::Ready(stream) => conn.out.flush(stream)?,
-                _ => return Ok(()),
-            };
-            if !drained {
+            if !conn.out.flush(&mut conn.stream)? {
                 return Ok(());
             }
             if conn.staged_at != 0 {
@@ -691,106 +614,41 @@ impl Lane {
                     .record(hts_metrics::now_nanos().saturating_sub(conn.staged_at));
                 conn.staged_at = 0;
             }
-            self.core.on_link_drained(conn.peer);
-            conn.staged.clear();
+            self.core.link_drained(peer);
         }
     }
 
-    /// Claims the core's next batch into a drained link, but only into
-    /// the core's current successor's: a parked link never claims.
-    /// Returns `false` when nothing was staged.
-    fn encode_next(&mut self, conn: &mut OutConn) -> bool {
-        if !matches!(conn.state, OutState::Ready(_)) || self.core.successor() != Some(conn.peer) {
-            return false;
-        }
-        conn.staged = self.core.next_batch(usize::MAX);
-        if conn.staged.is_empty() {
-            return false;
-        }
-        conn.encode_staged();
-        true
-    }
-
-    fn drain_out_readable(&mut self, conn: &mut OutConn) -> bool {
-        let OutState::Ready(stream) = &mut conn.state else {
-            return true;
-        };
-        let mut sink = [0u8; 512];
-        loop {
-            match read_nb(stream, &mut sink) {
-                Ok(ReadStatus::Data(_)) => {}
-                Ok(ReadStatus::WouldBlock) => return true,
-                Ok(ReadStatus::Eof) | Err(_) => return false,
-            }
-        }
-    }
-
-    /// Begins (or retries) a nonblocking connect to `conn.peer`.
-    /// Returns `false` only once the link's schedule is spent.
-    fn start_connect(&mut self, conn: &mut OutConn) -> bool {
-        match connect_nonblocking(self.lc.addrs[conn.peer.index()]) {
-            Ok((stream, done)) => {
-                stream.set_nodelay(true).ok();
-                if self
-                    .poller
-                    .register(stream.as_raw_fd(), Token(conn.token), Interest::BOTH)
-                    .is_err()
-                {
-                    return self.connect_failed(conn);
-                }
-                self.slots.insert(conn.token, SlotKind::RingOut(conn.peer));
-                if done {
-                    // Connected synchronously (the localhost common
-                    // case): stage the hello; the level-triggered
-                    // EPOLLOUT flushes it on the next wait.
-                    conn.state = OutState::Ready(stream);
-                    self.push_hello(conn);
-                } else {
-                    conn.state = OutState::Connecting {
-                        stream,
-                        deadline: Instant::now() + CONNECT_TIMEOUT,
-                    };
-                }
-                conn.writing = true;
-                true
-            }
-            Err(_) => self.connect_failed(conn),
-        }
-    }
-
-    /// One connect attempt failed: close its socket (if any) and — while
-    /// the schedule runs — back off to `Waiting` until its next attempt.
-    /// Returns `false` once the schedule's deadline has passed.
-    fn connect_failed(&mut self, conn: &mut OutConn) -> bool {
-        self.drop_out_sockets(conn);
-        conn.writing = false;
-        let now = Instant::now();
-        let next = conn.schedule.retry_at(now);
-        conn.state = OutState::Waiting {
-            retry_at: next.unwrap_or(now),
-        };
-        next.is_some()
-    }
-
-    /// A nonblocking connect completed: become `Ready` and stage the
-    /// lane-tagged handshake (with a retry's lost batch behind it). The
-    /// first full drain of the buffer then clears any retry strike: the
-    /// link is proven healthy even if no frame follows for a while.
-    fn finish_connect(&mut self, conn: &mut OutConn) {
-        let placeholder = OutState::Waiting {
-            retry_at: Instant::now(),
-        };
-        let OutState::Connecting { stream, .. } = std::mem::replace(&mut conn.state, placeholder)
-        else {
+    /// Begins a nonblocking connect to `peer`, as the lane core asked.
+    fn connect(&mut self, peer: ServerId) {
+        let Ok((stream, done)) = connect_nonblocking(self.lc.addrs[peer.index()]) else {
+            self.report_failure(peer);
             return;
         };
-        conn.state = OutState::Ready(stream);
-        self.push_hello(conn);
+        stream.set_nodelay(true).ok();
+        let Some(token) = self.watch(&stream, SlotKind::RingOut(peer), Interest::BOTH) else {
+            self.report_failure(peer);
+            return;
+        };
+        let mut conn = OutConn {
+            token,
+            stream,
+            out: WriteBuf::new(),
+            connecting: true,
+            writing: true,
+            staged_at: 0,
+        };
+        if done {
+            // Connected synchronously (the localhost common case): the
+            // level-triggered EPOLLOUT flushes the hello on the next wait.
+            self.link_up(peer, &mut conn);
+        }
+        self.ring_outs.insert(peer, conn);
     }
 
-    /// Stages the handshake on a link that just connected, and behind
-    /// it the batch a failed connection lost, if any.
-    fn push_hello(&mut self, conn: &mut OutConn) {
+    /// A connect completed: stage the lane-tagged handshake and, behind
+    /// it, the batch a failed connection lost, if any.
+    fn link_up(&mut self, peer: ServerId, conn: &mut OutConn) {
+        conn.connecting = false;
         // Lane 0 keeps the legacy handshake (a single-lane cluster
         // speaks the pre-lane wire protocol bit for bit).
         let hello = if self.lc.lane == 0 {
@@ -799,90 +657,68 @@ impl Lane {
             Hello::ServerLane(self.lc.id, self.lc.lane)
         };
         conn.out.tail().extend_from_slice(&hello.encode());
-        if !conn.staged.is_empty() {
-            conn.encode_staged();
+        let lost = self.core.link_up(peer);
+        if !lost.is_empty() {
+            conn.encode(lost);
         }
     }
 
     /// Keeps write interest armed only while the link has (or is about
     /// to learn whether it has) bytes to move.
     fn update_out_interest(&mut self, conn: &mut OutConn) {
-        let (fd, want) = match &conn.state {
-            OutState::Waiting { .. } => return,
-            OutState::Connecting { stream, .. } => (stream.as_raw_fd(), true),
-            OutState::Ready(stream) => (stream.as_raw_fd(), !conn.out.is_empty()),
-        };
+        let want = conn.connecting || !conn.out.is_empty();
+        let fd = conn.stream.as_raw_fd();
         self.want_write(fd, conn.token, &mut conn.writing, want);
     }
 
-    /// A link to `peer` whose connect attempts may run for `budget`,
-    /// the first one at once.
-    fn new_out_conn(&mut self, peer: ServerId, budget: Duration) -> OutConn {
-        let token = self.next_token;
-        self.next_token += 1;
-        let now = Instant::now();
-        OutConn {
-            token,
-            peer,
-            state: OutState::Waiting { retry_at: now },
-            staged: Vec::new(),
-            out: WriteBuf::new(),
-            schedule: ConnectSchedule::new(now, budget),
-            writing: false,
-            staged_at: 0,
+    /// A link's socket failed: close it and tell the lane core.
+    fn out_failed(&mut self, peer: ServerId, conn: &OutConn) {
+        self.drop_out_socket(conn);
+        self.report_failure(peer);
+    }
+
+    /// Reports a failed link to the lane core, noting a crash verdict.
+    fn report_failure(&mut self, peer: ServerId) {
+        if self.core.link_failed(peer, self.now()) {
+            note_crash_verdict(self.lc.id, self.lc.lane, peer);
         }
     }
 
-    /// Runs the lane core's strike rule on a failed link: the first
-    /// failure moves the lost batch onto one fresh connection, a second
-    /// failure in a row is a crash verdict.
-    fn fail_out(&mut self, mut conn: OutConn) {
-        loop {
-            self.drop_out_sockets(&conn);
-            let peer = conn.peer;
-            let lost = std::mem::take(&mut conn.staged);
-            let Strike::Retry(lost) = self.core.on_link_failed(peer, lost) else {
-                note_crash_verdict(self.lc.id, self.lc.lane, peer);
-                return;
-            };
-            let mut fresh = self.new_out_conn(peer, RETRY_BUDGET);
-            fresh.staged = lost;
-            if self.start_connect(&mut fresh) {
-                self.update_out_interest(&mut fresh);
-                self.ring_outs.insert(peer, fresh);
-                return;
-            }
-            conn = fresh;
+    /// Closes the socket of the link to `peer`, if it has one.
+    fn close_out(&mut self, peer: ServerId) {
+        if let Some(conn) = self.ring_outs.remove(&peer) {
+            self.drop_out_socket(&conn);
         }
     }
 
-    fn drop_out_sockets(&mut self, conn: &OutConn) {
+    fn drop_out_socket(&mut self, conn: &OutConn) {
         self.slots.remove(&conn.token);
-        if let Some(stream) = conn.state.stream() {
-            self.poller.deregister(stream.as_raw_fd());
-        }
+        self.poller.deregister(conn.stream.as_raw_fd());
     }
 
-    /// Feeds the core's successor until the core has nothing ready or
-    /// the socket pushes back. A successor without a link (a parked one
-    /// is reused as it stands) gets a fresh connection first.
+    /// Runs the lane core's due link ops, then feeds the core's
+    /// successor until the core has nothing ready or the socket pushes
+    /// back.
     fn pump(&mut self) {
+        let now = self.now();
+        while let Some(op) = self.core.poll_links(now) {
+            match op {
+                LinkOp::Connect(peer) => self.connect(peer),
+                LinkOp::Close(peer) => self.close_out(peer),
+                LinkOp::Crashed(peer) => {
+                    self.close_out(peer);
+                    note_crash_verdict(self.lc.id, self.lc.lane, peer);
+                }
+            }
+        }
         let Some(next) = self.core.successor() else {
             return;
         };
-        let mut conn = match self.ring_outs.remove(&next) {
-            Some(conn) => conn,
-            None => {
-                let mut conn = self.new_out_conn(next, CONNECT_BUDGET);
-                if !self.start_connect(&mut conn) {
-                    self.fail_out(conn);
-                    return;
-                }
-                conn
-            }
+        let Some(mut conn) = self.ring_outs.remove(&next) else {
+            return;
         };
-        if self.resume_write(&mut conn).is_err() {
-            self.fail_out(conn);
+        if self.resume_write(next, &mut conn).is_err() {
+            self.out_failed(next, &conn);
             return;
         }
         self.update_out_interest(&mut conn);
@@ -892,39 +728,15 @@ impl Lane {
     // ---- timers ------------------------------------------------------
 
     fn next_timeout(&self) -> Option<Duration> {
+        let now = Instant::now();
         let hellos = self.hellos.values().map(|conn| Some(conn.deadline));
-        let links = self.ring_outs.values().map(|conn| conn.state.timer());
+        let link_at = |at: Nanos| self.epoch + Duration::from_nanos(at.as_nanos());
         std::iter::once(self.accept_paused_until)
             .chain(hellos)
-            .chain(links)
+            .chain(std::iter::once(self.core.next_link_timer().map(link_at)))
             .flatten()
             .min()
-            .map(|deadline| deadline.saturating_duration_since(Instant::now()))
-    }
-
-    fn handle_timers(&mut self) {
-        self.resume_accepting();
-        self.expire_hellos();
-        let now = Instant::now();
-        let due: Vec<(ServerId, OutConn)> = self
-            .ring_outs
-            .extract_if(|_, conn| conn.state.timer().is_some_and(|at| at <= now))
-            .collect();
-        for (peer, mut conn) in due {
-            // A waiting link makes its next attempt; a connecting one
-            // timed out.
-            let healthy = if matches!(conn.state, OutState::Waiting { .. }) {
-                self.start_connect(&mut conn)
-            } else {
-                self.connect_failed(&mut conn)
-            };
-            if healthy {
-                self.update_out_interest(&mut conn);
-                self.ring_outs.insert(peer, conn);
-            } else {
-                self.fail_out(conn);
-            }
-        }
+            .map(|deadline| deadline.saturating_duration_since(now))
     }
 
     // ---- injects -----------------------------------------------------
@@ -947,7 +759,7 @@ impl Lane {
     }
 
     fn add_client(&mut self, c: ClientId, stream: TcpStream) {
-        let Some(token) = self.watch(&stream, SlotKind::Client) else {
+        let Some(token) = self.watch(&stream, SlotKind::Client, Interest::READABLE) else {
             return;
         };
         self.clients.insert(c, token);
@@ -967,7 +779,7 @@ impl Lane {
     }
 
     fn add_ring_in(&mut self, s: ServerId, stream: TcpStream) {
-        let Some(token) = self.watch(&stream, SlotKind::RingIn) else {
+        let Some(token) = self.watch(&stream, SlotKind::RingIn, Interest::READABLE) else {
             return;
         };
         self.ring_ins.insert(
@@ -980,13 +792,13 @@ impl Lane {
         );
     }
 
-    /// Watches `stream` for reads under a fresh token, as a `kind` slot;
-    /// `None` when the poller refuses it.
-    fn watch(&mut self, stream: &TcpStream, kind: SlotKind) -> Option<u64> {
+    /// Watches `stream` for `interest` under a fresh token, as a `kind`
+    /// slot; `None` when the poller refuses it.
+    fn watch(&mut self, stream: &TcpStream, kind: SlotKind, interest: Interest) -> Option<u64> {
         let token = self.next_token;
         self.next_token += 1;
         self.poller
-            .register(stream.as_raw_fd(), Token(token), Interest::READABLE)
+            .register(stream.as_raw_fd(), Token(token), interest)
             .ok()?;
         self.slots.insert(token, kind);
         Some(token)
@@ -1046,7 +858,8 @@ impl Lane {
                         continue;
                     }
                     stream.set_nodelay(true).ok();
-                    let Some(token) = self.watch(&stream, SlotKind::Hello) else {
+                    let Some(token) = self.watch(&stream, SlotKind::Hello, Interest::READABLE)
+                    else {
                         continue;
                     };
                     self.hellos.insert(
@@ -1055,7 +868,7 @@ impl Lane {
                             stream,
                             buf: [0; 5],
                             filled: 0,
-                            deadline: Instant::now() + CONNECT_TIMEOUT,
+                            deadline: Instant::now() + HELLO_TIMEOUT,
                         },
                     );
                 }
@@ -1153,54 +966,15 @@ impl Lane {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Start times, as offsets from the first, of every attempt a
-    /// schedule with `budget` allows when each attempt fails the instant
-    /// it starts.
-    fn attempt_offsets(budget: Duration) -> Vec<Duration> {
-        let t0 = Instant::now();
-        let mut schedule = ConnectSchedule::new(t0, budget);
-        // The first attempt runs at once.
-        let mut offsets = vec![Duration::ZERO];
-        let mut now = t0;
-        while let Some(next) = schedule.retry_at(now) {
-            assert!(next > now, "an attempt never runs before the last failure");
-            offsets.push(next - t0);
-            now = next;
+/// Reads whatever the successor sent back on an outbound link: `false`
+/// on EOF or an error.
+fn drain_out_readable(stream: &mut TcpStream) -> bool {
+    let mut sink = [0u8; 512];
+    loop {
+        match read_nb(stream, &mut sink) {
+            Ok(ReadStatus::Data(_)) => {}
+            Ok(ReadStatus::WouldBlock) => return true,
+            Ok(ReadStatus::Eof) | Err(_) => return false,
         }
-        offsets
-    }
-
-    #[test]
-    fn connect_schedule_doubles_to_the_cap_and_stops_at_the_deadline() {
-        let ms = Duration::from_millis;
-        let offsets = attempt_offsets(CONNECT_BUDGET);
-        let pauses: Vec<Duration> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
-        assert_eq!(
-            pauses[..7],
-            [ms(1), ms(2), ms(4), ms(8), ms(16), ms(32), ms(50)]
-        );
-        // Capped at 50 ms, except the last pause, clamped so the final
-        // attempt starts exactly at the 2 s deadline.
-        let (last, capped) = pauses[6..].split_last().unwrap();
-        assert!(capped.iter().all(|&p| p == MAX_CONNECT_PAUSE));
-        assert!(*last > Duration::ZERO && *last <= MAX_CONNECT_PAUSE);
-        assert_eq!(offsets.last(), Some(&ms(2_000)));
-
-        // The one-fresh-connection retry still gives its peer 100 ms.
-        assert_eq!(
-            attempt_offsets(RETRY_BUDGET),
-            [0, 1, 3, 7, 15, 31, 63, 100].map(ms)
-        );
-
-        // A failure that lands late (a slow connect timing out past the
-        // deadline) ends the schedule too.
-        let t0 = Instant::now();
-        let mut schedule = ConnectSchedule::new(t0, RETRY_BUDGET);
-        assert_eq!(schedule.retry_at(t0 + ms(99)), Some(t0 + ms(100)));
-        assert_eq!(schedule.retry_at(t0 + ms(150)), None);
     }
 }

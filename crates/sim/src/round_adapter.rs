@@ -26,14 +26,16 @@ pub struct RoundServer {
 }
 
 impl RoundServer {
-    /// Creates round-model server `me` of `n` on the given networks.
+    /// Creates round-model server `me` of `n` on the given networks. The
+    /// model sends one ring frame per round, so batches hold one frame.
     pub fn new(
         me: ServerId,
         n: u16,
-        config: Config,
+        mut config: Config,
         ring_net: NetworkId,
         client_net: NetworkId,
     ) -> Self {
+        config.batching.max_frames = 1;
         RoundServer {
             core: LaneCore::new(me, n, 0, config),
             ring_net,
@@ -68,7 +70,7 @@ impl RoundProcess<Message> for RoundServer {
         // Send: one ring frame (the fairness-selected, possibly
         // piggybacked slot) and one client reply.
         if let Some(successor) = self.core.successor() {
-            if let Some(frame) = self.core.next_batch(1).pop() {
+            if let Some(frame) = self.core.next_batch().pop() {
                 let to = [NodeId::Server(successor)];
                 ctx.send(self.ring_net, &to, Message::Ring(frame));
             }

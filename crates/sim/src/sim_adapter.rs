@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
-use hts_core::{Config, Durability, LaneCore, LaneMap, SessionCore};
+use hts_core::{Config, Durability, LaneCore, LaneMap, LinkOp, SessionCore};
 use hts_lincheck::{History, OpId};
 use hts_types::{ClientId, Message, NodeId, ObjectId, RequestId, RingFrame, ServerId, Tag, Value};
 
@@ -276,8 +276,17 @@ impl SimServer {
         }
     }
 
+    /// Sends the lane's next batch to its successor, claimed through the
+    /// lane core's links. A simulated link comes up at once, a sent batch
+    /// counts as drained, and crashes come from PacketSim's detector.
     fn send_ring_frame(&mut self, ctx: &mut Ctx<'_, Message>, lane_idx: usize) -> bool {
+        let now = ctx.now();
         let lane = &mut self.lanes[lane_idx];
+        while let Some(op) = lane.core.poll_links(now) {
+            if let LinkOp::Connect(peer) = op {
+                lane.core.link_up(peer);
+            }
+        }
         let Some(successor) = lane.core.successor() else {
             return false;
         };
@@ -285,10 +294,10 @@ impl SimServer {
         // (one serialization, one per-message processing delay at the
         // receiver) — the simulated analogue of the coalescing TCP
         // writer.
-        let frames = lane.core.next_batch(usize::MAX);
-        if frames.is_empty() {
+        if lane.core.claim(successor).is_empty() {
             return false;
         }
+        let frames = lane.core.link_drained(successor);
         // Only wire messages that actually ship are measured — idle polls
         // would drown the batch-size distribution in zeros.
         hts_metrics::histogram!("hts_sim_ring_batch_frames").record(frames.len() as u64);
