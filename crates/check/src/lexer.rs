@@ -1,12 +1,13 @@
 //! A hand-rolled Rust lexer, just deep enough for linting.
 //!
 //! The rules in [`crate::rules`] operate on a token stream with comments
-//! and string/char literal *contents* stripped: a `panic!` inside a doc
-//! comment or an error message must never count as a violation. The lexer
-//! therefore distinguishes exactly three code token kinds — identifiers
-//! (keywords included), literals, and single-character punctuation — and
-//! returns comments separately with their line spans (rule L5 and the
-//! `// lint: allow(...)` suppressions need them).
+//! and string/char literal *contents* stripped: a `Vec::new()` inside a
+//! doc comment or an error message must never count as a violation. The
+//! lexer therefore distinguishes exactly three code token kinds —
+//! identifiers (keywords included), literals, and single-character
+//! punctuation — and returns comments separately with their line spans
+//! (L7's `// ordering:` comments and the `// lint: allow(...)`
+//! suppressions need them).
 //!
 //! It is *not* a full Rust lexer: numeric literals are folded greedily,
 //! and token text is borrowed straight from the source. That is enough
@@ -47,12 +48,10 @@ impl Tok<'_> {
     }
 }
 
-/// A comment with its line span and raw text (`//`/`/* */` markers kept).
+/// A comment with its last line and raw text (`//`/`/* */` markers kept).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Comment {
-    /// 1-based line the comment starts on.
-    pub line: u32,
-    /// 1-based line the comment ends on (same as `line` for `//`).
+    /// 1-based line the comment ends on.
     pub end_line: u32,
     /// The raw comment text.
     pub text: String,
@@ -75,6 +74,30 @@ pub fn lex(src: &str) -> Lexed<'_> {
     let mut line = 1u32;
     while i < bytes.len() {
         let c = bytes[i];
+        // A literal token carries the line it *starts* on; the skip
+        // helpers bump `line` past any newlines inside it.
+        let start_line = line;
+        let literal = match c {
+            b'"' => Some((skip_quoted(bytes, i, &mut line), "\"\"")),
+            b'b' if bytes.get(i + 1) == Some(&b'"') => {
+                Some((skip_quoted(bytes, i + 1, &mut line), "\"\""))
+            }
+            b'b' if bytes.get(i + 1) == Some(&b'\'') => {
+                Some((skip_quoted(bytes, i + 1, &mut line), "''"))
+            }
+            b'r' | b'b' => skip_raw_string(bytes, i, &mut line).map(|end| (end, "\"\"")),
+            b'\'' if !is_lifetime(bytes, i) => Some((skip_quoted(bytes, i, &mut line), "''")),
+            _ => None,
+        };
+        if let Some((end, text)) = literal {
+            out.toks.push(Tok {
+                kind: TokKind::Literal,
+                text,
+                line: start_line,
+            });
+            i = end;
+            continue;
+        }
         match c {
             b'\n' => {
                 line += 1;
@@ -87,13 +110,12 @@ pub fn lex(src: &str) -> Lexed<'_> {
                     i += 1;
                 }
                 out.comments.push(Comment {
-                    line,
                     end_line: line,
                     text: src[start..i].to_string(),
                 });
             }
             b'/' if bytes.get(i + 1) == Some(&b'*') => {
-                let (start, start_line) = (i, line);
+                let start = i;
                 let mut depth = 0usize;
                 while i < bytes.len() {
                     if bytes[i] == b'/' && bytes.get(i + 1) == Some(&b'*') {
@@ -113,74 +135,22 @@ pub fn lex(src: &str) -> Lexed<'_> {
                     }
                 }
                 out.comments.push(Comment {
-                    line: start_line,
                     end_line: line,
                     text: src[start..i].to_string(),
                 });
             }
-            b'"' => {
-                // The token carries the line it *starts* on; skip_* bumps
-                // `line` past any newlines inside the literal.
-                let start_line = line;
-                i = skip_string(bytes, i, &mut line);
-                out.toks.push(Tok {
-                    kind: TokKind::Literal,
-                    text: "\"\"",
-                    line: start_line,
-                });
-            }
-            b'r' | b'b' if is_raw_string_start(bytes, i) => {
-                let start_line = line;
-                i = skip_raw_string(bytes, i, &mut line);
-                out.toks.push(Tok {
-                    kind: TokKind::Literal,
-                    text: "\"\"",
-                    line: start_line,
-                });
-            }
-            b'b' if bytes.get(i + 1) == Some(&b'"') => {
-                let start_line = line;
-                i = skip_string(bytes, i + 1, &mut line);
-                out.toks.push(Tok {
-                    kind: TokKind::Literal,
-                    text: "\"\"",
-                    line: start_line,
-                });
-            }
-            b'b' if bytes.get(i + 1) == Some(&b'\'') => {
-                let start_line = line;
-                i = skip_char(bytes, i + 1, &mut line);
-                out.toks.push(Tok {
-                    kind: TokKind::Literal,
-                    text: "''",
-                    line: start_line,
-                });
-            }
             b'\'' => {
-                // Lifetime (`'a`) vs char literal (`'a'`, `'\n'`).
-                let after = bytes.get(i + 1).copied().unwrap_or(0);
-                let is_lifetime = (after.is_ascii_alphabetic() || after == b'_')
-                    && bytes.get(i + 2) != Some(&b'\'');
-                if is_lifetime {
+                // A lifetime (`'a`); char literals were taken above.
+                i += 1;
+                let start = i;
+                while i < bytes.len() && is_ident_byte(bytes[i]) {
                     i += 1;
-                    let start = i;
-                    while i < bytes.len() && is_ident_byte(bytes[i]) {
-                        i += 1;
-                    }
-                    out.toks.push(Tok {
-                        kind: TokKind::Literal,
-                        text: &src[start..i],
-                        line,
-                    });
-                } else {
-                    let start_line = line;
-                    i = skip_char(bytes, i, &mut line);
-                    out.toks.push(Tok {
-                        kind: TokKind::Literal,
-                        text: "''",
-                        line: start_line,
-                    });
                 }
+                out.toks.push(Tok {
+                    kind: TokKind::Literal,
+                    text: &src[start..i],
+                    line,
+                });
             }
             _ if c.is_ascii_alphabetic() || c == b'_' || !c.is_ascii() => {
                 let start = i;
@@ -235,29 +205,17 @@ fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || !b.is_ascii()
 }
 
-/// Does a raw (byte) string literal start at `i` (`r"`, `r#"`, `br"`, ...)?
-fn is_raw_string_start(bytes: &[u8], i: usize) -> bool {
-    let mut j = i;
-    if bytes[j] == b'b' {
-        j += 1;
-        if bytes.get(j) != Some(&b'r') {
-            return false;
-        }
-    }
-    if bytes.get(j) != Some(&b'r') {
-        return false;
-    }
-    j += 1;
-    while bytes.get(j) == Some(&b'#') {
-        j += 1;
-    }
-    bytes.get(j) == Some(&b'"')
+/// Lifetime (`'a`) vs char literal (`'a'`, `'\n'`) at the quote at `i`.
+fn is_lifetime(bytes: &[u8], i: usize) -> bool {
+    let after = bytes.get(i + 1).copied().unwrap_or(0);
+    (after.is_ascii_alphabetic() || after == b'_') && bytes.get(i + 2) != Some(&b'\'')
 }
 
-/// Skips a `"..."` string starting at the opening quote; returns the index
-/// past the closing quote.
-fn skip_string(bytes: &[u8], mut i: usize, line: &mut u32) -> usize {
-    i += 1; // opening quote
+/// Skips a `"..."` string or `'.'` char literal starting at its opening
+/// quote; returns the index past the closing quote.
+fn skip_quoted(bytes: &[u8], mut i: usize, line: &mut u32) -> usize {
+    let quote = bytes[i];
+    i += 1;
     while i < bytes.len() {
         match bytes[i] {
             b'\\' => {
@@ -268,70 +226,37 @@ fn skip_string(bytes: &[u8], mut i: usize, line: &mut u32) -> usize {
                 }
                 i += 2;
             }
-            b'"' => return i + 1,
             b'\n' => {
                 *line += 1;
                 i += 1;
             }
+            b if b == quote => return i + 1,
             _ => i += 1,
         }
     }
     i
 }
 
-/// Skips a raw string starting at `r`/`b`; returns the index past the
-/// closing quote + hashes.
-fn skip_raw_string(bytes: &[u8], mut i: usize, line: &mut u32) -> usize {
-    if bytes[i] == b'b' {
-        i += 1;
+/// Skips the raw (byte) string literal (`r"`, `r#"`, `br"`, ...) at `i`,
+/// if one starts there; returns the index past its closing quote and
+/// hashes.
+fn skip_raw_string(bytes: &[u8], i: usize, line: &mut u32) -> Option<usize> {
+    let r = i + usize::from(bytes[i] == b'b');
+    let hashes = bytes.iter().skip(r + 1).take_while(|&&b| b == b'#').count();
+    let open = r + 1 + hashes;
+    if bytes.get(r) != Some(&b'r') || bytes.get(open) != Some(&b'"') {
+        return None;
     }
-    i += 1; // 'r'
-    let mut hashes = 0usize;
-    while bytes.get(i) == Some(&b'#') {
-        hashes += 1;
-        i += 1;
-    }
-    i += 1; // opening quote
-    while i < bytes.len() {
-        if bytes[i] == b'\n' {
-            *line += 1;
+    let mut k = open + 1;
+    while k < bytes.len() {
+        let tail = bytes[k + 1..].iter().take_while(|&&b| b == b'#').count();
+        if bytes[k] == b'"' && tail >= hashes {
+            return Some(k + 1 + hashes);
         }
-        if bytes[i] == b'"' {
-            let mut j = i + 1;
-            let mut seen = 0usize;
-            while seen < hashes && bytes.get(j) == Some(&b'#') {
-                seen += 1;
-                j += 1;
-            }
-            if seen == hashes {
-                return j;
-            }
-        }
-        i += 1;
+        *line += u32::from(bytes[k] == b'\n');
+        k += 1;
     }
-    i
-}
-
-/// Skips a `'.'` char literal starting at the opening quote.
-fn skip_char(bytes: &[u8], mut i: usize, line: &mut u32) -> usize {
-    i += 1; // opening quote
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => {
-                if bytes.get(i + 1) == Some(&b'\n') {
-                    *line += 1;
-                }
-                i += 2;
-            }
-            b'\'' => return i + 1,
-            b'\n' => {
-                *line += 1;
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    i
+    Some(k)
 }
 
 #[cfg(test)]

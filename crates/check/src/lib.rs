@@ -1,38 +1,33 @@
-//! `hts-check`: a protocol-safety static analysis pass for the hts
-//! workspace, with a committed lint-baseline ratchet.
+//! `hts-check`: the protocol-safety rules of the hts workspace that
+//! clippy cannot state.
 //!
-//! Three of the first five PRs of this repository fixed concurrency and
-//! error-handling bugs that a project-specific static check would have
-//! caught before review: a `thread::sleep` stalling the ring writer, an
-//! `assert!` where an `io::Error` belonged, and a silent catch-all match
-//! arm hiding an alive-map recovery bug. This crate is that check — a
-//! dependency-free, token-level linter enforcing seven rules over the
-//! protocol crates (`crates/{types,core,net,wal,sim,metrics}`):
+//! The protocol crates (`crates/{types,core,net,wal,sim,metrics}`) are
+//! held to seven rules. Four are clippy lints, denied in each protocol
+//! crate's `lib.rs` (non-test builds) and in the workspace's
+//! `[workspace.lints.clippy]` table:
 //!
-//! * **L1 `no_panic`** — no `unwrap`/`expect`/`panic!`/`assert!`-family
-//!   in non-test protocol code; errors must propagate.
-//! * **L2 `no_sleep`** — no `thread::sleep` (event loops and client
-//!   attempt paths must block on readiness or deadlines).
-//! * **L3 `guard_across_io`** — no lock guard bound live across a
-//!   `write`/`flush`/`sync` call in the same block.
-//! * **L4 `message_catch_all`** — no `_ =>` catch-all when matching on
-//!   `Message` wire variants; every variant is dispatched by name.
-//! * **L5 `unsafe_safety`** — every `unsafe` block carries a
-//!   `// SAFETY:` comment.
-//! * **L6 `ring_hot_loop`** — no `Instant::now()` or allocation
-//!   constructors inside the per-frame ring hot functions (the
-//!   `hts_metrics` helpers are alloc-free and exempt by construction).
-//! * **L7 `atomic_ordering`** — every `Ordering::Relaxed` outside the
-//!   pure-counter metrics modules and every fence carries a
-//!   `// ordering:` comment, and only the files on a short allow-list
-//!   construct atomics at all, so a new atomic protocol starts with an
-//!   explicit edit to that list.
+//! * **L1 `no_panic`** — `clippy::{unwrap_used, expect_used, panic,
+//!   unreachable, todo, unimplemented}`, plus `clippy::disallowed_macros`
+//!   for the `assert!` family listed in `clippy.toml`;
+//! * **L2 `no_sleep`** — `clippy::disallowed_methods` for
+//!   `std::thread::sleep`;
+//! * **L4 `message_catch_all`** — `clippy::wildcard_enum_match_arm`,
+//!   which covers every enum, not only `Message`;
+//! * **L5 `unsafe_safety`** — `clippy::undocumented_unsafe_blocks`, in
+//!   every crate of the workspace.
 //!
-//! Existing debt is frozen in `lint-baseline.toml` (see [`baseline`]):
-//! new violations fail CI, fixed ones shrink the ratchet. Run with
-//! `cargo run -p hts-check -- --ci`.
+//! An exemption from any of them is an `#[expect(lint, reason = "…")]`
+//! (`clippy::allow_attributes` and `allow_attributes_without_reason` are
+//! denied), and an `expect` fails once its site is fixed.
+//!
+//! This crate is a dependency-free, token-level linter for the other
+//! three — L3 `guard_across_io`, L6 `ring_hot_loop` and L7
+//! `atomic_ordering` (see [`rules`]) — which need to know which calls
+//! block, which functions are hot and which files may hold atomics.
+//! A justified exception carries `// lint: allow(<rule>): reason` on its
+//! line or the line above. Any other violation fails the run:
+//! `cargo run -p hts-check`.
 
-pub mod baseline;
 pub mod lexer;
 pub mod rules;
 
@@ -40,7 +35,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use baseline::{diff, Baseline, Diff};
 pub use rules::{check_file, Rule, Violation};
 
 /// The protocol crates the workspace lint covers. `metrics` is included
@@ -50,8 +44,7 @@ pub const PROTOCOL_CRATES: [&str; 6] = ["types", "core", "net", "wal", "sim", "m
 /// Lints `crates/<crate>/src/**/*.rs` under `root` for each named crate.
 ///
 /// Returns violations sorted by file, then line. Paths in the result are
-/// `root`-relative with `/` separators (stable across platforms, and what
-/// the baseline file keys on).
+/// `root`-relative with `/` separators (stable across platforms).
 ///
 /// # Errors
 ///

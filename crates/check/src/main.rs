@@ -1,166 +1,57 @@
-//! The `hts-check` CLI: lint the workspace, diff against the committed
-//! baseline, optionally rewrite it.
+//! The `hts-check` CLI: lint the protocol crates, print every violation.
 //!
 //! ```text
-//! hts-check [--ci] [--list] [--update-baseline]
-//!           [--root DIR] [--baseline FILE] [--crates a,b,c]
+//! hts-check [--root DIR] [--crates a,b,c]
 //! ```
 //!
-//! Exit codes: 0 clean (or within baseline), 1 new violations (or, with
-//! `--ci`, a missing/corrupt baseline), 2 usage or I/O error.
+//! Exit codes: 0 clean, 1 violations, 2 usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use hts_check::{check_workspace, diff, Baseline, Rule, PROTOCOL_CRATES};
+use hts_check::{check_workspace, Rule, PROTOCOL_CRATES};
 
-struct Args {
-    ci: bool,
-    list: bool,
-    update: bool,
-    root: PathBuf,
-    baseline: Option<PathBuf>,
-    crates: Vec<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        ci: false,
-        list: false,
-        update: false,
-        root: PathBuf::from("."),
-        baseline: None,
-        crates: PROTOCOL_CRATES.iter().map(|s| s.to_string()).collect(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--ci" => args.ci = true,
-            "--list" => args.list = true,
-            "--update-baseline" => args.update = true,
-            "--root" => args.root = PathBuf::from(it.next().ok_or("--root needs a value")?),
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?))
-            }
-            "--crates" => {
-                args.crates = it
-                    .next()
-                    .ok_or("--crates needs a value")?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .collect()
-            }
-            "--help" | "-h" => {
-                return Err("usage: hts-check [--ci] [--list] [--update-baseline] \
-                            [--root DIR] [--baseline FILE] [--crates a,b,c]"
-                    .to_string())
-            }
-            other => return Err(format!("unknown argument {other:?} (try --help)")),
-        }
-    }
-    Ok(args)
-}
+const USAGE: &str = "usage: hts-check [--root DIR] [--crates a,b,c]";
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
+    let mut root = PathBuf::from(".");
+    let mut crates: Vec<String> = PROTOCOL_CRATES.iter().map(|s| s.to_string()).collect();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match (arg.as_str(), args.next()) {
+            ("--root", Some(dir)) => root = PathBuf::from(dir),
+            ("--crates", Some(list)) => {
+                crates = list.split(',').map(|s| s.trim().to_string()).collect()
+            }
+            _ => {
+                eprintln!("{USAGE}");
+                return ExitCode::from(2);
+            }
         }
-    };
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| args.root.join("lint-baseline.toml"));
-    let crates: Vec<&str> = args.crates.iter().map(String::as_str).collect();
-    let violations = match check_workspace(&args.root, &crates) {
+    }
+    let crates: Vec<&str> = crates.iter().map(String::as_str).collect();
+    let violations = match check_workspace(&root, &crates) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("hts-check: {e}");
             return ExitCode::from(2);
         }
     };
-
-    if args.update {
-        let base = Baseline::from_violations(&violations);
-        if let Err(e) = std::fs::write(&baseline_path, base.to_toml()) {
-            eprintln!("hts-check: writing {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "hts-check: baseline rewritten ({} sites) -> {}",
-            violations.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let base = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "hts-check: corrupt baseline {}: {e}",
-                    baseline_path.display()
-                );
-                return ExitCode::from(if args.ci { 1 } else { 2 });
-            }
-        },
-        Err(_) if !args.ci => {
-            println!(
-                "hts-check: no baseline at {} (every violation reported; \
-                 freeze with --update-baseline)",
-                baseline_path.display()
-            );
-            Baseline::default()
-        }
-        Err(e) => {
-            eprintln!(
-                "hts-check: --ci requires a committed baseline, cannot read {}: {e}",
-                baseline_path.display()
-            );
-            return ExitCode::from(1);
-        }
-    };
-
-    if args.list {
-        for v in &violations {
-            println!("{v}");
-        }
-    }
-
-    let d = diff(&violations, &base);
     for rule in Rule::ALL {
         let have = violations.iter().filter(|v| v.rule == rule).count();
-        println!(
-            "hts-check: {rule} ({}): {have} site(s), {} baselined",
-            rule.name(),
-            base.total(rule)
-        );
+        println!("hts-check: {rule} ({}): {have} site(s)", rule.names().1);
     }
-    for (rule, file, allowed, actual) in &d.improvements {
-        println!(
-            "hts-check: ratchet can tighten: {file} [{rule}] {actual} < {allowed} baselined \
-             (run --update-baseline and commit)"
-        );
+    if violations.is_empty() {
+        println!("hts-check: OK — no violations");
+        return ExitCode::SUCCESS;
     }
-    if d.regressions.is_empty() {
-        println!("hts-check: OK — no violations beyond the baseline");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "hts-check: {} violation(s) beyond the baseline:",
-            d.regressions.len()
-        );
-        for v in &d.regressions {
-            eprintln!("  {v}");
-        }
-        eprintln!(
-            "hts-check: fix the new sites (or, for justified exceptions, add \
-             `// lint: allow({}): reason`)",
-            d.regressions.first().map_or("rule", |v| v.rule.name())
-        );
-        ExitCode::from(1)
+    for v in &violations {
+        eprintln!("  {v}");
     }
+    eprintln!(
+        "hts-check: {} violation(s); fix them or, for a justified exception, add \
+         `// lint: allow(<rule>): reason`",
+        violations.len()
+    );
+    ExitCode::from(1)
 }

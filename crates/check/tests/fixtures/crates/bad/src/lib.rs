@@ -2,46 +2,7 @@
 // linter lexes it as text. Exact per-rule counts and line numbers are
 // asserted by tests/linter.rs: keep edits in sync with it.
 
-pub enum Message {
-    A,
-    B(u32),
-}
-
-// --- L1: panics in protocol code -----------------------------------
-
-pub fn l1_unwrap(x: Option<u32>) -> u32 {
-    x.unwrap() // line 13: L1
-}
-
-pub fn l1_expect(x: Option<u32>) -> u32 {
-    x.expect("always here") // line 17: L1
-}
-
-pub fn l1_macros(a: u32) {
-    if a == 0 {
-        panic!("boom"); // line 22: L1
-    }
-    assert!(a > 0); // line 24: L1
-    assert_eq!(a, a); // line 25: L1
-    unreachable!(); // line 26: L1
-}
-
-pub fn l1_exempt(a: u32) {
-    debug_assert!(a > 0); // debug_assert is allowed: stripped in release
-    let unwrap = a; // an ident named `unwrap` is not a call
-    let _ = unwrap;
-}
-
-pub fn l1_suppressed(x: Option<u32>) -> u32 {
-    // lint: allow(panic): fixture-sanctioned invariant
-    x.unwrap() // covered by the allow comment above
-}
-
-// --- L2: sleeps ----------------------------------------------------
-
-pub fn l2_sleep() {
-    std::thread::sleep(std::time::Duration::from_millis(1)); // line 43: L2
-}
+use std::sync::atomic::{fence, AtomicU32, Ordering};
 
 // --- L3: guard live across a blocking write ------------------------
 
@@ -50,7 +11,7 @@ pub fn l3_guard_across_write(
     w: &mut impl std::io::Write,
 ) -> std::io::Result<()> {
     let guard = m.lock().unwrap_or_else(|p| p.into_inner());
-    w.write_all(&guard)?; // line 53: L3 (guard still live)
+    w.write_all(&guard)?; // line 14: L3 (guard still live)
     Ok(())
 }
 
@@ -65,31 +26,36 @@ pub fn l3_guard_dropped(
     Ok(())
 }
 
-// --- L4: catch-all over Message ------------------------------------
+// --- L6: a clock and allocations in a ring hot function ------------
 
-pub fn l4_catch_all(m: &Message) -> u32 {
-    match m {
-        Message::A => 1,
-        _ => 0, // line 73: L4
-    }
+pub fn pump(out: &mut Vec<u8>) {
+    let start = std::time::Instant::now(); // line 32: L6
+    let scratch: Vec<u8> = Vec::new(); // line 33: L6
+    // lint: allow(ring_hot_loop): fixture-sanctioned allocation
+    let label = format!("{start:?}"); // covered by the allow comment above
+    out.extend_from_slice(label.as_bytes());
+    out.extend_from_slice(&scratch);
 }
 
-pub fn l4_exhaustive(m: &Message) -> u32 {
-    match m {
-        Message::A => 1,
-        Message::B(n) => *n, // every variant by name: clean
-    }
+pub fn cold_path() -> Vec<u8> {
+    Vec::new() // not a hot function: clean
 }
 
-// --- L5: unsafe without SAFETY -------------------------------------
+// --- L7: unargued orderings and unlisted atomics -------------------
 
-pub fn l5_unsafe_without_safety(p: *const u32) -> u32 {
-    unsafe { *p } // line 87: L5
+pub static HITS: AtomicU32 = AtomicU32::new(0); // line 46: L7
+
+pub fn l7_relaxed(x: &AtomicU32) -> u32 {
+    x.load(Ordering::Relaxed) // line 49: L7
 }
 
-pub fn l5_unsafe_with_safety(p: &u32) -> u32 {
-    // SAFETY: a shared reference is always valid to read.
-    unsafe { *(p as *const u32) }
+pub fn l7_fence() {
+    fence(Ordering::SeqCst); // line 53: L7
+}
+
+pub fn l7_argued(x: &AtomicU32) -> u32 {
+    // ordering: a lone statistic, read only for display
+    x.load(Ordering::Relaxed)
 }
 
 // --- test scope: everything below is exempt ------------------------
@@ -97,9 +63,10 @@ pub fn l5_unsafe_with_safety(p: &u32) -> u32 {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn panics_are_fine_in_tests() {
-        let v: Option<u32> = Some(1);
-        assert_eq!(v.unwrap(), 1);
-        std::thread::sleep(std::time::Duration::from_millis(0));
+    fn atomics_and_guards_are_fine_in_tests() {
+        let x = std::sync::atomic::AtomicU32::new(1);
+        x.load(std::sync::atomic::Ordering::Relaxed);
+        let guard = M.lock();
+        out.flush();
     }
 }

@@ -4,16 +4,16 @@
 // the right line. NEVER compiled — the linter lexes it as text. Exact
 // counts and line numbers are asserted by tests/linter.rs.
 
-pub fn hidden_in_literals() {
-    let a = r#"x.unwrap() panic!("no") thread::sleep(d) fence(o)"#;
-    let b = r##"nested "#" hashes: assert!(Ordering::Relaxed)"##;
-    let c = "escaped quote \" then x.unwrap() \" done";
-    let d = b"byte panic!(\"s\")";
+pub fn pump() {
+    let a = r#"Vec::new() format!("no") x.load(Ordering::Relaxed) fence(o)"#;
+    let b = r##"nested "#" hashes: vec![Instant::now()]"##;
+    let c = "escaped quote \" then s.to_vec() \" done";
+    let d = b"byte format!(\"s\") AtomicU8::new(0)";
     let _ = (a, b, c, d);
 }
 
-/* a nested /* block comment holding x.unwrap() and
-   thread::sleep(d) and /* deeper: assert!(false) */ more */
+/* a nested /* block comment holding Vec::new() and
+   Ordering::Relaxed and /* deeper: fence(o) */ more */
    still one single comment */
 
 pub fn r#match(x: Option<u32>) -> Option<u32> {
@@ -31,6 +31,6 @@ pub fn multi_line_strings_keep_lines_honest() -> (&'static str, &'static str) {
     (a, b)
 }
 
-pub fn the_real_violation(x: Option<u32>) -> u32 {
-    x.unwrap() // line 35: the file’s single L1 — found despite the above
+pub fn the_real_violation(x: &AtomicU32) -> u32 {
+    x.load(Ordering::Relaxed) // line 35: the file’s single L7 — found despite the above
 }

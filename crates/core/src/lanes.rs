@@ -3,9 +3,8 @@
 //! The paper's throughput argument is per-ring: one circulating token
 //! pipeline saturates one link. [`Config::lanes`](crate::Config) splits a
 //! node into `R` fully independent ring instances and this module decides
-//! which lane hosts which [`ObjectId`] — the same style of stable hashed
-//! placement `hts-store`'s `KeyMapper` uses for key → object, one level
-//! up. Every server and transport must agree on the mapping (it is pure
+//! which lane hosts which [`ObjectId`] by a stable FNV hash. Every
+//! server and transport must agree on the mapping (it is pure
 //! and derived only from the object id and the lane count), and an object
 //! never moves between lanes, so a single object's frames always ride one
 //! lane's FIFO link — lane routing can never reorder them.
@@ -13,8 +12,7 @@
 use hts_types::{ObjectId, RingFrame};
 
 /// Stable object → lane placement shared by every laned runtime
-/// (`hts-net`'s per-lane event loops, the simulator's per-lane NICs, the
-/// store facade).
+/// (`hts-net`'s per-lane event loops and the simulator's per-lane NICs).
 ///
 /// # Examples
 ///
@@ -40,6 +38,10 @@ pub struct LaneMap {
 
 impl LaneMap {
     /// Creates a placement over `lanes` ring lanes (0 is clamped to 1).
+    #[expect(
+        clippy::expect_used,
+        reason = "every lane fills long before `id` overflows"
+    )]
     pub fn new(lanes: u16) -> Self {
         let lanes = lanes.max(1);
         let mut tokens = vec![None; usize::from(lanes)];
@@ -90,9 +92,8 @@ impl LaneMap {
     }
 }
 
-/// FNV-1a over the object id's big-endian bytes, reduced mod `lanes` —
-/// `KeyMapper`-style placement so consecutive ids spread instead of
-/// striping.
+/// FNV-1a over the object id's big-endian bytes, reduced mod `lanes`, so
+/// consecutive ids spread instead of striping.
 fn hash_lane(object: ObjectId, lanes: u16) -> u16 {
     if lanes <= 1 {
         return 0;

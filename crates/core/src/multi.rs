@@ -315,6 +315,7 @@ impl MultiObjectServer {
             return None;
         }
         // Start after the cursor, wrap once around all objects.
+        // lint: allow(ring_hot_loop): scans every object; ROADMAP item 4 removes it
         let ids: Vec<ObjectId> = self.objects.keys().copied().collect();
         let start = match self.cursor {
             Some(c) => ids.iter().position(|&o| o > c).unwrap_or(0),

@@ -34,6 +34,7 @@ impl RingView {
     /// # Panics
     ///
     /// Panics if `me` is outside `0..n` or `n` is zero.
+    #[expect(clippy::disallowed_macros, reason = "documented caller preconditions")]
     pub fn new(me: ServerId, n: u16) -> Self {
         assert!(n > 0, "a ring needs at least one server");
         assert!(me.0 < n, "server {me} outside ring of {n}");
@@ -66,6 +67,7 @@ impl RingView {
     /// Marks `s` crashed; returns `true` if it was previously alive.
     ///
     /// Marking oneself crashed is a protocol bug and panics.
+    #[expect(clippy::disallowed_macros, reason = "documented: a protocol bug")]
     pub fn mark_crashed(&mut self, s: ServerId) -> bool {
         assert_ne!(s, self.me, "{s} asked to mark itself crashed");
         if s.index() >= self.alive.len() {

@@ -419,6 +419,7 @@ impl ServerCore {
     /// # Panics
     ///
     /// Panics if the frame belongs to a different object (routing bug).
+    #[expect(clippy::disallowed_macros, reason = "documented: a routing bug")]
     pub fn on_frame(&mut self, frame: RingFrame) -> Vec<Action> {
         assert_eq!(frame.object, self.object, "frame routed to wrong object");
         let mut actions = Vec::new();
@@ -781,6 +782,7 @@ impl ServerCore {
             .or_else(|| self.sched.queued_value(tag).cloned());
         match &resolved {
             Some(v) => self.apply(tag, v.clone()),
+            #[expect(clippy::disallowed_macros, reason = "compiled out of release builds")]
             None => {
                 // Only already-applied tags may lack a cached value.
                 debug_assert!(
@@ -970,6 +972,7 @@ pub(crate) fn drain_frames_with(
     max_frames: usize,
     max_bytes: usize,
 ) -> Vec<RingFrame> {
+    // lint: allow(ring_hot_loop): the batch handed to the caller, one allocation per batch
     let mut frames = Vec::new();
     let mut bytes = 0usize;
     while frames.len() < max_frames.max(1) && (frames.is_empty() || bytes < max_bytes) {

@@ -94,6 +94,7 @@ impl SessionCore {
     ///
     /// Panics if `preferred` is outside `0..n`, `n` is zero, or `window`
     /// is zero.
+    #[expect(clippy::disallowed_macros, reason = "documented caller preconditions")]
     pub fn new(id: ClientId, object: ObjectId, n: u16, preferred: ServerId, window: usize) -> Self {
         assert!(n > 0, "a ring needs at least one server");
         assert!(preferred.0 < n, "preferred server outside ring");
@@ -350,6 +351,7 @@ impl SessionCore {
         RequestId(self.next_request)
     }
 
+    #[expect(clippy::disallowed_macros, reason = "documented on every `begin_*`")]
     fn launch(&mut self, request: RequestId, message: Message) -> (RequestId, ServerId, Message) {
         assert!(
             self.has_capacity(),

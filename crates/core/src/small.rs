@@ -87,7 +87,7 @@ impl<K: Ord, V> SmallMap<K, V> {
         match self {
             SmallMap::Many(map) if !map.is_empty() => map.insert(key, value),
             SmallMap::One(k, v) if *k == key => Some(std::mem::replace(v, value)),
-            _ => {
+            SmallMap::One(..) | SmallMap::Many(_) => {
                 *self = match std::mem::take(self) {
                     SmallMap::One(k, v) => SmallMap::Many(BTreeMap::from([(k, v), (key, value)])),
                     SmallMap::Many(_) => SmallMap::One(key, value),

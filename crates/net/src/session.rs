@@ -501,6 +501,7 @@ impl Session {
         let Some(earliest) = self.deadlines.values().copied().chain(stalls).min() else {
             return Ok(());
         };
+        // lint: allow(ring_hot_loop): one clock read per poller wait, beside a syscall anyway
         let budget = earliest.saturating_duration_since(Instant::now());
         let woken = self.poller.wait(&mut self.events, Some(budget))?;
         let mut replies = 0;

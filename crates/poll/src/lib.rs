@@ -109,7 +109,10 @@ impl Events {
 mod sys {
     //! Direct syscall bindings. std already links the platform C
     //! library, so these resolve against it without the libc crate.
-    #![allow(unsafe_code)]
+    #![expect(
+        unsafe_code,
+        reason = "raw syscall bindings, each block with its contract"
+    )]
 
     use std::io;
 
@@ -247,7 +250,7 @@ mod sys {
 }
 
 mod poller {
-    #![allow(unsafe_code)]
+    #![expect(unsafe_code, reason = "adopts fds the syscalls return as std sockets")]
 
     use super::sys;
     use super::{Events, Interest, Token};
@@ -565,7 +568,7 @@ mod tests {
             // epoll_wait is on the kernel's never-restarted list, so any
             // delivered signal surfaces as EINTR; the Poller must absorb
             // it and keep waiting out the timeout.
-            #![allow(unsafe_code)]
+            #![expect(unsafe_code, reason = "signals this process to provoke EINTR")]
             extern "C" {
                 fn signal(signum: i32, handler: usize) -> usize;
                 fn kill(pid: i32, sig: i32) -> i32;

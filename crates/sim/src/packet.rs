@@ -412,6 +412,7 @@ impl<M: Wire + fmt::Debug> PacketSim<M> {
     /// # Panics
     ///
     /// Panics if `id` was already added.
+    #[expect(clippy::disallowed_macros, reason = "documented: a harness bug")]
     pub fn add_node(&mut self, id: NodeId, proc: Box<dyn Process<M>>) {
         assert!(
             self.index.insert(id, self.nodes.len()).is_none(),
@@ -431,6 +432,7 @@ impl<M: Wire + fmt::Debug> PacketSim<M> {
     /// # Panics
     ///
     /// Panics if node or network is unknown, or already attached.
+    #[expect(clippy::disallowed_macros, reason = "documented: a harness bug")]
     pub fn attach(&mut self, node: NodeId, net: NetworkId) {
         assert!(net.0 < self.networks.len(), "unknown network {net:?}");
         let idx = self.index[&node];
@@ -450,6 +452,7 @@ impl<M: Wire + fmt::Debug> PacketSim<M> {
     }
 
     /// Schedules a crash of `node` at absolute time `at`.
+    #[expect(clippy::disallowed_macros, reason = "an unknown node is a harness bug")]
     pub fn crash_at(&mut self, node: NodeId, at: Nanos) {
         assert!(self.index.contains_key(&node), "unknown node {node}");
         self.push(at, EvKind::Crash { node });
@@ -461,6 +464,7 @@ impl<M: Wire + fmt::Debug> PacketSim<M> {
     /// of the dead incarnation are dropped, and the restarted node's
     /// failure detector is re-told about every still-crashed node after
     /// the detection delay.
+    #[expect(clippy::disallowed_macros, reason = "an unknown node is a harness bug")]
     pub fn restart_at(&mut self, node: NodeId, at: Nanos) {
         assert!(self.index.contains_key(&node), "unknown node {node}");
         self.push(at, EvKind::Restart { node });
@@ -468,6 +472,7 @@ impl<M: Wire + fmt::Debug> PacketSim<M> {
 
     /// Nudges `node` at the current instant: its
     /// [`Process::on_poke`] runs at the head of the event queue.
+    #[expect(clippy::disallowed_macros, reason = "an unknown node is a harness bug")]
     pub fn poke(&mut self, node: NodeId) {
         assert!(self.index.contains_key(&node), "unknown node {node}");
         let now = self.now;
@@ -512,6 +517,7 @@ impl<M: Wire + fmt::Debug> PacketSim<M> {
     /// # Panics
     ///
     /// Panics if the node is not attached to `net`.
+    #[expect(clippy::panic, reason = "documented: a harness bug")]
     pub fn nic_stats(&self, node: NodeId, net: NetworkId) -> NicStats {
         let idx = self.index[&node];
         self.nodes[idx]
@@ -580,6 +586,7 @@ impl<M: Wire + fmt::Debug> PacketSim<M> {
     }
 
     /// Processes a single event; returns `false` when the queue is empty.
+    #[expect(clippy::disallowed_macros, reason = "compiled out of release builds")]
     pub fn step(&mut self) -> bool {
         self.ensure_started();
         let Some(Reverse(ev)) = self.queue.pop() else {
@@ -616,6 +623,7 @@ impl<M: Wire + fmt::Debug> PacketSim<M> {
                         self.trace_push(format!("{to} <- {from}: deliver {msg:?}"));
                     }
                     let mut slot = Some(msg);
+                    #[expect(clippy::expect_used, reason = "`dispatch` runs the hook once")]
                     self.dispatch(idx, false, &mut |proc, ctx| {
                         proc.on_message(ctx, from, slot.take().expect("message consumed twice"))
                     });
@@ -716,7 +724,10 @@ impl<M: Wire + fmt::Debug> PacketSim<M> {
         true
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of one `EvKind::Arrival`"
+    )]
     fn on_arrival(
         &mut self,
         net: NetworkId,
@@ -744,6 +755,7 @@ impl<M: Wire + fmt::Debug> PacketSim<M> {
         let config = self.networks[net.0].clone();
         let rx_time = config.bandwidth.transmission_time(wire_bytes);
         let now = self.now;
+        #[expect(clippy::panic, reason = "`apply` refuses a send to an unattached node")]
         let Some(nic) = self.nodes[idx].nic_mut(net) else {
             panic!("{to} not attached to {net:?}");
         };
@@ -777,6 +789,7 @@ impl<M: Wire + fmt::Debug> PacketSim<M> {
     /// applies the buffered commands. Unless the callback itself was
     /// `on_tx_idle`, NICs left idle afterwards get one `on_tx_idle` pull.
     fn dispatch(&mut self, idx: usize, is_tx_idle_cb: bool, f: &mut ProcessHook<'_, M>) {
+        #[expect(clippy::expect_used, reason = "put back before any nested dispatch")]
         let mut proc = self.nodes[idx].proc.take().expect("re-entrant dispatch");
         let node = self.nodes[idx].id;
         let idle: Vec<(NetworkId, bool)> = self.nodes[idx]
@@ -821,6 +834,10 @@ impl<M: Wire + fmt::Debug> PacketSim<M> {
 
     fn apply(&mut self, src_idx: usize, cmd: Command<M>) {
         match cmd {
+            #[expect(
+                clippy::disallowed_macros,
+                reason = "a send to an unknown or unattached node is a process bug"
+            )]
             Command::Send { net, to, msg } => {
                 let from = self.nodes[src_idx].id;
                 assert!(self.index.contains_key(&to), "send to unknown node {to}");
@@ -849,6 +866,7 @@ impl<M: Wire + fmt::Debug> PacketSim<M> {
                         },
                     );
                 }
+                #[expect(clippy::panic, reason = "a send on an unattached NIC is a process bug")]
                 let Some(nic) = self.nodes[src_idx].nic_mut(net) else {
                     panic!("{from} not attached to {net:?}");
                 };

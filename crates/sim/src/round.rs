@@ -61,6 +61,7 @@ impl<'a, M> RoundCtx<'a, M> {
     ///
     /// Panics on a second send on the same network in one round — the model
     /// forbids it, so it is a protocol bug worth failing loudly on.
+    #[expect(clippy::disallowed_macros, reason = "documented: a protocol bug")]
     pub fn send(&mut self, net: NetworkId, to: &[NodeId], msg: M) {
         assert!(
             !self.sent_on.contains(&net),
@@ -114,6 +115,7 @@ impl<M: Clone> RoundSim<M> {
     /// # Panics
     ///
     /// Panics if `id` was already added.
+    #[expect(clippy::disallowed_macros, reason = "documented: a harness bug")]
     pub fn add_node(&mut self, id: NodeId, proc: Box<dyn RoundProcess<M>>) {
         assert!(
             self.index.insert(id, self.nodes.len()).is_none(),
@@ -128,6 +130,10 @@ impl<M: Clone> RoundSim<M> {
     }
 
     /// Attaches `node` to `net`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "an unknown network or a double attach is a harness bug"
+    )]
     pub fn attach(&mut self, node: NodeId, net: NetworkId) {
         assert!(net.0 < self.networks, "unknown network {net:?}");
         let idx = self.index[&node];
@@ -139,6 +145,7 @@ impl<M: Clone> RoundSim<M> {
     }
 
     /// Schedules `node` to crash at the **start** of round `round`.
+    #[expect(clippy::disallowed_macros, reason = "an unknown node is a harness bug")]
     pub fn crash_at_round(&mut self, node: NodeId, round: u64) {
         assert!(self.index.contains_key(&node), "unknown node {node}");
         self.crashes.push((round, node));
@@ -186,6 +193,7 @@ impl<M: Clone> RoundSim<M> {
             if self.nodes[i].crashed {
                 continue;
             }
+            #[expect(clippy::expect_used, reason = "the process is put back every round")]
             let mut proc = self.nodes[i].proc.take().expect("re-entrant step");
             for crashed in &detected {
                 proc.on_crashed(*crashed);
@@ -214,6 +222,7 @@ impl<M: Clone> RoundSim<M> {
         // Deliveries become visible next round.
         for (from, net, to, msg) in all_sends {
             for dst in to {
+                #[expect(clippy::panic, reason = "a send to an unknown node is a process bug")]
                 let idx = *self
                     .index
                     .get(&dst)
@@ -221,6 +230,10 @@ impl<M: Clone> RoundSim<M> {
                 if self.nodes[idx].crashed {
                     continue;
                 }
+                #[expect(
+                    clippy::panic,
+                    reason = "a send on an unattached network is a process bug"
+                )]
                 let q = self.nodes[idx]
                     .inbox
                     .iter_mut()

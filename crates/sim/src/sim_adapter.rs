@@ -171,6 +171,7 @@ impl SimServer {
     ///
     /// Panics on a lane-count mismatch, or on a multi-lane server whose
     /// client NIC doubles as a ring NIC.
+    #[expect(clippy::disallowed_macros, reason = "documented: a harness bug")]
     pub fn with_ring_lanes(
         me: ServerId,
         n: u16,

@@ -38,6 +38,10 @@ impl Bandwidth {
     /// # Panics
     ///
     /// Panics if the rate is zero.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented: a zero-rate link is a configuration bug"
+    )]
     pub fn transmission_time(self, bytes: usize) -> Nanos {
         assert!(self.0 > 0, "zero bandwidth");
         let bits = bytes as u128 * 8;

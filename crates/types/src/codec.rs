@@ -131,6 +131,7 @@ pub fn encode_ring_into(frame: &RingFrame, buf: &mut BytesMut) {
 /// value is longer than `u32::MAX` bytes.
 pub fn encode_ring_batch_into(frames: &[RingFrame], buf: &mut BytesMut) {
     buf.put_u8(D_RING_BATCH);
+    #[expect(clippy::panic, reason = "documented: a caller bug, not a wire input")]
     let count = u16::try_from(frames.len())
         .unwrap_or_else(|_| panic!("batch of {} frames exceeds u16::MAX", frames.len()));
     buf.put_u16(count);
@@ -393,6 +394,10 @@ fn put_tag(buf: &mut BytesMut, tag: Tag) {
 }
 
 fn put_value(buf: &mut BytesMut, value: &Value) {
+    #[expect(
+        clippy::expect_used,
+        reason = "documented on the encoders: a 4 GiB value"
+    )]
     let len = u32::try_from(value.len()).expect("value length exceeds u32::MAX");
     buf.put_u32(len);
     buf.put_slice(value.as_bytes());

@@ -18,7 +18,6 @@
 //! | [`lincheck`] | `hts-lincheck` | linearizability checkers for register histories |
 //! | [`baselines`] | `hts-baselines` | ABD quorum, chain replication, TOB register, Fig. 1 toys |
 //! | [`net`] | `hts-net` | real TCP runtime with failure detection |
-//! | [`store`] | `hts-store` | sharded key-value store over many registers |
 //! | [`wal`] | `hts-wal` | write-ahead log, snapshots and crash recovery for servers |
 //!
 //! Start with `examples/quickstart.rs` (a real TCP cluster on localhost)
@@ -49,6 +48,5 @@ pub use hts_core as core;
 pub use hts_lincheck as lincheck;
 pub use hts_net as net;
 pub use hts_sim as sim;
-pub use hts_store as store;
 pub use hts_types as types;
 pub use hts_wal as wal;

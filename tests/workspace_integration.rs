@@ -9,7 +9,6 @@ use hts::lincheck::{check_conditions, check_exhaustive_bounded, History, Outcome
 use hts::net::{Client, Cluster};
 use hts::sim::packet::{NetworkConfig, PacketSim};
 use hts::sim::{Nanos, OpMix, SimClient, SimServer, WorkloadConfig};
-use hts::store::ShardedStore;
 use hts::types::{ClientId, NodeId, ServerId, Value};
 
 /// The headline behaviour end to end on real TCP: atomic writes/reads,
@@ -98,24 +97,6 @@ fn simulated_contention_with_crash_is_linearizable() {
         !matches!(outcome, Outcome::NotLinearizable(_)),
         "exhaustive checker rejected: {outcome:?}"
     );
-}
-
-/// Store + core + sim: the motivating KV use case stays correct across a
-/// crash.
-#[test]
-fn kv_store_roundtrip_across_crash() {
-    let mut store = ShardedStore::builder().servers(3).seed(4).build();
-    for i in 0..12u32 {
-        store.put(format!("k{i}").as_bytes(), vec![i as u8; 100]);
-    }
-    store.crash_server(ServerId(1));
-    for i in 0..12u32 {
-        assert_eq!(
-            store.get(format!("k{i}").as_bytes()),
-            Some(vec![i as u8; 100]),
-            "k{i} after crash"
-        );
-    }
 }
 
 /// The paper's headline scaling claim, asserted end to end through the
