@@ -19,15 +19,16 @@ pub enum FairnessMode {
     ForwardFirst,
 }
 
-/// What a server persists, and when it reaches stable storage.
+/// Whether a server persists its committed writes.
 ///
 /// The paper's model is crash-**stop**: server state lives in RAM and a
-/// crash is forever. Any persistent setting upgrades the system to
-/// crash-**recovery** — each step's committed `(tag, value)` pairs are
-/// handed out by [`LaneCore::take_commits`] for the runtime to log
-/// (`hts-net` appends them to an `hts-wal` log, the simulator to its
-/// modeled disk), and a restarted server rebuilds from that log and
-/// rejoins the ring.
+/// crash is forever. [`SyncAlways`](Durability::SyncAlways) upgrades
+/// the system to crash-**recovery** — each step's committed
+/// `(tag, value)` pairs are handed out by [`LaneCore::take_commits`] for
+/// the runtime to log (`hts-net` appends them to an `hts-wal` log, the
+/// simulator to its modeled disk), every append is fsynced before the
+/// step's acks and ring batches leave, and a restarted server rebuilds
+/// from that log and rejoins the ring.
 ///
 /// [`LaneCore::take_commits`]: crate::LaneCore::take_commits
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,12 +36,6 @@ pub enum Durability {
     /// No persistence — the paper's crash-stop model (default).
     #[default]
     Volatile,
-    /// Log committed writes; leave flushing to the OS page cache.
-    /// Survives process crashes, not power loss.
-    Buffered,
-    /// Log committed writes; fsync once every `n` appends (bounded loss
-    /// window of `n − 1` acknowledged writes).
-    SyncEveryN(u32),
     /// Log committed writes; fsync before the client sees the ack and
     /// before the commit is forwarded around the ring.
     SyncAlways,
@@ -213,9 +208,8 @@ mod tests {
 
     #[test]
     fn persistent_settings_are_persistent() {
-        assert!(Durability::Buffered.is_persistent());
-        assert!(Durability::SyncEveryN(32).is_persistent());
         assert!(Durability::SyncAlways.is_persistent());
+        assert!(!Durability::Volatile.is_persistent());
     }
 
     #[test]

@@ -154,9 +154,7 @@ impl LaneCore {
         commits
     }
 
-    /// The driver made every taken commit durable (or, under a policy
-    /// that does not wait for the device, issued its append): the gate
-    /// opens.
+    /// The driver made every taken commit durable: the gate opens.
     pub fn commits_durable(&mut self) {
         self.unsynced = false;
     }

@@ -330,23 +330,32 @@ impl ServerCore {
         self.ring.mark_rejoined(s);
         if self.ring.successor() == Some(s) {
             self.stats.rejoins_served += 1;
-            if self.stored_tag != Tag::ZERO {
-                self.notice_queue.push_front(WriteNotice {
-                    tag: self.stored_tag,
-                    value: Some(self.stored_value.clone()),
-                });
-            }
-            let resend: Vec<PreWrite> = self
-                .pending
-                .iter()
-                .map(|(tag, value)| PreWrite {
-                    tag,
-                    value: value.clone(),
-                    recovery: true,
-                })
-                .collect();
-            self.sched.enqueue_front(resend);
+            self.resend_to_new_successor();
         }
+    }
+
+    /// Re-sends everything a new successor may lack: the stored value as
+    /// a value-carrying notice, then every pending pre-write as a
+    /// recovery pre-write (which bypasses duplicate suppression, so it
+    /// can complete a full turn even through servers that saw it
+    /// already).
+    fn resend_to_new_successor(&mut self) {
+        if self.stored_tag != Tag::ZERO {
+            self.notice_queue.push_front(WriteNotice {
+                tag: self.stored_tag,
+                value: Some(self.stored_value.clone()),
+            });
+        }
+        let resend: Vec<PreWrite> = self
+            .pending
+            .iter()
+            .map(|(tag, value)| PreWrite {
+                tag,
+                value: value.clone(),
+                recovery: true,
+            })
+            .collect();
+        self.sched.enqueue_front(resend);
     }
 
     /// A client asked to write `value` (paper lines 18–20).
@@ -465,26 +474,8 @@ impl ServerCore {
         if was_successor {
             self.stats.recoveries += 1;
             // Everything forwarded to the dead successor may be lost
-            // (paper lines 85–92): re-send the current value and every
-            // pending pre-write to the new successor. Recovery pre-writes
-            // bypass duplicate suppression so they can complete a full
-            // turn even through servers that saw them already.
-            if self.stored_tag != Tag::ZERO {
-                self.notice_queue.push_front(WriteNotice {
-                    tag: self.stored_tag,
-                    value: Some(self.stored_value.clone()),
-                });
-            }
-            let resend: Vec<PreWrite> = self
-                .pending
-                .iter()
-                .map(|(tag, value)| PreWrite {
-                    tag,
-                    value: value.clone(),
-                    recovery: true,
-                })
-                .collect();
-            self.sched.enqueue_front(resend);
+            // (paper lines 85–92).
+            self.resend_to_new_successor();
         }
 
         if self.config.adopt_orphans && self.ring.is_adopter_of(s) {

@@ -16,11 +16,11 @@ use crate::server::{Server, ServerConfig};
 /// [`launch_durable`](Cluster::launch_durable) gives crash-**recovery**:
 /// every server logs committed writes to a WAL directory, and
 /// [`restart`](Cluster::restart) boots a crashed server back up from its
-/// log — it rejoins the ring, resyncs and serves again. With
-/// [`Config::lanes`](hts_core::Config) > 1 every server runs that many
-/// parallel ring lanes; each lane logs into its own `lane-<k>`
-/// subdirectory of the server's WAL directory and is recovered —
-/// replayed, rejoined, resynced — independently on restart.
+/// log — it rejoins the ring, resyncs and serves again. Every server
+/// runs [`Config::lanes`](hts_core::Config) parallel ring lanes; each
+/// lane logs into its own `lane-<k>` subdirectory of the server's WAL
+/// directory and is recovered — replayed, rejoined, resynced —
+/// independently on restart.
 ///
 /// See the [crate docs](crate) for an example.
 pub struct Cluster {
@@ -50,11 +50,10 @@ impl Cluster {
     }
 
     /// Boots `n` durable servers, each logging to
-    /// `<wal_base>/server-<id>`. If the configured durability is not
-    /// persistent it is upgraded to [`Durability::SyncAlways`] (a
-    /// "durable cluster" with no persistence would be a contradiction).
-    /// Pre-existing logs are recovered, so launching over a previous
-    /// cluster's directory restores its data.
+    /// `<wal_base>/server-<id>` with [`Durability::SyncAlways`], whatever
+    /// `config.durability` says (a "durable cluster" with no persistence
+    /// would be a contradiction). Pre-existing logs are recovered, so
+    /// launching over a previous cluster's directory restores its data.
     ///
     /// # Errors
     ///
@@ -64,9 +63,7 @@ impl Cluster {
         mut config: Config,
         wal_base: impl Into<PathBuf>,
     ) -> io::Result<Cluster> {
-        if !config.durability.is_persistent() {
-            config.durability = Durability::SyncAlways;
-        }
+        config.durability = Durability::SyncAlways;
         Cluster::launch_inner(n, config, Some(wal_base.into()))
     }
 
@@ -143,7 +140,7 @@ impl Cluster {
     }
 
     /// Restarts a crashed server of a durable cluster from its WAL
-    /// directory: it replays snapshot + log tail, rebinds its address,
+    /// directory: it replays its log segments, rebinds its address,
     /// announces its rejoin around the ring and resyncs before serving.
     ///
     /// # Errors

@@ -355,11 +355,10 @@ impl Lane {
     /// Appends the lane's freshly committed writes to the log as ONE
     /// group-committed batch — a single fsync covers every commit of
     /// this loop iteration — then opens the lane core's release gate.
-    /// Runs BEFORE replies flush and the ring pumps, so under
-    /// `SyncAlways` neither a client nor the successor sees a write that
-    /// is not on stable storage. Without a `wal_dir` the commits are
-    /// dropped. Returns `false` on an unrecoverable log failure (the
-    /// server then stops = crash-stop).
+    /// Runs BEFORE replies flush and the ring pumps, so neither a client
+    /// nor the successor sees a write that is not on stable storage.
+    /// Without a `wal_dir` the commits are dropped. Returns `false` on an
+    /// unrecoverable log failure (the server then stops = crash-stop).
     fn persist_commits(&mut self) -> bool {
         let (id, lane) = (self.lc.id, self.lc.lane);
         let commits = self.core.take_commits();

@@ -17,9 +17,9 @@ use std::io;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 
-use hts_core::{Config, Durability};
+use hts_core::Config;
 use hts_types::ServerId;
-use hts_wal::{recover, FsyncPolicy, Recovery, Wal, WalOptions};
+use hts_wal::{recover, Recovery, Wal, WalOptions};
 
 use crate::reactor::ReactorHandle;
 
@@ -37,13 +37,12 @@ pub struct ServerConfig {
     /// [`Config::durability`](hts_core::Config), committed writes are
     /// logged here before client acks go out, and a server whose
     /// directory already holds a log boots in **restart** mode: it
-    /// restores its registers from snapshot + log tail, announces its
+    /// restores its registers from its log segments, announces its
     /// rejoin around the ring, resyncs from its new predecessor and only
     /// then serves — converting the paper's crash-stop model into
-    /// crash-recovery. A multi-lane server logs each lane into its own
-    /// `lane-<k>` subdirectory (recovered independently on restart); a
-    /// single-lane server uses the directory as-is, matching the
-    /// pre-lane layout.
+    /// crash-recovery. Every lane logs into its own `lane-<k>`
+    /// subdirectory, `lanes = 1` included, and is recovered
+    /// independently on restart.
     pub wal_dir: Option<PathBuf>,
 }
 
@@ -82,14 +81,9 @@ pub(crate) fn validate_addrs(addrs: &[SocketAddr], member: ServerId) -> io::Resu
     Ok(())
 }
 
-/// The WAL directory of one lane: the base directory itself for a
-/// single-lane server (the pre-lane layout), `base/lane-<k>` otherwise.
-pub(crate) fn lane_wal_dir(base: &Path, lane: u16, lanes: u16) -> PathBuf {
-    if lanes <= 1 {
-        base.to_path_buf()
-    } else {
-        base.join(format!("lane-{lane}"))
-    }
+/// The WAL directory of one lane: `base/lane-<k>`.
+pub(crate) fn lane_wal_dir(base: &Path, lane: u16) -> PathBuf {
+    base.join(format!("lane-{lane}"))
 }
 
 /// Recovers (or creates) every lane's WAL ahead of serving: `None`
@@ -97,27 +91,18 @@ pub(crate) fn lane_wal_dir(base: &Path, lane: u16, lanes: u16) -> PathBuf {
 /// `wal_dir`).
 pub(crate) fn recover_lanes(config: &ServerConfig) -> io::Result<Vec<Option<(Wal, Recovery)>>> {
     let lanes = config.config.lanes.max(1);
-    let fsync = wal_fsync_policy(config.config.durability);
-    let mut wal_states = Vec::with_capacity(usize::from(lanes));
-    for lane in 0..lanes {
-        let state = match (&config.wal_dir, fsync) {
-            (Some(dir), Some(fsync)) => {
-                let dir = lane_wal_dir(dir, lane, lanes);
-                let recovery = recover(&dir)?;
-                let wal = Wal::open(
-                    &dir,
-                    WalOptions {
-                        fsync,
-                        ..WalOptions::default()
-                    },
-                )?;
-                Some((wal, recovery))
-            }
-            _ => None,
-        };
-        wal_states.push(state);
-    }
-    Ok(wal_states)
+    let base = config
+        .wal_dir
+        .as_deref()
+        .filter(|_| config.config.durability.is_persistent());
+    (0..lanes)
+        .map(|lane| {
+            let Some(base) = base else { return Ok(None) };
+            let dir = lane_wal_dir(base, lane);
+            let recovery = recover(&dir)?;
+            Ok(Some((Wal::open(&dir, WalOptions::default())?, recovery)))
+        })
+        .collect()
 }
 
 /// RAII increment of the `hts_net_threads` gauge: every server-side
@@ -199,17 +184,6 @@ pub(crate) fn note_crash_verdict(me: ServerId, lane: u16, peer: ServerId) {
     }
 }
 
-/// How a [`Durability`] setting maps onto the WAL's fsync policy
-/// (`None` = no log at all).
-pub(crate) fn wal_fsync_policy(durability: Durability) -> Option<FsyncPolicy> {
-    match durability {
-        Durability::Volatile => None,
-        Durability::Buffered => Some(FsyncPolicy::OsDefault),
-        Durability::SyncEveryN(n) => Some(FsyncPolicy::EveryN(n)),
-        Durability::SyncAlways => Some(FsyncPolicy::Always),
-    }
-}
-
 /// Everything one lane's event loop needs to know about its place in the
 /// deployment.
 pub(crate) struct LaneConfig {
@@ -224,10 +198,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lane_wal_dirs_nest_only_when_laned() {
+    fn lane_wal_dirs_always_nest() {
         let base = Path::new("/tmp/wal");
-        assert_eq!(lane_wal_dir(base, 0, 1), PathBuf::from("/tmp/wal"));
-        assert_eq!(lane_wal_dir(base, 0, 4), PathBuf::from("/tmp/wal/lane-0"));
-        assert_eq!(lane_wal_dir(base, 3, 4), PathBuf::from("/tmp/wal/lane-3"));
+        assert_eq!(lane_wal_dir(base, 0), PathBuf::from("/tmp/wal/lane-0"));
+        assert_eq!(lane_wal_dir(base, 3), PathBuf::from("/tmp/wal/lane-3"));
     }
 }

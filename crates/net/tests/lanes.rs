@@ -162,8 +162,8 @@ fn lincheck_two_lanes_under_kill_restart(read_fast_path: bool) {
 #[test]
 fn single_lane_cluster_matches_the_laned_runtime() {
     // lanes = 1 must behave exactly like the pre-lane runtime (same
-    // answers, same WAL layout: no lane subdirectories); more lanes are
-    // a pure performance setting (same answers, per-lane directories).
+    // answers); more lanes are a pure performance setting (same
+    // answers). The WAL layout is one directory per lane either way.
     let run = |lanes: u16, tag: &str| -> (Vec<Value>, PathBuf) {
         let base = tmp_base(tag);
         let cluster = Cluster::launch_durable(3, laned_config(lanes), &base).expect("launch");
@@ -183,25 +183,17 @@ fn single_lane_cluster_matches_the_laned_runtime() {
     assert_eq!(single, laned);
     assert_eq!(single.last(), Some(&Value::from_u64(10)));
 
-    // WAL layout: lanes = 1 logs straight into the server directory
-    // (today's layout, no lane-* nesting); lanes = 4 logs per lane.
-    let single_s0 = single_base.join("server-0");
-    assert!(
-        !single_s0.join("lane-0").exists(),
-        "single-lane server must not nest lane directories"
-    );
-    assert!(
-        fs::read_dir(&single_s0)
-            .map(|mut d| d.next().is_some())
-            .unwrap_or(false),
-        "single-lane server logs into its base directory"
-    );
-    let laned_s0 = laned_base.join("server-0");
-    for lane in 0..4 {
-        assert!(
-            laned_s0.join(format!("lane-{lane}")).is_dir(),
-            "lane {lane} WAL directory missing"
-        );
+    // WAL layout: every lane logs into its own lane-<k> directory,
+    // lanes = 1 included.
+    for (base, lanes) in [(&single_base, 1), (&laned_base, 4)] {
+        let s0 = base.join("server-0");
+        for lane in 0..lanes {
+            assert!(
+                s0.join(format!("lane-{lane}")).is_dir(),
+                "lane {lane} of {lanes} has no WAL directory"
+            );
+        }
+        assert!(!s0.join(format!("lane-{lanes}")).exists());
     }
     let _ = fs::remove_dir_all(&single_base);
     let _ = fs::remove_dir_all(&laned_base);

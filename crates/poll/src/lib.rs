@@ -18,6 +18,10 @@
 //!
 //! Linux only: on any other target the crate refuses to compile.
 
+// `unsafe` lives only in the `sys` and `poller` modules (and one test),
+// each of which opts in with its own `expect`.
+#![deny(unsafe_code)]
+
 #[cfg(not(target_os = "linux"))]
 compile_error!("hts-poll is built on Linux epoll and eventfd; no other target is supported");
 

@@ -5,9 +5,9 @@
 //! a bandwidth-proportional transfer time; an fsync adds a (much
 //! larger) flush cost. [`DiskModel`] tracks the device's busy horizon
 //! so concurrent appends queue exactly like frames on a TX path, and
-//! returns the completion instant the caller should gate on (a server
-//! with `fsync = Always` holds each write ack until its commit record's
-//! sync completes).
+//! returns the completion instant the caller should gate on (a durable
+//! server holds each write ack until its group commit's fsync
+//! completes). Every append is fsynced, as in `hts-wal`.
 
 use crate::{Bandwidth, Nanos};
 
@@ -67,9 +67,9 @@ impl Default for DiskConfig {
 /// use hts_sim::{DiskConfig, DiskModel, Nanos};
 ///
 /// let mut disk = DiskModel::new(DiskConfig::nvme_ssd());
-/// let first = disk.append(Nanos::ZERO, 4096, true);
+/// let first = disk.append(Nanos::ZERO, 4096);
 /// // A second append issued at the same instant queues behind the first.
-/// let second = disk.append(Nanos::ZERO, 4096, true);
+/// let second = disk.append(Nanos::ZERO, 4096);
 /// assert!(second > first);
 /// ```
 #[derive(Debug, Clone)]
@@ -78,7 +78,6 @@ pub struct DiskModel {
     free_at: Nanos,
     /// Total bytes appended (the log length, for replay-time modeling).
     appended_bytes: u64,
-    fsyncs: u64,
 }
 
 impl DiskModel {
@@ -88,7 +87,6 @@ impl DiskModel {
             config,
             free_at: Nanos::ZERO,
             appended_bytes: 0,
-            fsyncs: 0,
         }
     }
 
@@ -102,23 +100,14 @@ impl DiskModel {
         self.appended_bytes
     }
 
-    /// Fsyncs issued.
-    pub fn fsyncs(&self) -> u64 {
-        self.fsyncs
-    }
-
-    /// Queues an append of `bytes` at `now` (plus an fsync when `sync`),
-    /// returning the instant it is durable (or merely queued to the
-    /// page cache when `sync` is false).
-    pub fn append(&mut self, now: Nanos, bytes: usize, sync: bool) -> Nanos {
+    /// Queues an append of `bytes` at `now` and its fsync, returning the
+    /// instant it is durable.
+    pub fn append(&mut self, now: Nanos, bytes: usize) -> Nanos {
         let start = self.free_at.max(now);
-        let mut end = start
+        let end = start
             + self.config.append_latency
-            + self.config.write_bandwidth.transmission_time(bytes);
-        if sync {
-            end += self.config.fsync_latency;
-            self.fsyncs += 1;
-        }
+            + self.config.write_bandwidth.transmission_time(bytes)
+            + self.config.fsync_latency;
         self.free_at = end;
         self.appended_bytes += bytes as u64;
         end
@@ -142,28 +131,26 @@ mod tests {
     #[test]
     fn appends_serialize_through_the_device() {
         let mut disk = DiskModel::new(DiskConfig::nvme_ssd());
-        let a = disk.append(Nanos::ZERO, 1024, false);
-        let b = disk.append(Nanos::ZERO, 1024, false);
+        let a = disk.append(Nanos::ZERO, 1024);
+        let b = disk.append(Nanos::ZERO, 1024);
         assert_eq!(b.as_nanos() - a.as_nanos(), a.as_nanos());
         // An append issued after the device idles starts fresh.
         let later = Nanos::from_millis(5);
-        let c = disk.append(later, 1024, false);
+        let c = disk.append(later, 1024);
         assert_eq!(c.as_nanos() - later.as_nanos(), a.as_nanos());
     }
 
     #[test]
     fn fsync_dominates_small_appends() {
         let cfg = DiskConfig::nvme_ssd();
-        let mut synced = DiskModel::new(cfg);
-        let mut unsynced = DiskModel::new(cfg);
-        let with = synced.append(Nanos::ZERO, 64, true);
-        let without = unsynced.append(Nanos::ZERO, 64, false);
+        let mut disk = DiskModel::new(cfg);
+        let done = disk.append(Nanos::ZERO, 64);
+        let write = cfg.append_latency + cfg.write_bandwidth.transmission_time(64);
         assert_eq!(
-            with.as_nanos() - without.as_nanos(),
+            done.as_nanos() - write.as_nanos(),
             cfg.fsync_latency.as_nanos()
         );
-        assert_eq!(synced.fsyncs(), 1);
-        assert_eq!(unsynced.fsyncs(), 0);
+        assert!(cfg.fsync_latency > write);
     }
 
     #[test]
@@ -171,7 +158,7 @@ mod tests {
         let mut disk = DiskModel::new(DiskConfig::nvme_ssd());
         assert_eq!(disk.replay_time(), Nanos::ZERO);
         for _ in 0..100 {
-            disk.append(Nanos::ZERO, 64 * 1024, false);
+            disk.append(Nanos::ZERO, 64 * 1024);
         }
         let long = disk.replay_time();
         assert!(long > Nanos::ZERO);

@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
-use hts_core::{Config, Durability, LaneCore, LaneMap, LinkOp, SessionCore};
+use hts_core::{Config, LaneCore, LaneMap, LinkOp, SessionCore};
 use hts_lincheck::{History, OpId};
 use hts_types::{ClientId, Message, NodeId, ObjectId, RequestId, RingFrame, ServerId, Tag, Value};
 
@@ -33,8 +33,9 @@ use crate::{DiskConfig, DiskModel, Nanos};
 const RECORD_OVERHEAD: usize = 26;
 
 /// Modeled compaction threshold, mirroring `hts-wal`'s default
-/// `segment_bytes`: past this, the log snapshots and truncates so the
-/// modeled replay time tracks state size, not total history.
+/// `segment_bytes`: past this, the log rewrites the live state and
+/// truncates so the modeled replay time tracks state size, not total
+/// history.
 const MODELED_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
 /// One parallel ring lane of a [`SimServer`]: a lane core with its own
@@ -49,10 +50,8 @@ struct SimLane {
     /// Modeled persisted state: what `hts-wal` would recover after a
     /// crash. Survives crash-restart because the process object does.
     persisted: BTreeMap<ObjectId, (Tag, Value)>,
-    /// Appends since the last modeled fsync (`Durability::SyncEveryN`).
-    appends_since_sync: u32,
-    /// Instant the last queued append (incl. fsync) completes: under
-    /// `Durability::SyncAlways` the lane's release gate opens then.
+    /// Instant the last queued append (incl. fsync) completes: the
+    /// lane's release gate opens then.
     durable_horizon: Nanos,
     /// Replay-in-progress timer after a restart; pumping waits for it.
     replaying: Option<TimerId>,
@@ -62,34 +61,15 @@ impl SimLane {
     /// Logs one step's commits into the modeled log. Mirrors `hts-wal`'s
     /// **group commit**: the whole step is one append, and one fsync
     /// covers every commit in it.
-    fn persist(
-        &mut self,
-        commits: Vec<(ObjectId, Tag, Value)>,
-        durability: Durability,
-        now: Nanos,
-    ) {
+    fn persist(&mut self, commits: Vec<(ObjectId, Tag, Value)>, now: Nanos) {
         if let Some(disk) = self.disk.as_mut() {
             let batch_bytes: usize = commits
                 .iter()
                 .map(|(_, _, value)| RECORD_OVERHEAD + value.len())
                 .sum();
-            let sync = match durability {
-                Durability::SyncAlways => true,
-                Durability::SyncEveryN(n) => {
-                    self.appends_since_sync += commits.len() as u32;
-                    let due = self.appends_since_sync >= n.max(1);
-                    if due {
-                        self.appends_since_sync = 0;
-                    }
-                    due
-                }
-                Durability::Buffered | Durability::Volatile => false,
-            };
-            let done = disk.append(now, batch_bytes, sync);
-            if sync {
-                hts_metrics::histogram!("hts_sim_fsync_nanos")
-                    .record(done.saturating_sub(now).as_nanos());
-            }
+            let done = disk.append(now, batch_bytes);
+            hts_metrics::histogram!("hts_sim_fsync_nanos")
+                .record(done.saturating_sub(now).as_nanos());
             self.durable_horizon = self.durable_horizon.max(done);
         }
         hts_metrics::histogram!("hts_sim_group_commit_records").record(commits.len() as u64);
@@ -103,7 +83,7 @@ impl SimLane {
             }
         }
         // Modeled compaction (the real path: Wal::wants_compaction →
-        // compact): write a snapshot of the live state, then the
+        // compact): write the live state as a segment, then the
         // replayable tail shrinks to it. Without this, replay time —
         // and the benchmark's recovery_seconds — would grow with total
         // history instead of state size.
@@ -114,7 +94,7 @@ impl SimLane {
                     .values()
                     .map(|(_, v)| (RECORD_OVERHEAD + v.len()) as u64)
                     .sum();
-                let done = disk.append(now, state_bytes as usize, true);
+                let done = disk.append(now, state_bytes as usize);
                 self.durable_horizon = self.durable_horizon.max(done);
                 disk.truncate(state_bytes);
             }
@@ -196,7 +176,6 @@ impl SimServer {
                 ring_net,
                 disk: None,
                 persisted: BTreeMap::new(),
-                appends_since_sync: 0,
                 durable_horizon: Nanos::ZERO,
                 replaying: None,
             })
@@ -215,10 +194,10 @@ impl SimServer {
     }
 
     /// Attaches a modeled log device **per lane** (meaningful when the
-    /// config's [`Durability`] is persistent: commits charge disk time,
-    /// and with [`Durability::SyncAlways`] a lane releases nothing — no
-    /// reply, no ring batch — until its fsync completes). Each lane logs
-    /// — and group-commits — independently.
+    /// config's [`Durability`](hts_core::Durability) is persistent:
+    /// commits charge disk time, and a lane releases nothing — no reply,
+    /// no ring batch — until its fsync completes). Each lane logs — and
+    /// group-commits — independently.
     pub fn with_disk(mut self, disk: DiskConfig) -> Self {
         for lane in &mut self.lanes {
             lane.disk = Some(DiskModel::new(disk));
@@ -227,16 +206,15 @@ impl SimServer {
     }
 
     /// Ends one lane's step: logs its commits to the modeled disk, opens
-    /// the release gate at once unless `SyncAlways` must wait for the
+    /// the release gate at once unless a disk must first finish the
     /// fsync (then a timer reopens it), and queues what it releases.
     fn settle(&mut self, ctx: &mut Ctx<'_, Message>, lane_idx: usize) {
         let now = ctx.now();
-        let durability = self.config.durability;
         let lane = &mut self.lanes[lane_idx];
         let commits = lane.core.take_commits();
         if !commits.is_empty() {
-            lane.persist(commits, durability, now);
-            if durability == Durability::SyncAlways && lane.disk.is_some() {
+            lane.persist(commits, now);
+            if lane.disk.is_some() {
                 ctx.set_timer(lane.durable_horizon.saturating_sub(now));
             } else {
                 lane.core.commits_durable();
@@ -453,7 +431,6 @@ impl Process<Message> for SimServer {
         let (me, n, config) = (self.me, self.n, self.config.clone());
         for (lane_idx, lane) in self.lanes.iter_mut().enumerate() {
             lane.durable_horizon = now;
-            lane.appends_since_sync = 0;
             let state = lane.persisted.clone();
             lane.core = LaneCore::restart(me, n, lane_idx as u16, config.clone(), state, true);
             let replay = lane
@@ -793,8 +770,13 @@ mod tests {
     #[test]
     fn modeled_record_overhead_matches_the_real_wal_layout() {
         // The modeled disk charges RECORD_OVERHEAD + value bytes per
-        // commit; keep that pinned to what hts-wal actually writes, or
-        // the durability benchmarks silently drift from reality.
+        // commit and compacts at MODELED_SEGMENT_BYTES; keep both pinned
+        // to what hts-wal actually does, or the durability benchmarks
+        // silently drift from reality.
+        assert_eq!(
+            MODELED_SEGMENT_BYTES,
+            hts_wal::WalOptions::default().segment_bytes
+        );
         let record = hts_wal::WalRecord {
             object: ObjectId(1),
             tag: Tag::new(1, ServerId(0)),

@@ -10,7 +10,7 @@ use hts_sim::packet::{NetworkConfig, PacketSim};
 use hts_sim::{
     unique_value, ClientStats, DiskConfig, Nanos, OpMix, SimClient, SimServer, WorkloadConfig,
 };
-use hts_types::{ClientId, Message, NodeId, ObjectId, ServerId};
+use hts_types::{ClientId, Message, NodeId, ObjectId, ServerId, Value};
 
 struct Cluster {
     sim: PacketSim<Message>,
@@ -234,7 +234,7 @@ fn repeated_crash_restart_cycles_stay_linearizable() {
         window: 1,
     };
     let config = Config {
-        durability: Durability::Buffered,
+        durability: Durability::SyncAlways,
         ..Config::default()
     };
     let mut c = cluster(41, 3, 6, workload, config);
@@ -429,15 +429,28 @@ fn sync_always_writes_pay_one_fsync_per_hop() {
 /// resync every lane's ring on rejoin, or it alone cannot serve every
 /// acknowledged write. (A lost lane log is masked here: the resync alone
 /// restores it.)
-#[test]
-fn laned_server_survives_crash_restart_with_per_lane_logs() {
-    let (n, lanes) = (3u16, 2u16);
+/// One register's history and, per phase, its client and counters.
+type Register = (
+    Rc<RefCell<History>>,
+    Vec<(ClientId, Rc<RefCell<ClientStats>>)>,
+);
+
+/// A durable `n`-server ring of `lanes` lanes (`SyncAlways`, one
+/// modeled NVMe disk per lane) with one register on each lane. Every
+/// register gets one client per `phases` entry, pinned to that entry's
+/// server and recording into the register's own history.
+fn laned_registers(
+    seed: u64,
+    n: u16,
+    lanes: u16,
+    phases: &[(ServerId, WorkloadConfig)],
+) -> (PacketSim<Message>, Vec<Register>) {
     let config = Config {
         lanes,
         durability: Durability::SyncAlways,
         ..Config::default()
     };
-    let mut sim = PacketSim::new(29);
+    let mut sim = PacketSim::new(seed);
     let ring_nets: Vec<_> = (0..lanes)
         .map(|_| sim.add_network(NetworkConfig::fast_ethernet()))
         .collect();
@@ -456,24 +469,7 @@ fn laned_server_survives_crash_restart_with_per_lane_logs() {
             sim.attach(id, *net);
         }
     }
-    // One register on each lane, each with its own history. Per object:
-    // a writer before the crash (through server 0), a writer while server
-    // 0 is down (through server 1), and a reader once it is the last
-    // server standing.
     let map = LaneMap::new(lanes);
-    let workload = |mix, op_limit, start_ms| WorkloadConfig {
-        mix,
-        value_size: 64,
-        op_limit: Some(op_limit),
-        start_delay: Nanos::from_millis(start_ms),
-        timeout: Nanos::from_millis(5),
-        window: 1,
-    };
-    let phases = [
-        (ServerId(0), workload(OpMix::WriteOnly, 4, 0)),
-        (ServerId(1), workload(OpMix::WriteOnly, 2, 25)),
-        (ServerId(0), workload(OpMix::ReadOnly, 1, 100)),
-    ];
     let mut registers = Vec::new();
     for lane in 0..lanes {
         let object = (1..)
@@ -482,14 +478,14 @@ fn laned_server_survives_crash_restart_with_per_lane_logs() {
             .expect("every lane hosts some object");
         let history = Rc::new(RefCell::new(History::new()));
         let mut stats = Vec::new();
-        for (preferred, workload) in phases.clone() {
-            let client = ClientId(u32::from(lane) * 3 + stats.len() as u32);
+        for (preferred, workload) in phases {
+            let client = ClientId(u32::from(lane) * phases.len() as u32 + stats.len() as u32);
             let (proc, s) = SimClient::new_for_object(
                 client,
                 object,
                 n,
-                preferred,
-                workload,
+                *preferred,
+                workload.clone(),
                 client_net,
                 Some(Rc::clone(&history)),
             );
@@ -499,6 +495,68 @@ fn laned_server_survives_crash_restart_with_per_lane_logs() {
         }
         registers.push((history, stats));
     }
+    (sim, registers)
+}
+
+/// A closed-loop workload of `op_limit` 64 B operations from `start_ms`.
+fn phase(mix: OpMix, op_limit: u64, start_ms: u64) -> WorkloadConfig {
+    WorkloadConfig {
+        mix,
+        value_size: 64,
+        op_limit: Some(op_limit),
+        start_delay: Nanos::from_millis(start_ms),
+        timeout: Nanos::from_millis(5),
+        window: 1,
+    }
+}
+
+/// Asserts that every phase of `register` finished its operations, that
+/// the last read returned `expect`, and that the history is atomic.
+fn assert_register(register: &Register, done: &[u64], expect: &Value) {
+    let (history, stats) = register;
+    let history = history.borrow();
+    let finished: Vec<u64> = stats
+        .iter()
+        .map(|(_, s)| s.borrow().writes_done + s.borrow().reads_done)
+        .collect();
+    assert_eq!(finished, done, "every phase finished\n{history}");
+    let read = history
+        .records()
+        .iter()
+        .rfind(|r| r.op.is_read())
+        .expect("the read was recorded");
+    assert_eq!(read.op.value(), expect, "\n{history}");
+    assert!(check_conditions(&history).is_empty(), "{history}");
+    assert_eq!(
+        check_exhaustive_bounded(&history, 5_000_000),
+        Outcome::Linearizable
+    );
+}
+
+/// Whether every operation of `register`'s phase `i` returned before
+/// `ms`.
+fn phase_returned_before(register: &Register, i: usize, ms: u64) -> bool {
+    let (history, stats) = register;
+    history
+        .borrow()
+        .records()
+        .iter()
+        .filter(|r| r.client == stats[i].0)
+        .all(|r| r.returned_at < Some(Nanos::from_millis(ms).as_nanos()))
+}
+
+#[test]
+fn laned_server_survives_crash_restart_with_per_lane_logs() {
+    // One register on each lane, each with its own history. Per object:
+    // a writer before the crash (through server 0), a writer while server
+    // 0 is down (through server 1), and a reader once it is the last
+    // server standing.
+    let phases = [
+        (ServerId(0), phase(OpMix::WriteOnly, 4, 0)),
+        (ServerId(1), phase(OpMix::WriteOnly, 2, 25)),
+        (ServerId(0), phase(OpMix::ReadOnly, 1, 100)),
+    ];
+    let (mut sim, registers) = laned_registers(29, 3, 2, &phases);
     sim.crash_at(NodeId::Server(ServerId(0)), Nanos::from_millis(20));
     sim.restart_at(NodeId::Server(ServerId(0)), Nanos::from_millis(50));
     sim.crash_at(NodeId::Server(ServerId(1)), Nanos::from_millis(80));
@@ -506,36 +564,34 @@ fn laned_server_survives_crash_restart_with_per_lane_logs() {
     sim.run_to_quiescence();
     assert!(!sim.is_crashed(NodeId::Server(ServerId(0))));
 
-    for (history, stats) in &registers {
-        let history = history.borrow();
-        let done: Vec<u64> = stats
-            .iter()
-            .map(|(_, s)| s.borrow().writes_done + s.borrow().reads_done)
-            .collect();
-        assert_eq!(done, [4, 2, 1], "every phase finished\n{history}");
+    for register in &registers {
         // Each phase ran alone: the last acknowledged write is the
         // downtime writer's second, and server 0 alone returns it.
-        let mut records = history.records().iter();
-        let read = records
-            .rfind(|r| r.op.is_read())
-            .expect("the read was recorded");
-        assert_eq!(
-            *read.op.value(),
-            unique_value(stats[1].0, 2, 64),
-            "\n{history}"
-        );
-        let ops_of = |i: usize| {
-            history
-                .records()
-                .iter()
-                .filter(move |r| r.client == stats[i].0)
-        };
-        assert!(ops_of(0).all(|r| r.returned_at < Some(Nanos::from_millis(20).as_nanos())));
-        assert!(ops_of(1).all(|r| r.returned_at < Some(Nanos::from_millis(50).as_nanos())));
-        assert!(check_conditions(&history).is_empty(), "{history}");
-        assert_eq!(
-            check_exhaustive_bounded(&history, 5_000_000),
-            Outcome::Linearizable
-        );
+        let downtime_writer = register.1[1].0;
+        assert_register(register, &[4, 2, 1], &unique_value(downtime_writer, 2, 64));
+        assert!(phase_returned_before(register, 0, 20));
+        assert!(phase_returned_before(register, 1, 50));
+    }
+}
+
+#[test]
+fn cold_restart_of_a_laned_ring_recovers_every_lane_from_its_log() {
+    // Every server crashes and restarts: no live predecessor holds the
+    // state, so each lane can only serve what its own log recovered.
+    let phases = [
+        (ServerId(0), phase(OpMix::WriteOnly, 4, 0)),
+        (ServerId(2), phase(OpMix::ReadOnly, 1, 60)),
+    ];
+    let (mut sim, registers) = laned_registers(31, 3, 2, &phases);
+    for s in 0..3 {
+        sim.crash_at(NodeId::Server(ServerId(s)), Nanos::from_millis(20));
+        sim.restart_at(NodeId::Server(ServerId(s)), Nanos::from_millis(30));
+    }
+    sim.run_to_quiescence();
+
+    for register in &registers {
+        let writer = register.1[0].0;
+        assert_register(register, &[4, 1], &unique_value(writer, 4, 64));
+        assert!(phase_returned_before(register, 0, 20));
     }
 }

@@ -5,8 +5,8 @@
 //! implementation: eight bytes per step through eight 256-entry tables
 //! built at compile time. It is the polynomial every other WAL format
 //! uses, so the files stay inspectable with standard tools.
-//! [`Crc32`] is the incremental form, for data that is checksummed as it
-//! streams (snapshots, recovery).
+//! [`crc32`] is built on [`Crc32`], the running form that takes its
+//! data in pieces.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;

@@ -1,14 +1,14 @@
 //! Durable persistence for `hts` ring servers: a segmented, CRC-framed
-//! write-ahead log of committed `(object, tag, value)` writes, plus
-//! snapshots, compaction and a crash-recovery reader.
+//! write-ahead log of committed `(object, tag, value)` writes, with
+//! compaction and a crash-recovery reader.
 //!
 //! The seed reproduction implements the paper's crash-**stop** model: a
 //! server that dies is spliced out of the ring forever and its state
 //! lives only in RAM. This crate supplies the durability layer that
 //! upgrades the system to crash-**recovery** (in the spirit of RADON's
 //! repairable atomic objects): every committed write is appended here,
-//! and a restarting server rebuilds its register state from snapshot +
-//! log tail, then rejoins the ring through `hts-core`'s resync
+//! and a restarting server rebuilds its register state from its
+//! segments, then rejoins the ring through `hts-core`'s resync
 //! machinery.
 //!
 //! Design points:
@@ -21,26 +21,27 @@
 //!   per-server persistent storage at one value per object plus the
 //!   uncompacted tail (the storage-cost metric of the
 //!   Storage-Optimized Data-Atomic literature).
+//! * **Every append is fsynced.** [`Wal::append_batch`] ends in exactly
+//!   one fsync, so an acknowledged write is on stable storage before the
+//!   client hears about it, and a group commit pays one flush for the
+//!   whole batch.
+//! * **One file format.** Compaction writes the live state as an
+//!   ordinary segment, and recovery replays segments only.
 //! * **Torn tails are expected, not errors.** Every record is CRC-32
 //!   framed; recovery stops cleanly at the first bad frame of a
 //!   segment. Because tags totally order writes, replay is idempotent
-//!   (highest tag per object wins) and overlapping snapshots/segments
-//!   are harmless.
-//! * **Fsync is a policy** ([`FsyncPolicy`]): `Always` (ack-after-sync
-//!   durability), `EveryN` (bounded loss window), `OsDefault` (page
-//!   cache only — survives process crashes, not power loss). The
-//!   recovery benchmark measures the throughput cost of each.
+//!   (highest tag per object wins) and overlapping segments are
+//!   harmless.
 //!
 //! # Examples
 //!
 //! ```
 //! use hts_types::{ObjectId, ServerId, Tag, Value};
-//! use hts_wal::{recover, FsyncPolicy, Wal, WalOptions, WalRecord};
+//! use hts_wal::{recover, Wal, WalOptions, WalRecord};
 //!
 //! let dir = std::env::temp_dir().join(format!("hts-wal-doc-{}", std::process::id()));
 //! # let _ = std::fs::remove_dir_all(&dir);
-//! let options = WalOptions { fsync: FsyncPolicy::OsDefault, ..WalOptions::default() };
-//! let mut wal = Wal::open(&dir, options)?;
+//! let mut wal = Wal::open(&dir, WalOptions::default())?;
 //! wal.append(&WalRecord {
 //!     object: ObjectId(0),
 //!     tag: Tag::new(1, ServerId(0)),
@@ -71,9 +72,8 @@ mod log;
 pub mod record;
 mod recover;
 pub mod segment;
-pub mod snapshot;
 
 pub use crc::crc32;
-pub use log::{FsyncPolicy, Wal, WalOptions, WalStats};
+pub use log::{Wal, WalOptions, WalStats};
 pub use record::{FrameError, WalRecord};
 pub use recover::{recover, Recovery};

@@ -1,38 +1,15 @@
-//! The append side: [`Wal`], fsync policy, rotation and compaction.
+//! The append side: [`Wal`], fsync, rotation and compaction.
 
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::record::{encode_record, WalRecord};
-use crate::segment::{list_segments, segment_path, sync_dir, SEGMENT_MAGIC};
-use crate::snapshot::{list_snapshots, write_snapshot};
-
-/// When appended records reach the disk.
-///
-/// The policy trades write latency for the amount of acknowledged data
-/// a power failure can lose; see EXPERIMENTS.md for the measured
-/// throughput overhead of each setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FsyncPolicy {
-    /// `fsync` after every append: an acknowledged write is on stable
-    /// storage before the client hears about it.
-    #[default]
-    Always,
-    /// `fsync` once per `n` appends: bounds the loss window to `n − 1`
-    /// acknowledged writes.
-    EveryN(u32),
-    /// Never `fsync` explicitly; the OS page cache flushes on its own
-    /// schedule. Survives process crashes (the data is in kernel
-    /// buffers) but not power loss.
-    OsDefault,
-}
+use crate::segment::{list_segments, segment_path, sync_dir, IO_BUF, SEGMENT_MAGIC};
 
 /// Tuning knobs for a [`Wal`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalOptions {
-    /// Fsync policy for appends.
-    pub fsync: FsyncPolicy,
     /// Size at which the active segment asks for compaction
     /// ([`Wal::wants_compaction`]).
     pub segment_bytes: u64,
@@ -41,7 +18,6 @@ pub struct WalOptions {
 impl Default for WalOptions {
     fn default() -> Self {
         WalOptions {
-            fsync: FsyncPolicy::Always,
             segment_bytes: 8 * 1024 * 1024,
         }
     }
@@ -52,14 +28,14 @@ impl Default for WalOptions {
 pub struct WalStats {
     /// Records appended.
     pub appends: u64,
-    /// Explicit fsyncs issued.
+    /// Fsyncs of the active segment: one per non-empty append.
     pub fsyncs: u64,
-    /// Segments created (including the one opened at boot).
+    /// Active segments started (including the one opened at boot).
     pub segments_created: u64,
     /// Compactions performed.
     pub compactions: u64,
     /// Multi-record [`Wal::append_batch`] calls (group commits): batches
-    /// whose records shared one buffer fill and at most one fsync.
+    /// whose records shared one buffer fill and one fsync.
     pub group_commits: u64,
 }
 
@@ -95,7 +71,6 @@ pub struct Wal {
     active: fs::File,
     active_seq: u64,
     active_bytes: u64,
-    appends_since_sync: u32,
     stats: WalStats,
     scratch: Vec<u8>,
 }
@@ -111,8 +86,8 @@ impl Wal {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         // Sweep temp files orphaned by a crash mid-compaction (the
-        // snapshot rename never happened; recovery ignores them, but
-        // each one leaks a full-state snapshot of disk space).
+        // rename never happened; recovery ignores them, but each one
+        // leaks a full copy of the state in disk space).
         for entry in fs::read_dir(&dir)?.flatten() {
             if entry
                 .file_name()
@@ -122,11 +97,7 @@ impl Wal {
                 let _ = fs::remove_file(entry.path());
             }
         }
-        let last_seq = list_segments(&dir)?
-            .last()
-            .map(|(seq, _)| *seq)
-            .unwrap_or(0)
-            .max(list_snapshots(&dir)?.last().map(|(m, _)| *m).unwrap_or(0));
+        let last_seq = list_segments(&dir)?.last().map_or(0, |(seq, _)| *seq);
         let seq = last_seq + 1;
         let mut active = fs::File::create(segment_path(&dir, seq))?;
         active.write_all(SEGMENT_MAGIC)?;
@@ -137,7 +108,6 @@ impl Wal {
             active,
             active_seq: seq,
             active_bytes: SEGMENT_MAGIC.len() as u64,
-            appends_since_sync: 0,
             stats: WalStats {
                 segments_created: 1,
                 ..WalStats::default()
@@ -170,12 +140,11 @@ impl Wal {
         self.active = file;
         self.active_seq = seq;
         self.active_bytes = SEGMENT_MAGIC.len() as u64;
-        self.appends_since_sync = 0;
         self.stats.segments_created += 1;
         Ok(())
     }
 
-    /// Appends one committed write and applies the fsync policy.
+    /// Appends one committed write and fsyncs it.
     ///
     /// # Errors
     ///
@@ -186,12 +155,10 @@ impl Wal {
     }
 
     /// **Group commit**: appends a whole batch of committed writes with
-    /// one buffer fill, one `write_all`, and the fsync policy applied
-    /// **once** for the batch — under [`FsyncPolicy::Always`] a single
-    /// fsync makes every record in the batch durable, so the runtime can
-    /// still ack-after-fsync while paying the flush per batch instead of
-    /// per commit. Under [`FsyncPolicy::EveryN`] the batch counts as
-    /// `records.len()` appends. An empty batch is a no-op.
+    /// one buffer fill, one `write_all` and **one** fsync, which makes
+    /// every record in the batch durable before this returns — so the
+    /// runtime still acks after the fsync while paying the flush per
+    /// batch instead of per commit. An empty batch is a no-op.
     ///
     /// # Errors
     ///
@@ -212,34 +179,15 @@ impl Wal {
         if records.len() > 1 {
             self.stats.group_commits += 1;
         }
-        self.appends_since_sync += records.len() as u32;
-        match self.options.fsync {
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::EveryN(n) => {
-                if self.appends_since_sync >= n.max(1) {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::OsDefault => {}
-        }
-        // The whole group commit, fsync (per policy) included: what one
-        // event-loop iteration's durability actually cost.
-        hts_metrics::histogram!("hts_wal_append_nanos").record(hts_metrics::now_nanos() - t0);
-        hts_metrics::histogram!("hts_wal_group_commit_records").record(records.len() as u64);
-        Ok(())
-    }
-
-    /// Forces appended records to stable storage regardless of policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the `fsync` failure.
-    pub fn sync(&mut self) -> io::Result<()> {
-        let t0 = hts_metrics::now_nanos();
+        let t_sync = hts_metrics::now_nanos();
         self.active.sync_data()?;
-        hts_metrics::histogram!("hts_wal_fsync_nanos").record(hts_metrics::now_nanos() - t0);
+        let t1 = hts_metrics::now_nanos();
         self.stats.fsyncs += 1;
-        self.appends_since_sync = 0;
+        hts_metrics::histogram!("hts_wal_fsync_nanos").record(t1 - t_sync);
+        // The whole group commit, fsync included: what one event-loop
+        // iteration's durability actually cost.
+        hts_metrics::histogram!("hts_wal_append_nanos").record(t1 - t0);
+        hts_metrics::histogram!("hts_wal_group_commit_records").record(records.len() as u64);
         Ok(())
     }
 
@@ -250,28 +198,45 @@ impl Wal {
         self.active_bytes >= self.options.segment_bytes
     }
 
-    /// Compacts the log: seals the active segment, durably snapshots
-    /// `state`, starts a fresh segment and deletes every segment and
-    /// snapshot the new snapshot supersedes.
+    /// Compacts the log: writes `state` as the ordinary segment `s` one
+    /// past the active one, starts a fresh active segment `s + 1` and
+    /// deletes every segment below `s`.
+    ///
+    /// The records stream through a 64 KiB buffer into a temp file,
+    /// which is fsynced and renamed into place, and the rename is made
+    /// durable before anything is deleted. Segments overlap harmlessly
+    /// (recovery keeps the highest tag per object), so a crash at any
+    /// point recovers the same state.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures; on error the log is still recoverable
-    /// (the snapshot rename is atomic and segments are only deleted
-    /// after it lands).
+    /// (the rename is atomic and segments are only deleted after it
+    /// lands). If the fresh segment cannot be started, appends go on
+    /// into the old active segment.
     pub fn compact(&mut self, state: &[WalRecord]) -> io::Result<()> {
-        self.sync()?;
-        let watermark = self.active_seq + 1;
-        write_snapshot(&self.dir, watermark, state)?;
-        self.start_segment(watermark)?;
-        self.stats.compactions += 1;
-        for (seq, path) in list_segments(&self.dir)? {
-            if seq < watermark {
-                let _ = fs::remove_file(path);
-            }
+        // No leading sync: each append is synced before it returns; a failed one stops the lane.
+        let seq = self.active_seq + 1;
+        let target = segment_path(&self.dir, seq);
+        let tmp = target.with_extension("seg.tmp");
+        let mut out = BufWriter::with_capacity(IO_BUF, fs::File::create(&tmp)?);
+        out.write_all(SEGMENT_MAGIC)?;
+        for record in state {
+            self.scratch.clear();
+            encode_record(&mut self.scratch, record);
+            out.write_all(&self.scratch)?;
         }
-        for (mark, path) in list_snapshots(&self.dir)? {
-            if mark < watermark {
+        out.into_inner()
+            .map_err(io::IntoInnerError::into_error)?
+            .sync_data()?;
+        fs::rename(&tmp, &target)?;
+        // Persist the rename before the deletions: otherwise power loss
+        // can keep the deletions but forget the compacted segment.
+        sync_dir(&self.dir)?;
+        self.start_segment(seq + 1)?;
+        self.stats.compactions += 1;
+        for (old, path) in list_segments(&self.dir)? {
+            if old < seq {
                 let _ = fs::remove_file(path);
             }
         }
@@ -344,10 +309,7 @@ mod tests {
     #[test]
     fn compaction_prunes_segments_but_preserves_state() {
         let dir = tmp_dir("compact");
-        let options = WalOptions {
-            fsync: FsyncPolicy::OsDefault,
-            segment_bytes: 256,
-        };
+        let options = WalOptions { segment_bytes: 256 };
         let mut wal = Wal::open(&dir, options).unwrap();
         for ts in 1..=50 {
             wal.append(&rec(1, ts, ts)).unwrap();
@@ -383,47 +345,19 @@ mod tests {
         assert_eq!(wal.stats().appends, 10);
         assert_eq!(wal.stats().fsyncs, 1);
         assert_eq!(wal.stats().group_commits, 1);
-        // Empty batches are free.
+        // Empty batches are free; a single append pays its own fsync.
         wal.append_batch(&[]).unwrap();
         assert_eq!(wal.stats().fsyncs, 1);
+        wal.append(&rec(1, 11, 11)).unwrap();
+        assert_eq!(wal.stats().fsyncs, 2);
+        assert_eq!(wal.stats().group_commits, 1);
         drop(wal);
         let recovery = recover(&dir).unwrap();
-        assert_eq!(recovery.records_replayed, 10);
+        assert_eq!(recovery.records_replayed, 11);
         assert_eq!(
             recovery.state.get(&ObjectId(1)).unwrap().1,
-            Value::from_u64(10)
+            Value::from_u64(11)
         );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn group_commit_counts_against_every_n() {
-        let dir = tmp_dir("group-everyn");
-        let options = WalOptions {
-            fsync: FsyncPolicy::EveryN(8),
-            ..WalOptions::default()
-        };
-        let mut wal = Wal::open(&dir, options).unwrap();
-        let batch: Vec<WalRecord> = (1..=5).map(|ts| rec(1, ts, ts)).collect();
-        wal.append_batch(&batch).unwrap(); // 5 < 8: no fsync yet
-        assert_eq!(wal.stats().fsyncs, 0);
-        wal.append_batch(&batch).unwrap(); // 10 >= 8: one fsync
-        assert_eq!(wal.stats().fsyncs, 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn every_n_policy_batches_fsyncs() {
-        let dir = tmp_dir("everyn");
-        let options = WalOptions {
-            fsync: FsyncPolicy::EveryN(8),
-            ..WalOptions::default()
-        };
-        let mut wal = Wal::open(&dir, options).unwrap();
-        for ts in 1..=16 {
-            wal.append(&rec(1, ts, ts)).unwrap();
-        }
-        assert_eq!(wal.stats().fsyncs, 2);
         let _ = fs::remove_dir_all(&dir);
     }
 }

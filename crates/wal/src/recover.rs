@@ -1,4 +1,5 @@
-//! The recovery reader: snapshot + log tail → register state.
+//! The recovery reader: every segment, in sequence order → register
+//! state.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -8,17 +9,14 @@ use hts_types::{ObjectId, Tag, Value};
 
 use crate::record::WalRecord;
 use crate::segment::{list_segments, replay_segment};
-use crate::snapshot::{list_snapshots, replay_snapshot};
 
 /// Everything recovery reconstructed from a log directory.
 #[derive(Debug, Clone, Default)]
 pub struct Recovery {
     /// The highest-tag committed value per object.
     pub state: BTreeMap<ObjectId, (Tag, Value)>,
-    /// Log records replayed (after the snapshot, if any).
+    /// Log records replayed, a compacted segment's included.
     pub records_replayed: u64,
-    /// Valid snapshots folded in.
-    pub snapshots_loaded: u32,
     /// `true` when some segment ended in a torn or corrupt frame
     /// (replay stopped cleanly at the last valid record).
     pub torn_tail: bool,
@@ -29,18 +27,6 @@ pub struct Recovery {
 }
 
 impl Recovery {
-    /// The recovered state as a flat record list (snapshot input shape).
-    pub fn to_records(&self) -> Vec<WalRecord> {
-        self.state
-            .iter()
-            .map(|(object, (tag, value))| WalRecord {
-                object: *object,
-                tag: *tag,
-                value: value.clone(),
-            })
-            .collect()
-    }
-
     fn apply(&mut self, record: WalRecord) {
         match self.state.get_mut(&record.object) {
             Some((tag, value)) if *tag < record.tag => {
@@ -55,13 +41,13 @@ impl Recovery {
     }
 }
 
-/// Rebuilds register state from a log directory: folds every valid
-/// snapshot, then replays every segment in sequence order, keeping the
-/// highest tag per object (replay is idempotent because tags totally
-/// order writes, so overlapping snapshots and segments are harmless).
-/// Stops cleanly at the first bad CRC of each segment. Files stream
-/// through a bounded buffer, record by record, so recovery holds the
-/// state it rebuilds and not the log it reads.
+/// Rebuilds register state from a log directory: replays every segment
+/// in sequence order, keeping the highest tag per object (replay is
+/// idempotent because tags totally order writes, so a compacted
+/// segment overlapping the segments it replaces is harmless). Stops
+/// cleanly at the first bad CRC of each segment and goes on with the
+/// next. Files stream through a bounded buffer, record by record, so
+/// recovery holds the state it rebuilds and not the log it reads.
 ///
 /// A missing directory recovers to the empty state with
 /// [`Recovery::had_log`] `false`.
@@ -70,15 +56,8 @@ impl Recovery {
 ///
 /// Propagates I/O failures; corruption is never an error.
 pub fn recover(dir: impl AsRef<Path>) -> io::Result<Recovery> {
-    let dir = dir.as_ref();
     let mut recovery = Recovery::default();
-    for (_, path) in list_snapshots(dir)? {
-        recovery.had_log = true;
-        if replay_snapshot(&path, |record| recovery.apply(record)).is_some() {
-            recovery.snapshots_loaded += 1;
-        }
-    }
-    for (_, path) in list_segments(dir)? {
+    for (_, path) in list_segments(dir.as_ref())? {
         recovery.had_log = true;
         let torn = replay_segment(&path, |record| {
             recovery.records_replayed += 1;
@@ -158,28 +137,40 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_snapshot_falls_back_to_segments() {
-        let dir = tmp_dir("snapfall");
-        let options = WalOptions {
-            segment_bytes: 1, // force compaction opportunities immediately
-            ..WalOptions::default()
-        };
-        let mut wal = Wal::open(&dir, options).unwrap();
+    fn corrupt_compacted_segment_stops_only_that_segment() {
+        let dir = tmp_dir("compactflip");
+        let mut wal = Wal::open(&dir, WalOptions::default()).unwrap();
         wal.append(&rec(1, 1, 10)).unwrap();
-        wal.compact(&[rec(1, 1, 10)]).unwrap();
-        wal.append(&rec(1, 2, 20)).unwrap();
+        wal.append(&rec(2, 1, 10)).unwrap();
+        // The compacted segment holds objects 1, 2 and 3, in that order.
+        wal.compact(&[rec(1, 1, 10), rec(2, 2, 20), rec(3, 1, 30)])
+            .unwrap();
+        let compacted = wal.active_segment() - 1;
+        wal.append(&rec(3, 2, 40)).unwrap();
+        wal.append(&rec(4, 1, 50)).unwrap();
         drop(wal);
-        // Corrupt the snapshot: state must still come from segments...
-        let (_, snap) = list_snapshots(&dir).unwrap().pop().unwrap();
-        fs::write(&snap, b"HTSSNAP1 not a snapshot").unwrap();
+        // Flip one byte of object 2's value: replay of the compacted
+        // segment stops there...
+        let segments = list_segments(&dir).unwrap();
+        assert_eq!(segments.len(), 2, "compaction deleted the old segments");
+        let (seq, path) = &segments[0];
+        assert_eq!(*seq, compacted);
+        let mut bytes = fs::read(path).unwrap();
+        let mut first = Vec::new();
+        crate::record::encode_record(&mut first, &rec(1, 1, 10));
+        let flip = crate::segment::SEGMENT_MAGIC.len() + first.len() + first.len() - 1;
+        bytes[flip] ^= 0x01;
+        fs::write(path, &bytes).unwrap();
         let recovery = recover(&dir).unwrap();
-        assert_eq!(recovery.snapshots_loaded, 0);
-        assert!(recovery.had_log);
-        // ...which still hold the post-compaction append.
-        assert_eq!(
-            recovery.state.get(&ObjectId(1)).unwrap().1,
-            Value::from_u64(20)
-        );
+        assert!(recovery.torn_tail);
+        // ...while its first record and every later segment still apply.
+        // Object 2's older records went with the deleted segments.
+        assert_eq!(recovery.records_replayed, 3);
+        let value = |o| recovery.state.get(&ObjectId(o)).map(|(_, v)| v.clone());
+        assert_eq!(value(1), Some(Value::from_u64(10)));
+        assert_eq!(value(2), None);
+        assert_eq!(value(3), Some(Value::from_u64(40)));
+        assert_eq!(value(4), Some(Value::from_u64(50)));
         let _ = fs::remove_dir_all(&dir);
     }
 

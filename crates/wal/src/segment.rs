@@ -3,14 +3,15 @@
 //! A segment is `wal-<seq>.seg`: an 8-byte magic followed by CRC-framed
 //! records (see [`crate::record`]). Segments are strictly append-only
 //! and never reopened for writing — a restarting server always starts a
-//! fresh segment, so a torn tail can only exist in the segment that was
-//! active when the process died.
+//! fresh segment, and compaction writes its segment whole under a
+//! temporary name before renaming it into place — so a torn tail can
+//! only exist in the segment that was active when the process died.
 
 use std::fs;
 use std::io::{self, BufReader, Read};
 use std::path::{Path, PathBuf};
 
-use crate::record::{decode_record, parse_frame_header, WalRecord, FRAME_HEADER};
+use crate::record::{decode_record, frame_len, WalRecord, FRAME_HEADER};
 
 /// First 8 bytes of every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"HTSWAL01";
@@ -18,7 +19,7 @@ pub const SEGMENT_MAGIC: &[u8; 8] = b"HTSWAL01";
 /// Fsyncs the directory itself, making file creations, renames and
 /// deletions under it durable. Data-file fsyncs alone do not persist
 /// the *directory entry*; without this, a power failure can forget that
-/// a fully-synced segment or snapshot ever existed.
+/// a fully-synced segment ever existed.
 ///
 /// # Errors
 ///
@@ -68,8 +69,8 @@ pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(segments)
 }
 
-/// Buffer size of the streaming replay readers and snapshot writer: the
-/// most either holds besides the state and the one record in hand.
+/// Buffer size of the streaming replay reader and the compaction writer:
+/// the most either holds besides the state and the one record in hand.
 pub(crate) const IO_BUF: usize = 64 * 1024;
 
 /// Replays every valid record of one segment into `apply`, in append
@@ -122,7 +123,7 @@ fn next_record(
         return Ok(None);
     }
     reader.read_exact(&mut header)?;
-    let len = parse_frame_header(&header).0 as u64;
+    let len = frame_len(&header) as u64;
     *left -= header.len() as u64;
     if len > *left {
         return Ok(None);
@@ -143,7 +144,8 @@ mod tests {
         assert_eq!(segment_file_name(3), "wal-00000003.seg");
         assert_eq!(parse_segment_name("wal-00000003.seg"), Some(3));
         assert_eq!(parse_segment_name("wal-x.seg"), None);
-        assert_eq!(parse_segment_name("snap-00000003.snap"), None);
+        // A compaction's unrenamed temp file is not a segment.
+        assert_eq!(parse_segment_name("wal-00000003.seg.tmp"), None);
         // Zero-padding keeps lexicographic = numeric order up to 10^8.
         assert!(segment_file_name(9) < segment_file_name(10));
     }

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use hts_types::{ObjectId, ServerId, Tag, Value};
 use hts_wal::record::{decode_record, encode_record};
 use hts_wal::segment::list_segments;
-use hts_wal::{recover, FsyncPolicy, Wal, WalOptions, WalRecord};
+use hts_wal::{recover, Wal, WalOptions, WalRecord};
 use proptest::prelude::*;
 
 fn arb_record() -> impl Strategy<Value = WalRecord> {
@@ -103,27 +103,25 @@ fn tmp_dir(name: &str) -> PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// End-to-end on real files: append, tear the active segment at an
-    /// arbitrary byte, recover. Recovery stops at the first bad CRC,
-    /// never panics, and reconstructs the tag-maximum of an intact
-    /// prefix of the appends.
+    /// End-to-end on real files: append in batches, tear the active
+    /// segment at an arbitrary byte, recover. Recovery stops at the first
+    /// bad CRC, never panics, and reconstructs the tag-maximum of an
+    /// intact prefix of the appends.
     #[test]
     fn torn_segment_recovery_is_a_clean_prefix(
         values in prop::collection::vec(0u64..1_000_000, 1..20),
         cut_permille in 0u32..1000,
+        batch in 1usize..8,
     ) {
         let dir = tmp_dir("torn");
-        let mut wal = Wal::open(&dir, WalOptions {
-            fsync: FsyncPolicy::OsDefault,
-            ..WalOptions::default()
-        }).unwrap();
+        let mut wal = Wal::open(&dir, WalOptions::default()).unwrap();
         let records: Vec<WalRecord> = values.iter().enumerate().map(|(i, v)| WalRecord {
             object: ObjectId(0),
             tag: Tag::new(i as u64 + 1, ServerId(0)),
             value: Value::from_u64(*v),
         }).collect();
-        for record in &records {
-            wal.append(record).unwrap();
+        for chunk in records.chunks(batch) {
+            wal.append_batch(chunk).unwrap();
         }
         drop(wal);
 

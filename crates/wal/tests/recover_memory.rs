@@ -4,27 +4,26 @@
 mod common;
 
 use hts_types::{ObjectId, ServerId, Tag, Value};
-use hts_wal::{recover, FsyncPolicy, Wal, WalOptions, WalRecord};
+use hts_wal::{recover, Wal, WalOptions, WalRecord};
 
 #[test]
 fn recovering_a_full_segment_grows_the_peak_by_the_state_only() {
     let dir = common::tmp_dir("recover-memory");
-    let options = WalOptions {
-        fsync: FsyncPolicy::OsDefault,
-        ..WalOptions::default()
-    };
-    // One full 8 MiB segment of 1 KiB overwrites of 64 registers.
-    let mut wal = Wal::open(&dir, options).expect("open");
+    // One full 8 MiB segment of 1 KiB overwrites of 64 registers, in
+    // group commits of 64 (each append pays one fsync).
+    let mut wal = Wal::open(&dir, WalOptions::default()).expect("open");
     let value = Value::filled(0xA5, 1024);
     let mut ts = 0;
     while !wal.wants_compaction() {
-        ts += 1;
-        wal.append(&WalRecord {
-            object: ObjectId((ts % 64) as u32),
-            tag: Tag::new(ts, ServerId(0)),
-            value: value.clone(),
-        })
-        .expect("append");
+        let batch: Vec<WalRecord> = (ts + 1..=ts + 64)
+            .map(|ts| WalRecord {
+                object: ObjectId((ts % 64) as u32),
+                tag: Tag::new(ts, ServerId(0)),
+                value: value.clone(),
+            })
+            .collect();
+        wal.append_batch(&batch).expect("append");
+        ts += 64;
     }
     drop(wal);
 

@@ -1,11 +1,11 @@
-//! A snapshot streams to disk: compaction never holds a second copy of
-//! the state. Its own test binary, because `VmHWM` is per process.
+//! Compaction streams the state to disk: it never holds a second copy
+//! of it. Its own test binary, because `VmHWM` is per process.
 
 mod common;
 
 use hts_types::{ObjectId, ServerId, Tag, Value};
-use hts_wal::snapshot::write_snapshot;
-use hts_wal::WalRecord;
+use hts_wal::segment::list_segments;
+use hts_wal::{Wal, WalOptions, WalRecord};
 
 #[test]
 fn writing_a_snapshot_grows_the_peak_by_its_buffer_only() {
@@ -18,13 +18,15 @@ fn writing_a_snapshot_grows_the_peak_by_its_buffer_only() {
             value: Value::filled(i as u8, 4096),
         })
         .collect();
+    let mut wal = Wal::open(&dir, WalOptions::default()).expect("open");
 
-    let (grown, path) =
-        common::peak_growth_kib(|| write_snapshot(&dir, 1, &state).expect("snapshot"));
-    assert!(std::fs::metadata(path).expect("snapshot file").len() > 8 << 20);
+    let (grown, ()) = common::peak_growth_kib(|| wal.compact(&state).expect("compact"));
+    let segments = list_segments(&dir).expect("list");
+    let (_, compacted) = segments.first().expect("the compacted segment");
+    assert!(std::fs::metadata(compacted).expect("segment file").len() > 8 << 20);
     assert!(
         grown < 1 << 10,
-        "snapshotting 8 MiB of state grew the peak resident set by {grown} KiB"
+        "compacting 8 MiB of state grew the peak resident set by {grown} KiB"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

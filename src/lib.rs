@@ -18,7 +18,7 @@
 //! | [`lincheck`] | `hts-lincheck` | linearizability checkers for register histories |
 //! | [`baselines`] | `hts-baselines` | ABD quorum, chain replication, TOB register, Fig. 1 toys |
 //! | [`net`] | `hts-net` | real TCP runtime with failure detection |
-//! | [`wal`] | `hts-wal` | write-ahead log, snapshots and crash recovery for servers |
+//! | [`wal`] | `hts-wal` | write-ahead log (every append fsynced), compaction and crash recovery for servers |
 //!
 //! Start with `examples/quickstart.rs` (a real TCP cluster on localhost)
 //! or `examples/figure2_walkthrough.rs` (the paper's illustration run,
