@@ -1,5 +1,6 @@
 //! Validates the paper's **§4 analytical claims** by running the very same
-//! `ServerCore` on the synchronous round model of §2:
+//! server (`LaneCore` over `MultiObjectServer`) on the synchronous round
+//! model of §2:
 //!
 //! * read latency = 2 rounds;
 //! * write latency = 2N + 2 rounds;

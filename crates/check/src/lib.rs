@@ -42,6 +42,9 @@ pub use rules::{check_file, Rule, Violation};
 pub const PROTOCOL_CRATES: [&str; 6] = ["types", "core", "net", "wal", "sim", "metrics"];
 
 /// Lints `crates/<crate>/src/**/*.rs` under `root` for each named crate.
+/// When `crates` covers every one of [`PROTOCOL_CRATES`], an L6 ring hot
+/// function that none of them defines is a violation too
+/// ([`rules::missing_hot_functions`]).
 ///
 /// Returns violations sorted by file, then line. Paths in the result are
 /// `root`-relative with `/` separators (stable across platforms).
@@ -53,6 +56,7 @@ pub const PROTOCOL_CRATES: [&str; 6] = ["types", "core", "net", "wal", "sim", "m
 /// make an empty report look clean).
 pub fn check_workspace(root: &Path, crates: &[&str]) -> io::Result<Vec<Violation>> {
     let mut violations = Vec::new();
+    let mut hot = Vec::new();
     for krate in crates {
         let src = root.join("crates").join(krate).join("src");
         if !src.is_dir() {
@@ -74,7 +78,11 @@ pub fn check_workspace(root: &Path, crates: &[&str]) -> io::Result<Vec<Violation
                 .join("/");
             let text = fs::read_to_string(&path)?;
             violations.extend(check_file(&rel, &text));
+            hot.extend(rules::hot_functions_in(&text));
         }
+    }
+    if PROTOCOL_CRATES.iter().all(|c| crates.contains(c)) {
+        violations.extend(rules::missing_hot_functions(&hot));
     }
     violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(violations)

@@ -300,20 +300,23 @@ fn rule_l3(file: &str, toks: &[Tok<'_>], out: &mut Vec<Violation>) {
     }
 }
 
-/// The per-frame ring hot functions: every ring frame (and with small
-/// values, every committed write) passes through these on the data path,
-/// so a stray `Instant::now()` syscall or heap allocation here is a
-/// throughput regression, not a style nit. The metrics helpers
-/// (`hts_metrics::now_nanos`, the `counter!`-family macros) are designed
-/// alloc-free and are not in the flagged construct set.
-const HOT_FUNCTIONS: [&str; 12] = [
+// The per-frame ring hot functions: every ring frame (and with small
+// values, every committed write) passes through these on the data path,
+// so a stray `Instant::now()` syscall or heap allocation here is a
+// throughput regression, not a style nit. The metrics helpers
+// (`hts_metrics::now_nanos`, the `counter!`-family macros) are designed
+// alloc-free and are not in the flagged construct set. Every name must
+// name a function of the protocol crates (`missing_hot_functions`).
+/// The line of `HOT_FUNCTIONS`, where a violation of
+/// [`missing_hot_functions`] points.
+const HOT_FUNCTIONS_LINE: u32 = line!() + 1;
+const HOT_FUNCTIONS: [&str; 11] = [
     // The lane core's claim of a link's next batch and its batch
     // selection, which both runtimes pull ring batches through, and the
     // scheduler beneath them.
     "claim",
     "next_batch",
     "drain_frames",
-    "drain_frames_with",
     "next_frame",
     "next_object_frame",
     // The runtimes' ring pumps (the reactor's and the simulator's).
@@ -362,6 +365,35 @@ fn assoc_call<'a>(toks: &[Tok<'a>], k: usize) -> Option<(&'a str, &'a str)> {
         }
         _ => None,
     }
+}
+
+/// The L6 ring hot functions that `src` defines outside test scope.
+pub fn hot_functions_in(src: &str) -> Vec<&'static str> {
+    let lexed = lex(src);
+    let toks = &lexed.toks;
+    let test = test_mask(toks);
+    (0..toks.len().saturating_sub(1))
+        .filter(|&i| toks[i].is_ident("fn") && !test[i])
+        .filter_map(|i| HOT_FUNCTIONS.into_iter().find(|h| *h == toks[i + 1].text))
+        .collect()
+}
+
+/// An L6 violation for every ring hot function name that is not in
+/// `defined` (the names [`hot_functions_in`] found across the protocol
+/// crates): a hot function renamed or deleted would otherwise leave L6
+/// silently guarding nothing.
+pub fn missing_hot_functions(defined: &[&str]) -> Vec<Violation> {
+    HOT_FUNCTIONS
+        .into_iter()
+        .filter(|name| !defined.contains(name))
+        .map(|name| {
+            let what = format!(
+                "ring hot function `{name}` is defined in no protocol crate, so L6 checks \
+                 nothing under that name; point HOT_FUNCTIONS at its new name or drop it"
+            );
+            Violation::new(Rule::L6, file!(), HOT_FUNCTIONS_LINE, what)
+        })
+        .collect()
 }
 
 fn rule_l6(file: &str, toks: &[Tok<'_>], out: &mut Vec<Violation>) {
@@ -527,6 +559,23 @@ mod tests {
                    fn cold_path() {\n    let d = Instant::now();\n    let b = keys.collect();\n}\n";
         let lines: Vec<(Rule, u32)> = (2..=7).map(|line| (Rule::L6, line)).collect();
         assert_eq!(rules_of(src), lines);
+    }
+
+    #[test]
+    fn l6_flags_hot_function_names_no_crate_defines() {
+        let src = "fn claim() {}\nfn cold() {}\n#[cfg(test)]\nmod t { fn pump() {} }\n";
+        assert_eq!(hot_functions_in(src), ["claim"]);
+        assert!(missing_hot_functions(&HOT_FUNCTIONS).is_empty());
+        let defined: Vec<&str> = HOT_FUNCTIONS.into_iter().filter(|h| *h != "pump").collect();
+        let missing = missing_hot_functions(&defined);
+        assert_eq!(missing.len(), 1, "{missing:?}");
+        assert_eq!(missing[0].rule, Rule::L6);
+        assert!(missing[0].what.contains("`pump`"), "{missing:?}");
+        assert_eq!(missing[0].file, "crates/check/src/rules.rs");
+        let listed = include_str!("rules.rs")
+            .lines()
+            .nth(HOT_FUNCTIONS_LINE as usize - 1);
+        assert!(listed.is_some_and(|l| l.starts_with("const HOT_FUNCTIONS:")));
     }
 
     #[test]

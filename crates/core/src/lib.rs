@@ -31,13 +31,18 @@
 //!
 //! # Crate layout
 //!
-//! * [`ServerCore`] — the protocol's server state machine for one
-//!   register (sans-io: feed events, collect [`Action`]s and frames).
+//! * [`MultiObjectServer`] — the server (sans-io: feed events, collect
+//!   [`Action`]s and frames): one ring view, one configuration and one
+//!   restart-resync gate, shared by the many registers it multiplexes
+//!   over the ring. A single register is
+//!   [`ObjectId::SINGLE`](hts_types::ObjectId::SINGLE).
+//! * [`ServerCore`] — the protocol's state for one register, reached
+//!   read-only through [`MultiObjectServer::object`]; its events arrive
+//!   through the server.
 //! * [`SessionCore`] — the client: a **window** of concurrent in-flight
 //!   operations over one channel, with per-request retry state and
 //!   out-of-order completions. A window of 1 is the paper's sequential
 //!   client.
-//! * [`MultiObjectServer`] — many registers multiplexed over one ring.
 //! * [`LaneCore`] — the policy of one ring lane around a
 //!   [`MultiObjectServer`]: restart, the successor links (connect
 //!   back-off, one staged batch per link and the strike rule, driven
@@ -52,15 +57,16 @@
 //! hand-delivering frames — the protocol is just data in, data out:
 //!
 //! ```
-//! use hts_core::{Action, Config, ServerCore};
-//! use hts_types::{ClientId, Message, ObjectId, RequestId, ServerId, Value};
+//! use hts_core::{Action, Config, MultiObjectServer};
+//! use hts_types::{ClientId, ObjectId, RequestId, ServerId, Value};
 //!
-//! let mut servers: Vec<ServerCore> = (0..3)
-//!     .map(|i| ServerCore::new(ServerId(i), 3, ObjectId::SINGLE, Config::default()))
+//! let mut servers: Vec<MultiObjectServer> = (0..3)
+//!     .map(|i| MultiObjectServer::new(ServerId(i), 3, Config::default()))
 //!     .collect();
 //!
 //! // A client writes through s0.
-//! servers[0].on_client_write(ClientId(0), RequestId(1), Value::from_u64(42));
+//! let x = ObjectId::SINGLE;
+//! servers[0].on_client_write(x, ClientId(0), RequestId(1), Value::from_u64(42));
 //!
 //! // Drive the ring until quiescent: pull frames, deliver to successors.
 //! let mut acks = Vec::new();
@@ -81,7 +87,7 @@
 //! // The write completed and every server stores the value.
 //! assert!(matches!(acks[0], Action::WriteAck { .. }));
 //! for s in &servers {
-//!     assert_eq!(s.stored().1, &Value::from_u64(42));
+//!     assert_eq!(s.object(x).unwrap().stored().1, &Value::from_u64(42));
 //! }
 //! ```
 

@@ -2,29 +2,74 @@
 //!
 //! Distributed storage systems "combine multiple of these read/write
 //! objects, each storing its share of data" (paper §1). One
-//! [`MultiObjectServer`] hosts a [`ServerCore`] per object; all objects
+//! [`MultiObjectServer`] hosts a [`ServerCore`] per object under one ring
+//! view, one configuration and one restart-resync gate; all objects
 //! share the ring links, with transmission slots rotated round-robin
 //! across objects that have work (each object's own fairness rule governs
 //! *within* the object).
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
 use hts_types::{ClientId, ObjectId, Rejoin, RequestId, RingFrame, ServerId, Tag, Value};
 
 use crate::{Action, Config, RingView, ServerCore};
 
-/// A ring server hosting many independent atomic registers.
+/// What every register of a [`MultiObjectServer`] shares, held once and
+/// lent to a register for each event.
+#[derive(Debug, Clone)]
+pub(crate) struct Lane {
+    /// The one membership view of this server's ring.
+    pub(crate) ring: RingView,
+    pub(crate) config: Config,
+    /// The resync gate, shut (`Some`) from a restart until our own
+    /// announcement completes its circuit: reads queue here and no
+    /// register initiates a local write — a tag minted from restored
+    /// (possibly stale) state could order it before writes completed
+    /// during the downtime. The gate covers every register, logged or
+    /// not: one this server has never seen may still have history
+    /// elsewhere in the ring.
+    resync: Option<Resync>,
+}
+
+impl Lane {
+    pub(crate) fn me(&self) -> ServerId {
+        self.ring.me()
+    }
+
+    /// Whether the resync gate is shut.
+    pub(crate) fn syncing(&self) -> bool {
+        self.resync.is_some()
+    }
+}
+
+/// A restart resync in progress.
+#[derive(Debug, Clone)]
+struct Resync {
+    /// [`hts_metrics::now_nanos`] when it began.
+    begun_at: u64,
+    /// Reads received meanwhile, `(object, client, request)` in arrival
+    /// order, replayed through [`MultiObjectServer::on_client_read`] when
+    /// the resync completes (so they still block on any pending
+    /// pre-write learned during it).
+    reads: Vec<(ObjectId, ClientId, RequestId)>,
+}
+
+/// A ring server hosting many independent atomic registers — the one
+/// server type of the protocol; a single register is
+/// [`ObjectId::SINGLE`].
 ///
 /// A register costs its [`ServerCore`] (see what a core costs there),
-/// boxed, plus the object map's slot for the box: about 0.8 KiB per
-/// server with 64 B values, 2.5 KiB over a three-server ring
-/// (`tests/footprint.rs`). The configuration is one copy shared by every
-/// core. Routing a request or frame to an existing core allocates
-/// nothing here, after a crash report as before one. What still grows
-/// with the object count is time: [`next_frame`](Self::next_frame),
+/// boxed, plus the object map's slot for the box: about 0.75 KiB per
+/// server with 64 B values, 2.2 KiB over a three-server ring
+/// (`tests/footprint.rs`). The ring view, the configuration and the
+/// resync gate are one copy per server, lent to a core for each event.
+/// Routing a request or frame to an existing core allocates nothing
+/// here, after a crash report as before one. What still grows with the
+/// object count is time: [`next_frame`](Self::next_frame),
 /// [`has_ring_work`](Self::has_ring_work) and
-/// [`drain_commits`](Self::drain_commits) visit every core.
+/// [`drain_commits`](Self::drain_commits) visit every core, and so do
+/// crash and rejoin reports, because splice re-sends and adoption are
+/// per register.
 ///
 /// # Examples
 ///
@@ -39,11 +84,7 @@ use crate::{Action, Config, RingView, ServerCore};
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiObjectServer {
-    /// The membership every core shares; a core created late replays
-    /// the crashes it records.
-    ring: RingView,
-    /// One copy, shared by every core.
-    config: Arc<Config>,
+    lane: Lane,
     /// Boxed: a core is several hundred bytes, and inline in the map's
     /// leaves — which ascending inserts leave about half full — it
     /// would cost nearly twice that.
@@ -56,31 +97,31 @@ pub struct MultiObjectServer {
     /// links then make an announcement's arrival prove the recovery
     /// stream arrived first.
     announce: VecDeque<Rejoin>,
-    /// Restart resync in progress: every core queues reads and holds
-    /// local writes until our own announcement completes its circuit.
-    syncing: bool,
-    /// [`hts_metrics::now_nanos`] when the resync began (0 outside one).
-    sync_begun_at: u64,
 }
 
 impl MultiObjectServer {
     /// Creates server `me` of a ring of `n`, initially hosting no objects
     /// (they are created on first use).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `me` is outside `0..n` (see [`RingView::new`]).
     pub fn new(me: ServerId, n: u16, config: Config) -> Self {
         MultiObjectServer {
-            ring: RingView::new(me, n),
-            config: Arc::new(config),
+            lane: Lane {
+                ring: RingView::new(me, n),
+                config,
+                resync: None,
+            },
             objects: BTreeMap::new(),
             cursor: None,
             announce: VecDeque::new(),
-            syncing: false,
-            sync_begun_at: 0,
         }
     }
 
     /// This server's id.
     pub fn me(&self) -> ServerId {
-        self.ring.me()
+        self.lane.me()
     }
 
     /// The number of objects currently hosted.
@@ -93,32 +134,21 @@ impl MultiObjectServer {
         self.objects.get(&object).map(|core| &**core)
     }
 
-    /// The current ring successor.
+    /// The current ring successor (where [`next_frame`](Self::next_frame)
+    /// output goes), or `None` when this server is the only survivor.
     pub fn successor(&self) -> Option<ServerId> {
-        self.ring.successor()
+        self.lane.ring.successor()
     }
 
-    fn core_mut(&mut self, object: ObjectId) -> &mut ServerCore {
-        let MultiObjectServer {
-            ring,
-            config,
-            objects,
-            syncing,
-            ..
-        } = self;
-        objects.entry(object).or_insert_with(|| {
-            let mut core = ServerCore::with_config(ring.me(), ring.n(), object, Arc::clone(config));
-            // Late-created objects must share the ring view.
-            for s in (0..ring.n()).map(ServerId).filter(|s| !ring.is_alive(*s)) {
-                let _ = core.on_server_crashed(s);
-            }
-            // ...and the resync gate: an object this server has never
-            // seen may still have history elsewhere in the ring.
-            if *syncing {
-                core.begin_sync();
-            }
-            Box::new(core)
-        })
+    /// The lane every register borrows, and the register `object`
+    /// (created on first use).
+    fn core_mut(&mut self, object: ObjectId) -> (&Lane, &mut ServerCore) {
+        let lane = &self.lane;
+        let core = self
+            .objects
+            .entry(object)
+            .or_insert_with(|| Box::new(ServerCore::new(object, lane.ring.n(), &lane.config)));
+        (lane, core)
     }
 
     /// Routes a client write to its object.
@@ -129,18 +159,27 @@ impl MultiObjectServer {
         request: RequestId,
         value: Value,
     ) -> Vec<Action> {
-        self.core_mut(object)
-            .on_client_write(client, request, value)
+        let (lane, core) = self.core_mut(object);
+        core.on_client_write(lane, client, request, value)
     }
 
-    /// Routes a client read to its object.
+    /// Routes a client read to its object. While the resync gate is shut
+    /// the read is held: the restored state may miss writes committed
+    /// during the downtime, and serving now could travel back in time —
+    /// even as a lone survivor, whose missing writes live in the crashed
+    /// peers' logs.
     pub fn on_client_read(
         &mut self,
         object: ObjectId,
         client: ClientId,
         request: RequestId,
     ) -> Vec<Action> {
-        self.core_mut(object).on_client_read(client, request)
+        if let Some(resync) = &mut self.lane.resync {
+            resync.reads.push((object, client, request));
+            return Vec::new();
+        }
+        let (lane, core) = self.core_mut(object);
+        core.on_client_read(lane, client, request)
     }
 
     /// Routes a ring frame to its object and handles any piggybacked
@@ -151,7 +190,8 @@ impl MultiObjectServer {
         // the frame that carries the tail of a recovery stream, the
         // state must land before the sync-complete marker is acted on.
         let mut actions = if frame.pre_write.is_some() || frame.write.is_some() {
-            self.core_mut(frame.object).on_frame(frame)
+            let (lane, core) = self.core_mut(frame.object);
+            core.on_frame(lane, frame)
         } else {
             Vec::new()
         };
@@ -161,22 +201,25 @@ impl MultiObjectServer {
         actions
     }
 
-    /// Fans a crash report to every object.
+    /// Splices a crashed server out of the ring and reports the crash to
+    /// every object.
     pub fn on_server_crashed(&mut self, s: ServerId) -> Vec<Action> {
-        // Every core ignores a report about itself; so does the view.
-        if s != self.me() {
-            self.ring.mark_crashed(s);
-        }
         let mut actions = Vec::new();
-        for core in self.objects.values_mut() {
-            actions.extend(core.on_server_crashed(s));
+        // A report about ourselves, or about a server already spliced
+        // out, is stale.
+        if s != self.me() && self.lane.ring.is_alive(s) {
+            let was_successor = self.successor() == Some(s);
+            self.lane.ring.mark_crashed(s);
+            for core in self.objects.values_mut() {
+                actions.extend(core.on_server_crashed(&self.lane, s, was_successor));
+            }
         }
         // A queued or circulating announcement for the crashed server is
         // now a lie: forwarding it would resurrect a dead server in
         // every peer's ring view.
         self.announce.retain(|r| r.server != s);
-        if self.syncing {
-            if self.ring.alive_count() <= 1 {
+        if self.is_syncing() {
+            if self.lane.ring.alive_count() <= 1 {
                 // Lone survivor mid-resync: nobody to sync from *now*,
                 // and our restored log may miss acknowledged writes that
                 // live in the crashed peers' logs. Stay gated (reads and
@@ -203,20 +246,19 @@ impl MultiObjectServer {
     /// server was down. A single-server ring has nobody to sync from and
     /// skips straight to serving.
     pub fn begin_rejoin(&mut self) {
-        if self.ring.n() <= 1 {
+        if self.lane.ring.n() <= 1 {
             return;
         }
-        self.syncing = true;
-        self.sync_begun_at = hts_metrics::now_nanos();
-        for core in self.objects.values_mut() {
-            core.begin_sync();
-        }
+        self.lane.resync = Some(Resync {
+            begun_at: hts_metrics::now_nanos(),
+            reads: Vec::new(),
+        });
         self.announce.push_back(Rejoin::announce(self.me()));
     }
 
     /// Whether this server is still resyncing after a restart.
     pub fn is_syncing(&self) -> bool {
-        self.syncing
+        self.lane.syncing()
     }
 
     /// Handles a rejoin announcement (usually piggybacked on a ring
@@ -224,12 +266,12 @@ impl MultiObjectServer {
     /// unless the flags say the predecessor that vouched for the
     /// recovery stream was itself still syncing, in which case we
     /// re-announce and wait for it to catch up (see [`Rejoin`]). Anyone
-    /// else's announcement is applied to every core (the new
-    /// predecessor re-sends its state) and forwarded with the flags
-    /// updated.
+    /// else's announcement splices the rejoiner back in (if it is now
+    /// our successor, every object re-sends its state to it) and is
+    /// forwarded with the flags updated.
     pub fn on_rejoin_announcement(&mut self, r: Rejoin) -> Vec<Action> {
         if r.server == self.me() {
-            if !self.syncing {
+            if !self.is_syncing() {
                 return Vec::new(); // duplicate announcement return
             }
             if r.stale_source && !r.all_syncing {
@@ -243,34 +285,39 @@ impl MultiObjectServer {
             }
             // Clean certificate — or a whole-cluster cold start, where
             // the recovery logs are collectively all there is.
-            self.syncing = false;
+            let Some(resync) = self.lane.resync.take() else {
+                return Vec::new();
+            };
             hts_metrics::histogram!("hts_core_resync_nanos")
-                .record(hts_metrics::now_nanos().saturating_sub(self.sync_begun_at));
+                .record(hts_metrics::now_nanos().saturating_sub(resync.begun_at));
             hts_metrics::counter!("hts_core_resyncs_total").inc();
-            self.sync_begun_at = 0;
             let mut actions = Vec::new();
-            for core in self.objects.values_mut() {
-                actions.extend(core.finish_sync());
+            for (object, client, request) in resync.reads {
+                actions.extend(self.on_client_read(object, client, request));
             }
             return actions;
         }
-        self.ring.mark_rejoined(r.server);
-        for core in self.objects.values_mut() {
-            core.on_server_rejoined(r.server);
+        self.lane.ring.mark_rejoined(r.server);
+        let serving = self.successor() == Some(r.server);
+        if serving {
+            // We are the rejoiner's new predecessor: the one it syncs from.
+            for core in self.objects.values_mut() {
+                core.on_successor_rejoined();
+            }
         }
-        if self.syncing && !self.announce.iter().any(|a| a.server == self.me()) {
+        let syncing = self.is_syncing();
+        if syncing && !self.announce.iter().any(|a| a.server == self.me()) {
             // A peer coming back ends a lone-survivor wait (and generally
             // gives our own announcement a ring to circulate on): make
             // sure one is in flight so our resync can complete.
             self.announce.push_back(Rejoin::announce(self.me()));
         }
-        let serving = self.successor() == Some(r.server);
         self.announce.push_back(Rejoin {
             server: r.server,
             // We are the hop the certificate vouches for: flag our own
             // resync state so the rejoiner knows whether to trust it.
-            stale_source: r.stale_source || (serving && self.syncing),
-            all_syncing: r.all_syncing && self.syncing,
+            stale_source: r.stale_source || (serving && syncing),
+            all_syncing: r.all_syncing && syncing,
         });
         Vec::new()
     }
@@ -296,24 +343,38 @@ impl MultiObjectServer {
         frame
     }
 
-    /// Pulls up to `max_frames` frames for the current successor,
-    /// rotating fairly across objects and piggybacking queued rejoin
-    /// announcements exactly as repeated [`next_frame`](Self::next_frame)
-    /// calls would — this is the batch scheduler the transports drain
-    /// into one [`RingBatch`](hts_types::Message::RingBatch) wire
-    /// message. `max_bytes` is a soft cap on the batch's encoded frame
-    /// bodies: the frame that crosses it is included, then draining
-    /// stops. Per-link FIFO (which the rejoin/resync protocol depends
-    /// on) is preserved because the batch is written sequentially on the
-    /// same link in drain order.
+    /// Pulls up to `max_frames` frames (clamped to ≥ 1) for the current
+    /// successor, rotating fairly across objects and piggybacking queued
+    /// rejoin announcements exactly as repeated
+    /// [`next_frame`](Self::next_frame) calls would — this is the batch
+    /// scheduler the transports drain into one
+    /// [`RingBatch`](hts_types::Message::RingBatch) wire message.
+    /// `max_bytes` is a soft cap on the batch's encoded frame bodies: the
+    /// first frame is admitted unconditionally — even a zero byte budget
+    /// must not wedge the ring — and the frame that crosses the budget
+    /// still ships. Per-link FIFO (which the rejoin/resync protocol
+    /// depends on) is preserved because the batch is written
+    /// sequentially on the same link in drain order.
     pub fn drain_frames(&mut self, max_frames: usize, max_bytes: usize) -> Vec<RingFrame> {
-        crate::server::drain_frames_with(|| self.next_frame(), max_frames, max_bytes)
+        // lint: allow(ring_hot_loop): the batch handed to the caller, one allocation per batch
+        let mut frames = Vec::new();
+        let mut bytes = 0usize;
+        while frames.len() < max_frames.max(1) && (frames.is_empty() || bytes < max_bytes) {
+            let Some(frame) = self.next_frame() else {
+                break;
+            };
+            bytes += hts_types::codec::frame_wire_size(&frame);
+            frames.push(frame);
+        }
+        frames
     }
 
     fn next_object_frame(&mut self) -> Option<RingFrame> {
         if self.objects.is_empty() {
             return None;
         }
+        // Alone in the ring, no register has anywhere to send.
+        self.successor()?;
         // Start after the cursor, wrap once around all objects.
         // lint: allow(ring_hot_loop): scans every object; ROADMAP item 4 removes it
         let ids: Vec<ObjectId> = self.objects.keys().copied().collect();
@@ -324,7 +385,7 @@ impl MultiObjectServer {
         for k in 0..ids.len() {
             let id = ids[(start + k) % ids.len()];
             let core = self.objects.get_mut(&id)?; // ids came from the map
-            if let Some(frame) = core.next_frame() {
+            if let Some(frame) = core.next_frame(&self.lane) {
                 self.cursor = Some(id);
                 return Some(frame);
             }
@@ -350,7 +411,7 @@ impl MultiObjectServer {
     /// have moved on during the downtime).
     pub fn restore_state(&mut self, state: impl IntoIterator<Item = (ObjectId, Tag, Value)>) {
         for (object, tag, value) in state {
-            self.core_mut(object).restore(tag, value);
+            self.core_mut(object).1.restore(tag, value);
         }
     }
 
@@ -420,33 +481,14 @@ mod tests {
     fn late_objects_inherit_crash_knowledge() {
         let mut s = MultiObjectServer::new(ServerId(0), 3, Config::default());
         s.on_server_crashed(ServerId(1));
-        // Object created after the crash still skips s1.
+        // An object created after the crash sends past s1...
         s.on_client_write(ObjectId(9), ClientId(0), RequestId(1), Value::from_u64(1));
-        let core = s.object(ObjectId(9)).unwrap();
-        assert_eq!(core.successor(), Some(ServerId(2)));
         assert_eq!(s.successor(), Some(ServerId(2)));
-    }
-
-    #[test]
-    fn successor_without_objects_matches_a_fresh_core() {
-        // Every subset of a 4-ring reported crashed, `me` included (a
-        // core ignores a report about itself).
-        for me in 0..4u16 {
-            for mask in 0u8..16 {
-                let mut server = MultiObjectServer::new(ServerId(me), 4, Config::default());
-                let mut core =
-                    ServerCore::new(ServerId(me), 4, ObjectId::SINGLE, Config::default());
-                for s in (0..4u16).filter(|s| mask & (1 << s) != 0) {
-                    server.on_server_crashed(ServerId(s));
-                    core.on_server_crashed(ServerId(s));
-                }
-                assert_eq!(
-                    server.successor(),
-                    core.successor(),
-                    "me {me}, crashed {mask:04b}"
-                );
-            }
-        }
+        assert!(s.next_frame().is_some_and(|f| f.object == ObjectId(9)));
+        // ...and one created once s0 is alone completes a write at once.
+        s.on_server_crashed(ServerId(2));
+        let acks = s.on_client_write(ObjectId(10), ClientId(0), RequestId(2), Value::from_u64(2));
+        assert_eq!(acks.len(), 1);
     }
 
     #[test]

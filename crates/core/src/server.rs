@@ -4,10 +4,12 @@
 //! This is a **sans-io** translation of the paper's server pseudo-code
 //! (§3): events come in through the `on_*` methods, client-visible effects
 //! come out as [`Action`]s, and ring transmissions are *pulled* by the
-//! transport through [`ServerCore::next_frame`] whenever the ring NIC can
-//! send — which is where the fairness rule runs. The same core drives the
-//! packet-level simulator, the round-model simulator and the real TCP
-//! runtime.
+//! transport through [`MultiObjectServer::next_frame`] whenever the ring
+//! NIC can send — which is where the fairness rule runs. The same core
+//! drives the packet-level simulator, the round-model simulator and the
+//! real TCP runtime.
+//!
+//! [`MultiObjectServer::next_frame`]: crate::MultiObjectServer::next_frame
 //!
 //! The protocol in one paragraph: a write is assigned a [`Tag`] greater
 //! than everything its coordinator has seen and circulates the ring twice —
@@ -21,14 +23,13 @@
 //! crash. Where the conference pseudo-code is ambiguous, the comment at
 //! the resolving code says which reading was taken and why.
 
-use std::sync::Arc;
-
 use hts_types::{
     ClientId, ObjectId, PreWrite, RequestId, RingFrame, ServerId, Tag, Value, WriteNotice,
 };
 
+use crate::multi::Lane;
 use crate::small::{SmallMap, SmallQueue};
-use crate::{Config, ForwardScheduler, PendingSet, RingView, Selection};
+use crate::{Config, ForwardScheduler, PendingSet, Selection};
 
 /// A client-visible effect produced by the server core; the transport
 /// layer turns these into reply messages.
@@ -122,13 +123,18 @@ const WRITE: usize = 1;
 
 /// The per-object server state machine: the paper's §3 server, sans-io.
 ///
+/// A register holds only its own state; the ring view, the configuration
+/// and the restart-resync gate are its lane's, held once by the
+/// [`MultiObjectServer`] that hosts it and lent to every event. Reach a
+/// register through [`MultiObjectServer::object`].
+///
 /// # What a register costs
 ///
-/// **At rest** a core is its stored tag and value, its ring view, one
-/// pair of duplicate-suppression watermarks per ring member, its
-/// counters and the protocol's queues, all empty — and an emptied queue,
-/// set or map owns no heap. On a 64-bit target the core is 712 B; the
-/// heap adds the value, `n` alive flags and `16·n` B of watermarks.
+/// **At rest** a core is its stored tag and value, one pair of
+/// duplicate-suppression watermarks per ring member, its counters and
+/// the protocol's queues, all empty — and an emptied queue, set or map
+/// owns no heap. On a 64-bit target the core is 648 B; the heap adds the
+/// value and `16·n` B of watermarks.
 /// **In flight**, one write per register — the common case, since a
 /// client waits for its ack before writing the register again — keeps
 /// its pending entry, its outstanding entry and every queued frame
@@ -136,18 +142,16 @@ const WRITE: usize = 1;
 /// writes in flight spill a queue or map to the heap, and the spill is
 /// kept until that collection empties again. The crate's
 /// `tests/footprint.rs` pins both over three [`MultiObjectServer`]s in a
-/// ring with 64 B values: 2.5 KiB of live heap per register summed over
+/// ring with 64 B values: 2.2 KiB of live heap per register summed over
 /// the three servers, flat from 1024 to 4096 registers, and 7
 /// allocations per write to a hot register, none of them in a core: one
 /// object list per pulled frame and the acknowledgement's `Vec`.
 ///
 /// [`MultiObjectServer`]: crate::MultiObjectServer
+/// [`MultiObjectServer::object`]: crate::MultiObjectServer::object
 #[derive(Debug, Clone)]
 pub struct ServerCore {
     object: ObjectId,
-    /// Shared by every core of a [`MultiObjectServer`](crate::MultiObjectServer).
-    config: Arc<Config>,
-    ring: RingView,
     stored_tag: Tag,
     stored_value: Value,
     pending: PendingSet,
@@ -162,15 +166,6 @@ pub struct ServerCore {
     /// id: `[PREWRITE]` and `[WRITE]` timestamps, one entry per ring
     /// member.
     seen: Box<[[u64; 2]]>,
-    /// Restart resync: while set, reads queue (the restored state may be
-    /// behind writes committed during the downtime) and no local writes
-    /// are initiated (their tags could be assigned "into the past").
-    /// Cleared when the rejoin announcement completes its circulation —
-    /// FIFO links guarantee the predecessor's recovery stream arrived
-    /// before it — or when this server becomes the lone survivor.
-    syncing: bool,
-    /// Reads received while syncing, answered at sync completion.
-    sync_reads: Vec<(ClientId, RequestId)>,
     /// Commits applied since the last [`drain_commits`](Self::drain_commits)
     /// (populated only under a persistent [`Durability`](crate::Durability)).
     commit_log: Vec<(Tag, Value)>,
@@ -178,23 +173,11 @@ pub struct ServerCore {
 }
 
 impl ServerCore {
-    /// Creates the state machine of server `me` in a ring of `n`, serving
-    /// register `object`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is outside `0..n` (see [`RingView::new`]).
-    pub fn new(me: ServerId, n: u16, object: ObjectId, config: Config) -> Self {
-        ServerCore::with_config(me, n, object, Arc::new(config))
-    }
-
-    /// [`new`](Self::new) with a configuration shared among cores.
-    pub(crate) fn with_config(me: ServerId, n: u16, object: ObjectId, config: Arc<Config>) -> Self {
+    /// Register `object` of a server in a ring of `n`.
+    pub(crate) fn new(object: ObjectId, n: u16, config: &Config) -> Self {
         ServerCore {
             object,
-            ring: RingView::new(me, n),
             sched: ForwardScheduler::new(config.fairness),
-            config,
             stored_tag: Tag::ZERO,
             stored_value: Value::bottom(),
             pending: PendingSet::new(),
@@ -204,37 +187,14 @@ impl ServerCore {
             adopted: SmallMap::default(),
             waiting_reads: Vec::new(),
             seen: vec![[0; 2]; usize::from(n)].into_boxed_slice(),
-            syncing: false,
-            sync_reads: Vec::new(),
             commit_log: Vec::new(),
             stats: ServerStats::default(),
         }
     }
 
-    /// This server's id.
-    pub fn me(&self) -> ServerId {
-        self.ring.me()
-    }
-
-    /// The register object this core serves.
-    pub fn object(&self) -> ObjectId {
-        self.object
-    }
-
     /// The currently stored `(tag, value)` pair.
     pub fn stored(&self) -> (Tag, &Value) {
         (self.stored_tag, &self.stored_value)
-    }
-
-    /// The ring membership view.
-    pub fn ring(&self) -> &RingView {
-        &self.ring
-    }
-
-    /// The current ring successor (where [`next_frame`](Self::next_frame)
-    /// output goes), or `None` when this server is the only survivor.
-    pub fn successor(&self) -> Option<ServerId> {
-        self.ring.successor()
     }
 
     /// The pending (pre-written, uncommitted) set.
@@ -253,42 +213,15 @@ impl ServerCore {
     }
 
     /// Whether anything waits for a ring transmission slot.
-    pub fn has_ring_work(&self) -> bool {
+    pub(crate) fn has_ring_work(&self) -> bool {
         !self.write_queue.is_empty() || self.sched.has_queued() || !self.notice_queue.is_empty()
-    }
-
-    /// Whether this core is resyncing after a restart (reads queued,
-    /// local writes withheld).
-    pub fn is_syncing(&self) -> bool {
-        self.syncing
-    }
-
-    /// Enters resync mode after a restart-from-log (no-op when this
-    /// server is the only one alive — there is nobody to sync from).
-    pub fn begin_sync(&mut self) {
-        if self.ring.alive_count() > 1 {
-            self.syncing = true;
-        }
-    }
-
-    /// Leaves resync mode and answers the reads queued during it
-    /// (re-routed through the normal read path, so they still block on
-    /// any pending pre-write learned during the sync).
-    pub fn finish_sync(&mut self) -> Vec<Action> {
-        self.syncing = false;
-        let queued = std::mem::take(&mut self.sync_reads);
-        let mut actions = Vec::new();
-        for (client, request) in queued {
-            actions.extend(self.on_client_read(client, request));
-        }
-        actions
     }
 
     /// Restores the stored register from a recovery log (boot-time only:
     /// never emits ring traffic, never logs the restore as a commit).
     /// Duplicate-suppression watermarks advance so stale ring traffic at
     /// or below the restored tag is dropped.
-    pub fn restore(&mut self, tag: Tag, value: Value) {
+    pub(crate) fn restore(&mut self, tag: Tag, value: Value) {
         if tag > self.stored_tag {
             self.stored_tag = tag;
             self.stored_value = value;
@@ -303,7 +236,7 @@ impl ServerCore {
     /// really means ack-after-fsync.
     ///
     /// [`Config::durability`]: crate::Config
-    pub fn drain_commits(&mut self) -> Vec<(Tag, Value)> {
+    pub(crate) fn drain_commits(&mut self) -> Vec<(Tag, Value)> {
         std::mem::take(&mut self.commit_log)
     }
 
@@ -312,26 +245,19 @@ impl ServerCore {
     /// announcement must not leave before them: its arrival at the
     /// rejoiner certifies, via FIFO links, that the recovery stream
     /// arrived first.
-    pub fn has_recovery_backlog(&self) -> bool {
+    pub(crate) fn has_recovery_backlog(&self) -> bool {
         self.notice_queue.iter().any(|n| n.value.is_some()) || self.sched.has_recovery_queued()
     }
 
-    /// The failure detector (or a rejoin announcement) reports that `s`
-    /// restarted and is back in the ring. If `s` is now this server's
-    /// successor, this server is the one the rejoiner syncs from: it
-    /// re-sends its stored value and every pending pre-write, exactly
-    /// like the splice path — everything committed anywhere is either
-    /// ≤ our stored tag or still in our pending set, so the FIFO stream
-    /// to the rejoiner covers all of it.
-    pub fn on_server_rejoined(&mut self, s: ServerId) {
-        if s == self.me() {
-            return;
-        }
-        self.ring.mark_rejoined(s);
-        if self.ring.successor() == Some(s) {
-            self.stats.rejoins_served += 1;
-            self.resend_to_new_successor();
-        }
+    /// A restarted server rejoined the ring as this server's successor:
+    /// this server is the one the rejoiner syncs from. It re-sends its
+    /// stored value and every pending pre-write, exactly like the splice
+    /// path — everything committed anywhere is either ≤ our stored tag
+    /// or still in our pending set, so the FIFO stream to the rejoiner
+    /// covers all of it.
+    pub(crate) fn on_successor_rejoined(&mut self) {
+        self.stats.rejoins_served += 1;
+        self.resend_to_new_successor();
     }
 
     /// Re-sends everything a new successor may lack: the stored value as
@@ -359,20 +285,21 @@ impl ServerCore {
     }
 
     /// A client asked to write `value` (paper lines 18–20).
-    pub fn on_client_write(
+    pub(crate) fn on_client_write(
         &mut self,
+        lane: &Lane,
         client: ClientId,
         request: RequestId,
         value: Value,
     ) -> Vec<Action> {
-        if self.ring.alive_count() == 1 && !self.syncing {
+        if lane.ring.alive_count() == 1 && !lane.syncing() {
             // Degenerate ring: the full circulation is a no-op. (A lone
             // survivor that is still mid-resync must NOT take this
             // shortcut: its restored tag watermark may be behind tags
             // already committed cluster-wide, and a tag minted from it
             // would order this write into the observed past.)
-            let tag = self.next_tag();
-            self.apply(tag, value);
+            let tag = self.next_tag(lane.me());
+            self.apply(lane, tag, value);
             self.stats.writes_initiated += 1;
             return vec![Action::WriteAck {
                 object: self.object,
@@ -385,23 +312,19 @@ impl ServerCore {
         Vec::new()
     }
 
-    /// A client asked to read (paper lines 76–84).
-    pub fn on_client_read(&mut self, client: ClientId, request: RequestId) -> Vec<Action> {
-        if self.syncing {
-            // Restart resync: the restored state may miss writes
-            // committed during the downtime; serving now could travel
-            // back in time. Queue until the rejoin round trip completes
-            // — even as a lone survivor (the missing writes live in the
-            // crashed peers' logs; see `on_server_crashed`).
-            self.stats.reads_blocked += 1;
-            self.sync_reads.push((client, request));
-            return Vec::new();
-        }
+    /// A client asked to read (paper lines 76–84). The lane holds reads
+    /// while its resync gate is shut; this is the read once it is open.
+    pub(crate) fn on_client_read(
+        &mut self,
+        lane: &Lane,
+        client: ClientId,
+        request: RequestId,
+    ) -> Vec<Action> {
         // A read blocks only on a pending write it must wait out; with
         // none pending (or the fast path satisfied, or no peers left to
         // wait for) it is served immediately.
         let target = self.pending.max_tag().filter(|&max| {
-            !(self.config.read_fast_path && self.stored_tag >= max) && self.ring.alive_count() > 1
+            !(lane.config.read_fast_path && self.stored_tag >= max) && lane.ring.alive_count() > 1
         });
         let Some(target) = target else {
             self.stats.reads_immediate += 1;
@@ -429,45 +352,47 @@ impl ServerCore {
     ///
     /// Panics if the frame belongs to a different object (routing bug).
     #[expect(clippy::disallowed_macros, reason = "documented: a routing bug")]
-    pub fn on_frame(&mut self, frame: RingFrame) -> Vec<Action> {
+    pub(crate) fn on_frame(&mut self, lane: &Lane, frame: RingFrame) -> Vec<Action> {
         assert_eq!(frame.object, self.object, "frame routed to wrong object");
         let mut actions = Vec::new();
         // Commit before announce: a piggybacked frame carries an older
         // write notice next to a newer pre-write.
         if let Some(notice) = frame.write {
-            if self.admits_origin(notice.tag) {
-                self.process_write_notice(notice, &mut actions);
+            if self.admits_origin(lane, notice.tag) {
+                self.process_write_notice(lane, notice, &mut actions);
             }
         }
         if let Some(pw) = frame.pre_write {
-            if self.admits_origin(pw.tag) {
-                self.process_pre_write(pw, &mut actions);
+            if self.admits_origin(lane, pw.tag) {
+                self.process_pre_write(lane, pw, &mut actions);
             }
         }
         actions
     }
 
-    /// The perfect failure detector reported the crash of `s`.
-    pub fn on_server_crashed(&mut self, s: ServerId) -> Vec<Action> {
-        if s == self.me() || !self.ring.is_alive(s) {
-            return Vec::new(); // stale or self-report
-        }
-        let was_successor = self.ring.successor() == Some(s);
-        self.ring.mark_crashed(s);
+    /// The perfect failure detector reported the crash of `s`, which
+    /// `lane.ring` already has spliced out; `was_successor` says whether
+    /// `s` was this server's successor until then.
+    pub(crate) fn on_server_crashed(
+        &mut self,
+        lane: &Lane,
+        s: ServerId,
+        was_successor: bool,
+    ) -> Vec<Action> {
         let mut actions = Vec::new();
 
-        if self.ring.alive_count() == 1 {
-            if self.syncing {
+        if lane.ring.alive_count() == 1 {
+            if lane.syncing() {
                 // A lone survivor that is itself mid-resync must NOT
                 // serve: its restored log may miss writes acknowledged
                 // while it was down, and those writes still exist in the
                 // crashed peers' logs. Linearizability over availability:
                 // reads and writes stay queued until a peer rejoins and
-                // the resync completes (see the Multi-level rejoin
-                // handling), rather than time-traveling clients.
+                // the resync completes (see the lane's rejoin handling),
+                // rather than time-traveling clients.
                 return actions;
             }
-            self.complete_everything_alone(&mut actions);
+            self.complete_everything_alone(lane, &mut actions);
             return actions;
         }
 
@@ -478,7 +403,7 @@ impl ServerCore {
             self.resend_to_new_successor();
         }
 
-        if self.config.adopt_orphans && self.ring.is_adopter_of(s) {
+        if lane.config.adopt_orphans && lane.ring.is_adopter_of(s) {
             // Writes initiated by the dead server that never committed
             // would block readers forever; as its first alive successor we
             // complete them under their original tags.
@@ -514,16 +439,15 @@ impl ServerCore {
     }
 
     /// Pulls the next ring frame for the current successor, running the
-    /// fairness rule. Returns `None` when nothing needs the slot (or this
-    /// server is alone).
-    pub fn next_frame(&mut self) -> Option<RingFrame> {
-        self.ring.successor()?;
+    /// fairness rule. Returns `None` when nothing needs the slot. The
+    /// lane asks only while this server has a successor.
+    pub(crate) fn next_frame(&mut self, lane: &Lane) -> Option<RingFrame> {
         loop {
             // While resyncing, hold local initiations: a tag minted from
             // restored (possibly stale) state could order a new write
             // before already-completed ones.
-            let want_local = !self.syncing && !self.write_queue.is_empty();
-            let me = self.me();
+            let want_local = !lane.syncing() && !self.write_queue.is_empty();
+            let me = lane.me();
             let mut frame = RingFrame {
                 object: self.object,
                 pre_write: None,
@@ -536,7 +460,7 @@ impl ServerCore {
                     // if that ever drifts, skip the slot instead of
                     // panicking the server.
                     let (client, value) = self.write_queue.pop_front()?;
-                    let tag = self.next_tag();
+                    let tag = self.next_tag(me);
                     self.pending.insert(tag, value.clone());
                     hts_metrics::flight::record(
                         hts_metrics::flight::KIND_OP_BEGIN,
@@ -588,29 +512,17 @@ impl ServerCore {
         }
     }
 
-    /// Pulls up to `max_frames` frames for the current successor — the
-    /// batch scheduler behind [`next_frame`](Self::next_frame). Draining
-    /// also stops once the batch's encoded frame bodies reach `max_bytes`
-    /// (a soft cap: the frame that crosses the budget is still included,
-    /// so a jumbo value can never wedge the ring and the first frame
-    /// always goes out). The frames come out in exactly the order
-    /// repeated `next_frame` calls would produce them, so coalescing
-    /// them into one wire message preserves per-link FIFO.
-    pub fn drain_frames(&mut self, max_frames: usize, max_bytes: usize) -> Vec<RingFrame> {
-        drain_frames_with(|| self.next_frame(), max_frames, max_bytes)
-    }
-
-    fn next_tag(&self) -> Tag {
+    fn next_tag(&self, me: ServerId) -> Tag {
         let highest = self
             .pending
             .max_tag()
             .map_or(self.stored_tag.ts, |t| t.ts.max(self.stored_tag.ts));
-        Tag::new(highest + 1, self.me())
+        Tag::new(highest + 1, me)
     }
 
-    fn apply(&mut self, tag: Tag, value: Value) {
+    fn apply(&mut self, lane: &Lane, tag: Tag, value: Value) {
         if tag > self.stored_tag {
-            if self.config.durability.is_persistent() {
+            if lane.config.durability.is_persistent() {
                 self.commit_log.push((tag, value.clone()));
             }
             self.stored_tag = tag;
@@ -646,15 +558,15 @@ impl ServerCore {
     /// Whether `tag`'s origin is a ring member. Only a misbehaving peer
     /// sends one that is not; having no watermark to check it against,
     /// it is dropped and counted with the duplicates.
-    fn admits_origin(&mut self, tag: Tag) -> bool {
-        let member = tag.origin.0 < self.ring.n();
+    fn admits_origin(&mut self, lane: &Lane, tag: Tag) -> bool {
+        let member = tag.origin.0 < lane.ring.n();
         if !member {
             self.stats.duplicates_dropped += 1;
         }
         member
     }
 
-    fn process_pre_write(&mut self, pw: PreWrite, actions: &mut Vec<Action>) {
+    fn process_pre_write(&mut self, lane: &Lane, pw: PreWrite, actions: &mut Vec<Action>) {
         let tag = pw.tag;
 
         // Already committed (here or anywhere upstream): never re-pend.
@@ -665,7 +577,7 @@ impl ServerCore {
 
         // Surrogate return: an adopted orphan completed its ring turn.
         if self.adopted.remove(&tag).is_some() {
-            self.apply(tag, pw.value.clone());
+            self.apply(lane, tag, pw.value.clone());
             self.pending.remove(tag);
             self.note_write_seen(tag);
             self.notice_queue.push_back(WriteNotice {
@@ -676,7 +588,7 @@ impl ServerCore {
             return;
         }
 
-        if tag.origin == self.me() {
+        if tag.origin == lane.me() {
             // Own pre-write returned: every server saw it; start the write
             // phase (paper lines 32–38). "Every server" has one exception:
             // a rejoiner whose recovery copy of this pre-write still waits
@@ -695,9 +607,9 @@ impl ServerCore {
                         tag.ts,
                         u64::from(tag.origin.0),
                     );
-                    self.apply(tag, pw.value.clone());
+                    self.apply(lane, tag, pw.value.clone());
                     self.pending.remove(tag);
-                    let value = (self.config.write_carries_value
+                    let value = (lane.config.write_carries_value
                         || self.sched.has_recovery_for(tag))
                     .then_some(pw.value);
                     self.notice_queue.push_back(WriteNotice { tag, value });
@@ -714,7 +626,7 @@ impl ServerCore {
                     // readers until some newer write subsumes it. There is
                     // no client to ack (it died with the old incarnation
                     // and has long since retried elsewhere).
-                    self.apply(tag, pw.value.clone());
+                    self.apply(lane, tag, pw.value.clone());
                     self.pending.remove(tag);
                     self.notice_queue.push_back(WriteNotice {
                         tag,
@@ -731,7 +643,7 @@ impl ServerCore {
         // reach whoever consumes it — the alive origin, or the adopter of
         // a dead one). A recovery frame nobody will consume must fall back
         // to normal suppression or it would circle the ring forever.
-        let consumable = self.ring.is_alive(tag.origin) || self.config.adopt_orphans;
+        let consumable = lane.ring.is_alive(tag.origin) || lane.config.adopt_orphans;
         let bypass = pw.recovery && consumable;
         if !bypass && self.prewrite_seen_ts(tag.origin) >= tag.ts {
             self.stats.duplicates_dropped += 1;
@@ -742,7 +654,7 @@ impl ServerCore {
         // If the origin is already known to be dead and we are its
         // designated adopter, claim the orphan now; its forwarding below
         // doubles as the adoption circulation.
-        if self.config.adopt_orphans && self.ring.is_adopter_of(tag.origin) {
+        if lane.config.adopt_orphans && lane.ring.is_adopter_of(tag.origin) {
             self.adopted.insert(tag, pw.value.clone());
             self.stats.adoptions += 1;
         }
@@ -750,9 +662,14 @@ impl ServerCore {
         self.sched.enqueue(pw);
     }
 
-    fn process_write_notice(&mut self, notice: WriteNotice, actions: &mut Vec<Action>) {
+    fn process_write_notice(
+        &mut self,
+        lane: &Lane,
+        notice: WriteNotice,
+        actions: &mut Vec<Action>,
+    ) {
         let tag = notice.tag;
-        let mine = tag.origin == self.me();
+        let mine = tag.origin == lane.me();
 
         if !mine && self.write_seen_ts(tag.origin) >= tag.ts {
             self.stats.duplicates_dropped += 1;
@@ -772,7 +689,7 @@ impl ServerCore {
             .or_else(|| self.pending.get(tag).cloned())
             .or_else(|| self.sched.queued_value(tag).cloned());
         match &resolved {
-            Some(v) => self.apply(tag, v.clone()),
+            Some(v) => self.apply(lane, tag, v.clone()),
             #[expect(clippy::disallowed_macros, reason = "compiled out of release builds")]
             None => {
                 // Only already-applied tags may lack a cached value.
@@ -781,9 +698,9 @@ impl ServerCore {
                     "tag-only write {tag} without a cached pre-write at {me} \
                      (stored {stored}, syncing {syncing}, pending {pending:?}, \
                      seen {seen:?})",
-                    me = self.me(),
+                    me = lane.me(),
                     stored = self.stored_tag,
-                    syncing = self.syncing,
+                    syncing = lane.syncing(),
                     pending = self.pending.iter().map(|(t, _)| t).collect::<Vec<_>>(),
                     seen = self.seen,
                 );
@@ -831,7 +748,7 @@ impl ServerCore {
             // never seen the pre-write — fairness across origins can
             // let this notice overtake the copy, and a tag-only notice
             // would then commit a value the rejoiner cannot resolve.
-            let value = if self.config.write_carries_value || self.sched.has_recovery_for(tag) {
+            let value = if lane.config.write_carries_value || self.sched.has_recovery_for(tag) {
                 resolved
             } else {
                 notice.value
@@ -873,7 +790,7 @@ impl ServerCore {
 
     /// Last survivor: every circulation is a no-op, so finish all
     /// in-flight work locally.
-    fn complete_everything_alone(&mut self, actions: &mut Vec<Action>) {
+    fn complete_everything_alone(&mut self, lane: &Lane, actions: &mut Vec<Action>) {
         // Commit every pending pre-write under its original tag (nothing
         // newer can be overwritten, and readers blocked on them unblock).
         let everything = Tag {
@@ -881,25 +798,25 @@ impl ServerCore {
             origin: ServerId(u16::MAX),
         };
         while let Some((tag, value)) = self.pending.pop_le(everything) {
-            self.apply(tag, value);
+            self.apply(lane, tag, value);
             self.note_write_seen(tag);
         }
         // Same for pre-writes still waiting in the forward queues and for
         // adopted orphans.
-        for origin in self.ring_origins() {
+        for origin in (0..lane.ring.n()).map(ServerId) {
             for pw in self.sched.drain_origin(origin) {
-                self.apply(pw.tag, pw.value);
+                self.apply(lane, pw.tag, pw.value);
                 self.note_write_seen(pw.tag);
             }
         }
         while let Some((tag, value)) = self.adopted.pop_first_le(&everything) {
-            self.apply(tag, value);
+            self.apply(lane, tag, value);
             self.note_write_seen(tag);
         }
         // Local writes apply directly now.
         while let Some((client, value)) = self.write_queue.pop_front() {
-            let tag = self.next_tag();
-            self.apply(tag, value);
+            let tag = self.next_tag(lane.me());
+            self.apply(lane, tag, value);
             self.stats.writes_initiated += 1;
             if let Some((client, request)) = client {
                 actions.push(Action::WriteAck {
@@ -920,9 +837,6 @@ impl ServerCore {
             }
         }
         self.notice_queue.clear();
-        // A lone survivor has nobody to resync from: whatever it has is
-        // the authoritative state now.
-        self.syncing = false;
         // All blocked reads can be answered from the store.
         let waiting = std::mem::take(&mut self.waiting_reads);
         for wr in waiting {
@@ -934,42 +848,5 @@ impl ServerCore {
                 tag: self.stored_tag,
             });
         }
-        let sync_reads = std::mem::take(&mut self.sync_reads);
-        for (client, request) in sync_reads {
-            actions.push(Action::ReadReply {
-                object: self.object,
-                client,
-                request,
-                value: self.stored_value.clone(),
-                tag: self.stored_tag,
-            });
-        }
     }
-
-    fn ring_origins(&self) -> Vec<ServerId> {
-        (0..self.ring.n()).map(ServerId).collect()
-    }
-}
-
-/// The one frame/byte-capped drain loop behind both
-/// [`ServerCore::drain_frames`] and
-/// [`MultiObjectServer::drain_frames`](crate::MultiObjectServer::drain_frames):
-/// pull frames until `max_frames` (clamped to ≥ 1) or the `max_bytes`
-/// soft cap. The first frame is admitted unconditionally — even a zero
-/// byte budget must not wedge the ring — and the frame that crosses the
-/// budget still ships.
-pub(crate) fn drain_frames_with(
-    mut pull: impl FnMut() -> Option<RingFrame>,
-    max_frames: usize,
-    max_bytes: usize,
-) -> Vec<RingFrame> {
-    // lint: allow(ring_hot_loop): the batch handed to the caller, one allocation per batch
-    let mut frames = Vec::new();
-    let mut bytes = 0usize;
-    while frames.len() < max_frames.max(1) && (frames.is_empty() || bytes < max_bytes) {
-        let Some(frame) = pull() else { break };
-        bytes += hts_types::codec::frame_wire_size(&frame);
-        frames.push(frame);
-    }
-    frames
 }

@@ -1,4 +1,5 @@
-//! End-to-end protocol tests driving `ServerCore` rings by hand.
+//! End-to-end protocol tests driving rings of one-register servers by
+//! hand.
 //!
 //! A tiny deterministic driver delivers ring frames one at a time, so tests
 //! can interleave reads, writes and crashes at exact protocol steps —
@@ -7,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use hts_core::{Action, Config, ServerCore};
+use hts_core::{Action, Config, MultiObjectServer, ServerCore};
 use hts_lincheck::{check_witnessed, History, Outcome};
 use hts_types::{ClientId, ObjectId, RequestId, RingFrame, ServerId, Tag, Value};
 
@@ -15,9 +16,11 @@ fn val(n: u64) -> Value {
     Value::from_u64(n)
 }
 
-/// Deterministic single-threaded ring driver.
+const X: ObjectId = ObjectId::SINGLE;
+
+/// Deterministic single-threaded ring driver over register [`X`].
 struct Driver {
-    cores: Vec<Option<ServerCore>>,
+    cores: Vec<Option<MultiObjectServer>>,
     /// Frames in flight: (destination, frame). FIFO.
     inflight: VecDeque<(ServerId, RingFrame)>,
     /// Collected client-visible actions: (server, action).
@@ -28,39 +31,34 @@ impl Driver {
     fn new(n: u16, config: Config) -> Self {
         Driver {
             cores: (0..n)
-                .map(|i| {
-                    Some(ServerCore::new(
-                        ServerId(i),
-                        n,
-                        ObjectId::SINGLE,
-                        config.clone(),
-                    ))
-                })
+                .map(|i| Some(MultiObjectServer::new(ServerId(i), n, config.clone())))
                 .collect(),
             inflight: VecDeque::new(),
             actions: Vec::new(),
         }
     }
 
+    /// Server `i`'s register `X` (created by its first event).
     fn core(&self, i: u16) -> &ServerCore {
-        self.cores[usize::from(i)].as_ref().expect("core alive")
+        let server = self.cores[usize::from(i)].as_ref().expect("core alive");
+        server.object(X).expect("register touched")
     }
 
-    fn core_mut(&mut self, i: u16) -> &mut ServerCore {
+    fn server_mut(&mut self, i: u16) -> &mut MultiObjectServer {
         self.cores[usize::from(i)].as_mut().expect("core alive")
     }
 
     fn write(&mut self, server: u16, client: u32, request: u64, value: Value) {
         let acts =
-            self.core_mut(server)
-                .on_client_write(ClientId(client), RequestId(request), value);
+            self.server_mut(server)
+                .on_client_write(X, ClientId(client), RequestId(request), value);
         self.collect(server, acts);
     }
 
     fn read(&mut self, server: u16, client: u32, request: u64) {
         let acts = self
-            .core_mut(server)
-            .on_client_read(ClientId(client), RequestId(request));
+            .server_mut(server)
+            .on_client_read(X, ClientId(client), RequestId(request));
         self.collect(server, acts);
     }
 
@@ -154,8 +152,9 @@ impl Driver {
     }
 
     fn assert_all_store(&self, value: &Value) {
-        for core in self.cores.iter().flatten() {
-            assert_eq!(core.stored().1, value, "at {}", core.me());
+        for server in self.cores.iter().flatten() {
+            let stored = server.object(X).expect("register touched").stored();
+            assert_eq!(stored.1, value, "at {}", server.me());
         }
     }
 }
@@ -298,8 +297,10 @@ fn piggyback_bundles_notice_with_prewrite() {
     d.deliver_one();
     // Now s0 holds a write notice for tag 1; queue a second local write.
     d.write(0, 0, 2, val(2));
-    let core = d.core_mut(0);
-    let frame = core.next_frame().expect("frame with both phases");
+    let frame = d
+        .server_mut(0)
+        .next_frame()
+        .expect("frame with both phases");
     assert!(frame.pre_write.is_some(), "new pre-write rides the slot");
     assert!(frame.write.is_some(), "notice piggybacks (paper §4.2)");
     // Steady-state notices are tag-only.
@@ -318,7 +319,7 @@ fn write_carries_value_ablation_sends_values_twice() {
     d.deliver_one(); // s1 forwards
     d.pump_sends();
     d.deliver_one(); // back at s0 -> notice queued
-    let frame = d.core_mut(0).next_frame().expect("notice frame");
+    let frame = d.server_mut(0).next_frame().expect("notice frame");
     assert_eq!(
         frame.write.expect("write notice").value,
         Some(val(5)),
@@ -607,47 +608,39 @@ fn figure2_walkthrough_scenario() {
 fn frames_whose_origin_is_outside_the_ring_are_dropped() {
     // Watermarks are kept per ring member; a tag naming any other origin
     // can only come from a misbehaving peer and goes no further.
-    let mut core = ServerCore::new(ServerId(1), 3, ObjectId::SINGLE, Config::default());
+    let mut server = MultiObjectServer::new(ServerId(1), 3, Config::default());
     let stray = Tag::new(5, ServerId(u16::MAX));
-    assert!(core
-        .on_frame(RingFrame::pre_write(ObjectId::SINGLE, stray, val(5)))
+    assert!(server
+        .on_frame(RingFrame::pre_write(X, stray, val(5)))
         .is_empty());
     let stray = Tag::new(6, ServerId(3));
-    assert!(core
-        .on_frame(RingFrame::write_with_value(ObjectId::SINGLE, stray, val(6)))
+    assert!(server
+        .on_frame(RingFrame::write_with_value(X, stray, val(6)))
         .is_empty());
+    let core = server.object(X).expect("register touched");
     assert_eq!(core.stats().duplicates_dropped, 2);
-    assert!(!core.has_ring_work());
     assert!(core.pending().is_empty());
     assert_eq!(core.stored().0, Tag::ZERO);
+    assert!(!server.has_ring_work());
 
     // Members' traffic still flows.
-    core.on_frame(RingFrame::pre_write(
-        ObjectId::SINGLE,
-        Tag::new(1, ServerId(2)),
-        val(1),
-    ));
-    assert!(core.has_ring_work());
-    assert_eq!(core.stats().duplicates_dropped, 2);
+    server.on_frame(RingFrame::pre_write(X, Tag::new(1, ServerId(2)), val(1)));
+    assert!(server.has_ring_work());
+    assert_eq!(server.object(X).unwrap().stats().duplicates_dropped, 2);
 }
 
 #[test]
 fn server_core_drain_frames_matches_sequential_next_frame() {
-    // The per-core batch scheduler (used by single-object embedders)
-    // must mirror `MultiObjectServer::drain_frames`: identical frame
-    // sequence to repeated `next_frame()` pulls, caps respected, and a
-    // zero byte budget still releases one frame.
+    // The batch scheduler over one register must yield the frame
+    // sequence repeated `next_frame()` pulls would, respect its caps,
+    // and still release one frame on a zero byte budget.
     let build = || {
-        let mut core = ServerCore::new(ServerId(1), 3, ObjectId::SINGLE, Config::default());
+        let mut server = MultiObjectServer::new(ServerId(1), 3, Config::default());
         for ts in 1..=4u64 {
-            core.on_frame(RingFrame::pre_write(
-                ObjectId::SINGLE,
-                Tag::new(ts, ServerId(0)),
-                val(ts),
-            ));
+            server.on_frame(RingFrame::pre_write(X, Tag::new(ts, ServerId(0)), val(ts)));
         }
-        core.on_client_write(ClientId(7), RequestId(1), val(100));
-        core
+        server.on_client_write(X, ClientId(7), RequestId(1), val(100));
+        server
     };
 
     let mut batched = build();

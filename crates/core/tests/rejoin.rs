@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use hts_core::{Action, Config, Durability, MultiObjectServer};
-use hts_types::{ClientId, ObjectId, RequestId, ServerId, Tag, Value};
+use hts_types::{ClientId, ObjectId, PreWrite, Rejoin, RequestId, RingFrame, ServerId, Tag, Value};
 
 /// A hand-driven ring of multi-object servers. `None` = crashed.
 struct Ring {
@@ -101,17 +101,22 @@ fn durable_config() -> Config {
 }
 
 fn write(ring: &mut Ring, via: u16, req: u64, value: Value) {
-    let actions =
-        ring.server(via)
-            .on_client_write(ObjectId::SINGLE, ClientId(0), RequestId(req), value);
+    write_to(ring, via, ObjectId::SINGLE, req, value);
+}
+
+fn write_to(ring: &mut Ring, via: u16, object: ObjectId, req: u64, value: Value) {
+    let mut actions = ring
+        .server(via)
+        .on_client_write(object, ClientId(0), RequestId(req), value);
     ring.persist(via);
-    let mut acks: Vec<Action> = actions;
-    acks.extend(ring.drive());
-    assert!(
-        acks.iter()
-            .any(|a| matches!(a, Action::WriteAck { request, .. } if *request == RequestId(req))),
-        "write {req} not acknowledged"
-    );
+    actions.extend(ring.drive());
+    assert!(acked(&actions, req), "write {req} not acknowledged");
+}
+
+fn acked(actions: &[Action], req: u64) -> bool {
+    actions
+        .iter()
+        .any(|a| matches!(a, Action::WriteAck { request, .. } if *request == RequestId(req)))
 }
 
 fn read_value(actions: &[Action], req: u64) -> Option<Value> {
@@ -201,9 +206,7 @@ fn writes_issued_during_resync_wait_for_fresh_tags() {
     );
     assert!(pre.is_empty());
     let actions = ring.drive();
-    assert!(actions
-        .iter()
-        .any(|a| matches!(a, Action::WriteAck { request, .. } if *request == RequestId(30))));
+    assert!(acked(&actions, 30));
     // Its tag ordered after the write committed during the downtime.
     let read = ring
         .server(2)
@@ -256,6 +259,57 @@ fn syncing_lone_survivor_holds_reads_until_a_peer_returns() {
     assert!(!ring.server(1).is_syncing());
     assert!(!ring.server(0).is_syncing());
     assert_eq!(read_value(&actions, 40), Some(Value::from_u64(7)));
+}
+
+#[test]
+fn lone_syncing_survivor_holds_registers_its_log_lacks() {
+    // s0 restarts from a log that lacks register X, while X holds an
+    // acknowledged write in s1's and s2's logs; then both peers crash
+    // before s0's announcement returns. The resync gate is the lane's,
+    // not a logged register's: X must be held like any other register
+    // until a peer rejoins and the resync completes against its log.
+    const X: ObjectId = ObjectId(7);
+    let mut ring = Ring::new(3, durable_config());
+    write(&mut ring, 0, 1, Value::from_u64(1));
+    ring.crash(0);
+    ring.drive();
+    write_to(&mut ring, 1, X, 2, Value::from_u64(70));
+    let (logged_tag, _) = ring.logs[1][&X].clone();
+    assert_eq!(ring.logs[2].get(&X).map(|(tag, _)| *tag), Some(logged_tag));
+
+    ring.restart(0, durable_config());
+    assert!(!ring.logs[0].contains_key(&X), "s0's log lacks X");
+    let mut actions = ring.crash(1);
+    actions.extend(ring.crash(2));
+    assert!(ring.server(0).is_syncing());
+    actions.extend(ring.server(0).on_client_read(X, ClientId(3), RequestId(3)));
+    actions.extend(ring.server(0).on_client_write(
+        X,
+        ClientId(4),
+        RequestId(4),
+        Value::from_u64(80),
+    ));
+    ring.persist(0);
+    actions.extend(ring.drive());
+    assert!(
+        actions.is_empty(),
+        "served a register its log lacks while resyncing alone: {actions:?}"
+    );
+
+    // s1 comes back from its log (its failure detector still reports
+    // s2 down) and s0's resync completes against it.
+    ring.restart(1, durable_config());
+    ring.server(1).on_server_crashed(ServerId(2));
+    let actions = ring.drive();
+    assert!(!ring.server(0).is_syncing());
+    assert_eq!(read_value(&actions, 3), Some(Value::from_u64(70)));
+    assert!(acked(&actions, 4));
+    let (tag, value) = ring.server(0).object(X).expect("X hosted").stored();
+    assert!(
+        tag > logged_tag,
+        "write acked at {tag}, not above {logged_tag}"
+    );
+    assert_eq!(value, &Value::from_u64(80));
 }
 
 #[test]
@@ -397,43 +451,31 @@ fn commit_notice_overtaking_its_recovery_copy_carries_the_value() {
     // own pre-write — fairness across origins allows it — the rejoiner
     // would be told to commit a value it has never seen. The notice must
     // carry the value while the recovery copy is still queued.
-    use hts_core::ServerCore;
-    use hts_types::{PreWrite, RingFrame, Tag, WriteNotice};
-
-    let mut s1 = ServerCore::new(ServerId(1), 3, ObjectId::SINGLE, durable_config());
+    let mut s1 = MultiObjectServer::new(ServerId(1), 3, durable_config());
     // A foreign pre-write arrives and is forwarded: it is now pending.
     let tag = Tag::new(1, ServerId(0));
-    s1.on_frame(RingFrame {
-        object: ObjectId::SINGLE,
-        pre_write: Some(PreWrite {
-            tag,
-            value: Value::from_u64(77),
-            recovery: false,
-        }),
-        write: None,
-        rejoin: None,
-    });
+    s1.on_frame(RingFrame::pre_write(
+        ObjectId::SINGLE,
+        tag,
+        Value::from_u64(77),
+    ));
     assert!(s1.next_frame().is_some(), "forwarded the pre-write");
 
     // s2 bounces: on rejoin, s1 (its new predecessor) queues recovery
     // copies of everything pending.
     s1.on_server_crashed(ServerId(2));
-    s1.on_server_rejoined(ServerId(2));
-    assert!(s1.has_recovery_backlog());
+    s1.on_rejoin_announcement(Rejoin::announce(ServerId(2)));
 
     // The commit notice for the pending tag arrives before the recovery
     // copy drains: the forwarded notice must carry the value.
-    s1.on_frame(RingFrame {
-        object: ObjectId::SINGLE,
-        pre_write: None,
-        write: Some(WriteNotice { tag, value: None }),
-        rejoin: None,
-    });
-    let mut saw_commit_notice = false;
+    s1.on_frame(RingFrame::write(ObjectId::SINGLE, tag));
+    let mut commit_notice = None;
+    let mut announcement = None;
+    let mut pulled = 0;
     while let Some(frame) = s1.next_frame() {
         if let Some(notice) = &frame.write {
             if notice.tag == tag {
-                saw_commit_notice = true;
+                commit_notice = Some(pulled);
                 assert_eq!(
                     notice.value,
                     Some(Value::from_u64(77)),
@@ -441,8 +483,15 @@ fn commit_notice_overtaking_its_recovery_copy_carries_the_value() {
                 );
             }
         }
+        if frame.rejoin.is_some() {
+            announcement = Some(pulled);
+        }
+        pulled += 1;
     }
-    assert!(saw_commit_notice);
+    // s2's forwarded announcement waited out the recovery stream, the
+    // value-carrying notice included.
+    let commit_notice = commit_notice.expect("the commit notice forwarded");
+    assert!(announcement.expect("s2's announcement forwarded") >= commit_notice);
 }
 
 #[test]
@@ -453,10 +502,7 @@ fn commit_notice_resolves_from_a_queued_unforwarded_pre_write() {
     // cache only fills at forward time, paper line 71). The notice must
     // resolve the value from the queue instead of silently skipping the
     // apply (debug builds assert).
-    use hts_core::ServerCore;
-    use hts_types::{PreWrite, RingFrame, Tag, WriteNotice};
-
-    let mut s2 = ServerCore::new(ServerId(2), 3, ObjectId::SINGLE, durable_config());
+    let mut s2 = MultiObjectServer::new(ServerId(2), 3, durable_config());
     let tag = Tag::new(3, ServerId(1));
     // Pre-write arrives and queues for forwarding; the TX slot has not
     // fired yet, so it is not in the pending cache.
@@ -470,15 +516,10 @@ fn commit_notice_resolves_from_a_queued_unforwarded_pre_write() {
         write: None,
         rejoin: None,
     });
-    assert!(s2.pending().is_empty());
+    assert!(s2.object(ObjectId::SINGLE).unwrap().pending().is_empty());
     // The tag-only commit notice overtakes the forward slot.
-    s2.on_frame(RingFrame {
-        object: ObjectId::SINGLE,
-        pre_write: None,
-        write: Some(WriteNotice { tag, value: None }),
-        rejoin: None,
-    });
-    let (stored_tag, stored_value) = s2.stored();
+    s2.on_frame(RingFrame::write(ObjectId::SINGLE, tag));
+    let (stored_tag, stored_value) = s2.object(ObjectId::SINGLE).unwrap().stored();
     assert_eq!(stored_tag, tag);
     assert_eq!(stored_value, &Value::from_u64(33));
     // The stale queue entry is dropped by the late guard, not re-sent
@@ -496,30 +537,27 @@ fn own_pre_write_returning_to_a_restarted_origin_commits() {
     // the new incarnation, the outstanding entry is gone — but the tag
     // is pending at every peer, so dropping it would block readers
     // ring-wide. It must commit instead, with a value-carrying notice.
-    use hts_core::ServerCore;
-    use hts_types::{PreWrite, RingFrame, Tag};
-
     // Incarnation 1 initiates a write.
-    let mut o1 = ServerCore::new(ServerId(1), 3, ObjectId::SINGLE, durable_config());
-    o1.on_client_write(ClientId(0), RequestId(1), Value::from_u64(42));
+    let mut o1 = MultiObjectServer::new(ServerId(1), 3, durable_config());
+    o1.on_client_write(
+        ObjectId::SINGLE,
+        ClientId(0),
+        RequestId(1),
+        Value::from_u64(42),
+    );
     let frame = o1.next_frame().expect("pre-write initiated");
     let tag = frame.pre_write.as_ref().expect("pre-write").tag;
     assert_eq!(tag, Tag::new(1, ServerId(1)));
 
     // Incarnation 2 boots with empty state (nothing committed yet) and
     // receives its own returning pre-write.
-    let mut o2 = ServerCore::new(ServerId(1), 3, ObjectId::SINGLE, durable_config());
-    o2.on_frame(RingFrame {
-        object: ObjectId::SINGLE,
-        pre_write: Some(PreWrite {
-            tag,
-            value: Value::from_u64(42),
-            recovery: false,
-        }),
-        write: None,
-        rejoin: None,
-    });
-    let (stored_tag, stored_value) = o2.stored();
+    let mut o2 = MultiObjectServer::new(ServerId(1), 3, durable_config());
+    o2.on_frame(RingFrame::pre_write(
+        ObjectId::SINGLE,
+        tag,
+        Value::from_u64(42),
+    ));
+    let (stored_tag, stored_value) = o2.object(ObjectId::SINGLE).unwrap().stored();
     assert_eq!(stored_tag, tag, "orphaned own pre-write was dropped");
     assert_eq!(stored_value, &Value::from_u64(42));
     // The commit notice circulates value-carrying so peers (and any

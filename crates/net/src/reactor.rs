@@ -648,13 +648,7 @@ impl Lane {
     /// it, the batch a failed connection lost, if any.
     fn link_up(&mut self, peer: ServerId, conn: &mut OutConn) {
         conn.connecting = false;
-        // Lane 0 keeps the legacy handshake (a single-lane cluster
-        // speaks the pre-lane wire protocol bit for bit).
-        let hello = if self.lc.lane == 0 {
-            Hello::Server(self.lc.id)
-        } else {
-            Hello::ServerLane(self.lc.id, self.lc.lane)
-        };
+        let hello = Hello::ServerLane(self.lc.id, self.lc.lane);
         conn.out.tail().extend_from_slice(&hello.encode());
         let lost = self.core.link_up(peer);
         if !lost.is_empty() {
@@ -952,8 +946,6 @@ impl Lane {
         self.slots.remove(&token);
         let lanes = self.peers.len();
         match hello {
-            // Legacy server handshake = lane 0.
-            Some(Hello::Server(s)) => self.send_inject(0, Inject::NewRing(s, conn.stream)),
             Some(Hello::ServerLane(s, lane)) if usize::from(lane) < lanes => {
                 self.send_inject(usize::from(lane), Inject::NewRing(s, conn.stream));
             }

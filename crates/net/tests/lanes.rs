@@ -2,8 +2,8 @@
 //! across independent per-lane rings (each with its own connections and
 //! WAL) must be invisible to clients — per-object histories stay
 //! linearizable through kill/restart even with aggressive batching, a
-//! single-lane cluster behaves exactly like the pre-lane runtime, and
-//! each lane replays its own log on restart.
+//! single-lane cluster answers exactly as a laned one does, and each
+//! lane replays its own log on restart.
 
 use std::fs;
 use std::io::Write;
@@ -161,9 +161,9 @@ fn lincheck_two_lanes_under_kill_restart(read_fast_path: bool) {
 
 #[test]
 fn single_lane_cluster_matches_the_laned_runtime() {
-    // lanes = 1 must behave exactly like the pre-lane runtime (same
-    // answers); more lanes are a pure performance setting (same
-    // answers). The WAL layout is one directory per lane either way.
+    // More lanes are a pure performance setting: lanes = 1 and lanes = 4
+    // give the same answers. The WAL layout is one directory per lane
+    // either way.
     let run = |lanes: u16, tag: &str| -> (Vec<Value>, PathBuf) {
         let base = tmp_base(tag);
         let cluster = Cluster::launch_durable(3, laned_config(lanes), &base).expect("launch");

@@ -1,5 +1,6 @@
-//! The production `ServerCore` on the paper's synchronous round model:
-//! §4's analytical claims as executable assertions.
+//! The production server (`LaneCore` over `MultiObjectServer`) on the
+//! paper's synchronous round model: §4's analytical claims as executable
+//! assertions.
 
 use std::cell::RefCell;
 use std::rc::Rc;

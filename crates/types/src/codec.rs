@@ -455,28 +455,19 @@ fn get_value(buf: &mut &[u8], src: ValueSrc<'_>) -> Result<Value, DecodeError> {
 /// that crate's handshake. Kept here so both ends agree on the encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Hello {
-    /// The peer is ring server `ServerId` (lane 0 traffic; predates the
-    /// laned runtime and stays the encoding for lane 0 so a single-lane
-    /// deployment is byte-identical to the pre-lane wire protocol).
-    Server(ServerId),
     /// The peer is ring server `ServerId` and this connection carries
-    /// lane `lane`'s ring stream (parallel ring lanes; lane ≥ 1 — lane 0
-    /// uses [`Hello::Server`]).
+    /// lane `lane`'s ring stream (lane 0 at a single-lane node).
     ServerLane(ServerId, u16),
     /// The peer is client `ClientId`.
     Client(ClientId),
 }
 
 impl Hello {
-    /// Encodes the handshake (3 or 5 bytes) as a refcounted buffer, so
+    /// Encodes the handshake (5 bytes) as a refcounted buffer, so
     /// connection setup paths hand the writer the same allocation.
     pub fn encode(self) -> Bytes {
         let mut v = BytesMut::with_capacity(5);
         match self {
-            Hello::Server(s) => {
-                v.put_u8(0x01);
-                v.put_u16(s.0);
-            }
             Hello::Client(c) => {
                 v.put_u8(0x02);
                 v.put_u32(c.0);
@@ -493,11 +484,7 @@ impl Hello {
     /// The encoded length of a hello whose first byte is `role`, or
     /// `None` for a role byte no hello starts with.
     pub fn encoded_len(role: u8) -> Option<usize> {
-        match role {
-            0x01 => Some(3),
-            0x02 | 0x03 => Some(5),
-            _ => None,
-        }
+        matches!(role, 0x02 | 0x03).then_some(5)
     }
 
     /// Decodes a handshake produced by [`Hello::encode`].
@@ -508,10 +495,6 @@ impl Hello {
     pub fn decode(mut buf: &[u8]) -> Result<Hello, DecodeError> {
         let b = &mut buf;
         match get_u8(b)? {
-            0x01 => {
-                need(b, 2)?;
-                Ok(Hello::Server(ServerId(b.get_u16())))
-            }
             0x02 => {
                 need(b, 4)?;
                 Ok(Hello::Client(ClientId(b.get_u32())))
@@ -746,7 +729,7 @@ mod tests {
     #[test]
     fn hello_roundtrip() {
         for hello in [
-            Hello::Server(ServerId(3)),
+            Hello::ServerLane(ServerId(3), 0),
             Hello::Client(ClientId(900)),
             Hello::ServerLane(ServerId(2), 3),
             Hello::ServerLane(ServerId(0), u16::MAX),
@@ -757,19 +740,23 @@ mod tests {
         }
         assert_eq!(Hello::encoded_len(0x09), None);
         assert!(Hello::decode(&[0x09]).is_err());
-        assert!(Hello::decode(&[0x01, 0x00]).is_err());
         assert!(Hello::decode(&[0x03, 0x00, 0x01]).is_err());
     }
 
     #[test]
-    fn lane_zero_hello_is_the_legacy_server_encoding() {
-        // A single-lane deployment must stay byte-identical to the
-        // pre-lane wire protocol: lane 0 travels as Hello::Server.
-        assert_eq!(&Hello::Server(ServerId(4)).encode()[..], [0x01, 0x00, 0x04]);
+    fn every_server_hello_names_its_lane() {
+        // Lane 0 included: the pre-lane server role (0x01) is retired,
+        // and a peer still sending it is turned away.
+        assert_eq!(
+            &Hello::ServerLane(ServerId(4), 0).encode()[..],
+            [0x03, 0x00, 0x04, 0x00, 0x00]
+        );
         assert_eq!(
             &Hello::ServerLane(ServerId(4), 1).encode()[..],
             [0x03, 0x00, 0x04, 0x00, 0x01]
         );
+        assert_eq!(Hello::encoded_len(0x01), None);
+        assert!(Hello::decode(&[0x01, 0x00, 0x04]).is_err());
     }
 
     #[test]

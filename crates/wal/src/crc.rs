@@ -5,8 +5,6 @@
 //! implementation: eight bytes per step through eight 256-entry tables
 //! built at compile time. It is the polynomial every other WAL format
 //! uses, so the files stay inspectable with standard tools.
-//! [`crc32`] is built on [`Crc32`], the running form that takes its
-//! data in pieces.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
@@ -45,50 +43,25 @@ const fn build_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-/// A running CRC-32: feed it with [`update`](Crc32::update) in any
-/// number of pieces, then read it with [`finish`](Crc32::finish). The
-/// result equals [`crc32`] of the concatenated pieces.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Crc32(u32);
-
-impl Crc32 {
-    /// The CRC of no bytes.
-    pub(crate) const fn new() -> Self {
-        Crc32(u32::MAX)
-    }
-
-    /// Folds `data` in.
-    pub(crate) fn update(&mut self, data: &[u8]) {
-        let mut crc = self.0;
-        let mut chunks = data.chunks_exact(8);
-        for chunk in &mut chunks {
-            let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            crc = TABLES[7][(lo & 0xFF) as usize]
-                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-                ^ TABLES[4][(lo >> 24) as usize]
-                ^ TABLES[3][usize::from(chunk[4])]
-                ^ TABLES[2][usize::from(chunk[5])]
-                ^ TABLES[1][usize::from(chunk[6])]
-                ^ TABLES[0][usize::from(chunk[7])];
-        }
-        for &byte in chunks.remainder() {
-            crc = (crc >> 8) ^ TABLES[0][usize::from((crc as u8) ^ byte)];
-        }
-        self.0 = crc;
-    }
-
-    /// The CRC-32 of everything fed in so far.
-    pub(crate) const fn finish(self) -> u32 {
-        !self.0
-    }
-}
-
 /// The CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = Crc32::new();
-    crc.update(data);
-    crc.finish()
+    let mut crc = u32::MAX;
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][usize::from(chunk[4])]
+            ^ TABLES[2][usize::from(chunk[5])]
+            ^ TABLES[1][usize::from(chunk[6])]
+            ^ TABLES[0][usize::from(chunk[7])];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][usize::from((crc as u8) ^ byte)];
+    }
+    !crc
 }
 
 #[cfg(test)]
@@ -121,20 +94,14 @@ mod tests {
     }
 
     #[test]
-    fn sliced_and_incremental_forms_match_the_bytewise_loop() {
+    fn sliced_form_matches_the_bytewise_loop() {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5EED);
         let data: Vec<u8> = (0..4096).map(|_| rng.gen_range(0..=255u8)).collect();
         for _ in 0..500 {
             let start = rng.gen_range(0..64);
             let len = rng.gen_range(0..data.len() - start);
             let slice = &data[start..start + len];
-            let expect = bytewise(slice);
-            assert_eq!(crc32(slice), expect, "start {start} len {len}");
-            let cut = rng.gen_range(0..=len);
-            let mut crc = Crc32::new();
-            crc.update(&slice[..cut]);
-            crc.update(&slice[cut..]);
-            assert_eq!(crc.finish(), expect, "start {start} len {len} cut {cut}");
+            assert_eq!(crc32(slice), bytewise(slice), "start {start} len {len}");
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Recovery holds the state it rebuilds, not the log it reads. Its own
-//! test binary, because `VmHWM` is per process.
+//! test binary, because the live-heap counter is process-wide.
 
 mod common;
 
@@ -28,12 +28,13 @@ fn recovering_a_full_segment_grows_the_peak_by_the_state_only() {
     drop(wal);
 
     let (grown, recovery) = common::peak_growth_kib(|| recover(&dir).expect("recover"));
+    eprintln!("recovering {ts} records: peak live heap +{grown} KiB");
     assert_eq!(recovery.records_replayed, ts);
     assert_eq!(recovery.state.len(), 64);
     assert!(recovery.state.values().all(|(_, v)| *v == value));
     assert!(
         grown < 2 << 10,
-        "recovering {ts} records grew the peak resident set by {grown} KiB"
+        "recovering {ts} records grew the peak live heap by {grown} KiB"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,5 +1,6 @@
 //! Compaction streams the state to disk: it never holds a second copy
-//! of it. Its own test binary, because `VmHWM` is per process.
+//! of it. Its own test binary, because the live-heap counter is
+//! process-wide.
 
 mod common;
 
@@ -21,12 +22,13 @@ fn writing_a_snapshot_grows_the_peak_by_its_buffer_only() {
     let mut wal = Wal::open(&dir, WalOptions::default()).expect("open");
 
     let (grown, ()) = common::peak_growth_kib(|| wal.compact(&state).expect("compact"));
+    eprintln!("compacting 8 MiB of state: peak live heap +{grown} KiB");
     let segments = list_segments(&dir).expect("list");
     let (_, compacted) = segments.first().expect("the compacted segment");
     assert!(std::fs::metadata(compacted).expect("segment file").len() > 8 << 20);
     assert!(
         grown < 1 << 10,
-        "compacting 8 MiB of state grew the peak resident set by {grown} KiB"
+        "compacting 8 MiB of state grew the peak live heap by {grown} KiB"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

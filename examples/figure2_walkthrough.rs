@@ -1,5 +1,6 @@
 //! The paper's **Figure 2** illustration run, executed step by step on the
-//! deterministic protocol cores, narrating each panel:
+//! deterministic protocol servers (one register each), narrating each
+//! panel:
 //!
 //! 1. a write `W(v2)` starts at s1 and its `pre_write` circulates; a read
 //!    at s3 (which forwarded the pre-write) must wait, while s5 still
@@ -15,18 +16,21 @@
 //! cargo run --example figure2_walkthrough
 //! ```
 
-use hts::core::{Action, Config, ServerCore};
+use hts::core::{Action, Config, MultiObjectServer};
 use hts::types::{ClientId, ObjectId, RequestId, RingFrame, ServerId, Value};
 
+/// The register every server stores.
+const X: ObjectId = ObjectId::SINGLE;
+
 struct Ring {
-    servers: Vec<ServerCore>,
+    servers: Vec<MultiObjectServer>,
 }
 
 impl Ring {
     fn new(n: u16) -> Ring {
         Ring {
             servers: (0..n)
-                .map(|i| ServerCore::new(ServerId(i), n, ObjectId::SINGLE, Config::default()))
+                .map(|i| MultiObjectServer::new(ServerId(i), n, Config::default()))
                 .collect(),
         }
     }
@@ -68,16 +72,16 @@ fn main() {
     let mut ring = Ring::new(5);
 
     println!("panel 1 ─ W(v2) reaches s1; pre_write(v2) starts its turn");
-    ring.servers[0].on_client_write(ClientId(0), RequestId(1), Value::from_static(b"v2"));
+    ring.servers[0].on_client_write(X, ClientId(0), RequestId(1), Value::from_static(b"v2"));
     for hop in 0..3 {
         ring.hop(hop);
     }
     // s3 (index 2) forwarded the pre-write: its reader must wait.
-    let blocked = ring.servers[2].on_client_read(ClientId(10), RequestId(100));
+    let blocked = ring.servers[2].on_client_read(X, ClientId(10), RequestId(100));
     assert!(blocked.is_empty());
     println!("    s3: read received → must WAIT (pre_write(v2) pending)");
     // s5 (index 4) has not seen it: replies v1 (here: the initial value).
-    let replies = ring.servers[4].on_client_read(ClientId(11), RequestId(101));
+    let replies = ring.servers[4].on_client_read(X, ClientId(11), RequestId(101));
     let value1 = match &replies[0] {
         Action::ReadReply { value, .. } => value.clone(),
         other => unreachable!("unexpected action {other:?}"),
@@ -112,7 +116,7 @@ fn main() {
         }
     }
     assert!(acked, "the write must complete");
-    let replies = ring.servers[4].on_client_read(ClientId(11), RequestId(102));
+    let replies = ring.servers[4].on_client_read(X, ClientId(11), RequestId(102));
     if let Action::ReadReply { value, .. } = &replies[0] {
         println!(
             "    s5: new read replies v2 ({:?}) — everyone converged",
