@@ -21,7 +21,7 @@ use crate::FairnessMode;
 
 /// What the scheduler picked for the next ring transmission slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Selection {
+pub(crate) enum Selection {
     /// Initiate the next write from the local client queue.
     InitiateLocal,
     /// Forward this queued pre-write.
@@ -34,7 +34,7 @@ pub enum Selection {
 /// queues and counters hold inline; an origin's queue goes when it
 /// empties, so an idle scheduler owns no heap.
 #[derive(Debug, Clone, Default)]
-pub struct ForwardScheduler {
+pub(crate) struct ForwardScheduler {
     /// Each origin's queued pre-writes, FIFO, with their arrival number
     /// (0 for re-queued ones, logically the oldest). No queue is empty.
     queues: SmallMap<ServerId, SmallQueue<(u64, PreWrite)>>,
@@ -45,7 +45,7 @@ pub struct ForwardScheduler {
 
 impl ForwardScheduler {
     /// Creates an empty scheduler with the given policy.
-    pub fn new(mode: FairnessMode) -> Self {
+    pub(crate) fn new(mode: FairnessMode) -> Self {
         ForwardScheduler {
             mode,
             ..ForwardScheduler::default()
@@ -53,7 +53,7 @@ impl ForwardScheduler {
     }
 
     /// Queues a received pre-write for forwarding (per-origin FIFO).
-    pub fn enqueue(&mut self, pw: PreWrite) {
+    pub(crate) fn enqueue(&mut self, pw: PreWrite) {
         self.arrival_seq += 1;
         self.push((self.arrival_seq, pw), false);
     }
@@ -63,7 +63,7 @@ impl ForwardScheduler {
     /// where retransmitted pre-writes must precede anything queued later
     /// from the same origin or downstream duplicate suppression would
     /// discard the fresher entries.
-    pub fn enqueue_front(&mut self, pre_writes: Vec<PreWrite>) {
+    pub(crate) fn enqueue_front(&mut self, pre_writes: Vec<PreWrite>) {
         for pw in pre_writes.into_iter().rev() {
             self.push((0, pw), true); // seq 0: logically "oldest"
         }
@@ -94,14 +94,14 @@ impl ForwardScheduler {
     }
 
     /// Whether any pre-write waits to be forwarded.
-    pub fn has_queued(&self) -> bool {
+    pub(crate) fn has_queued(&self) -> bool {
         !self.queues.is_empty()
     }
 
     /// Whether any queued pre-write is a recovery re-circulation — the
     /// resync backlog a rejoin announcement must stay behind (FIFO links
     /// make the announcement's arrival prove the backlog arrived first).
-    pub fn has_recovery_queued(&self) -> bool {
+    pub(crate) fn has_recovery_queued(&self) -> bool {
         self.queues
             .iter()
             .flat_map(|(_, queue)| queue.iter())
@@ -113,7 +113,7 @@ impl ForwardScheduler {
     /// has not seen the value yet, so a commit notice for the tag must
     /// carry the value explicitly instead of being tag-only — fairness
     /// across origins can otherwise let the notice overtake the copy.
-    pub fn has_recovery_for(&self, tag: hts_types::Tag) -> bool {
+    pub(crate) fn has_recovery_for(&self, tag: hts_types::Tag) -> bool {
         self.queues
             .get(&tag.origin)
             .is_some_and(|q| q.iter().any(|(_, pw)| pw.recovery && pw.tag == tag))
@@ -125,7 +125,7 @@ impl ForwardScheduler {
     /// a server while the matching pre-write still waits in its forward
     /// queue (the commit's recovery circulation bypassed it): the value
     /// is resolvable from here.
-    pub fn queued_value(&self, tag: hts_types::Tag) -> Option<&Value> {
+    pub(crate) fn queued_value(&self, tag: hts_types::Tag) -> Option<&Value> {
         self.queues
             .get(&tag.origin)?
             .iter()
@@ -133,15 +133,10 @@ impl ForwardScheduler {
             .map(|(_, pw)| &pw.value)
     }
 
-    /// Total queued pre-writes.
-    pub fn queued_len(&self) -> usize {
-        self.queues.iter().map(|(_, q)| q.len()).sum()
-    }
-
     /// Removes and returns every queued pre-write originated by `origin`
     /// (used by orphan adoption: entries this server never forwarded were
     /// seen by no one else and are simply re-issued).
-    pub fn drain_origin(&mut self, origin: ServerId) -> Vec<PreWrite> {
+    pub(crate) fn drain_origin(&mut self, origin: ServerId) -> Vec<PreWrite> {
         let mut queue = self.queues.remove(&origin).unwrap_or_default();
         std::iter::from_fn(|| queue.pop_front())
             .map(|(_, pw)| pw)
@@ -150,7 +145,7 @@ impl ForwardScheduler {
 
     /// Records that the local server initiated a write (counts against its
     /// own origin, paper line 26).
-    pub fn record_initiation(&mut self, me: ServerId) {
+    pub(crate) fn record_initiation(&mut self, me: ServerId) {
         self.count_one(me);
     }
 
@@ -167,7 +162,7 @@ impl ForwardScheduler {
     /// here, except the local-initiation increment, which the caller
     /// triggers via [`record_initiation`](Self::record_initiation) once the
     /// write is actually created.
-    pub fn select(&mut self, me: ServerId, want_local: bool) -> Option<Selection> {
+    pub(crate) fn select(&mut self, me: ServerId, want_local: bool) -> Option<Selection> {
         match self.mode {
             FairnessMode::Fair => self.select_fair(me, want_local),
             FairnessMode::LocalFirst => {
@@ -334,7 +329,7 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(s.select(ServerId(0), true), Some(Selection::InitiateLocal));
         }
-        assert_eq!(s.queued_len(), 1); // never forwarded
+        assert_eq!(s.drain_origin(ServerId(1)).len(), 1); // never forwarded
     }
 
     #[test]
@@ -377,6 +372,7 @@ mod tests {
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].tag.ts, 1);
         assert_eq!(drained[1].tag.ts, 3);
-        assert_eq!(s.queued_len(), 1);
+        assert_eq!(s.drain_origin(ServerId(2)).len(), 1);
+        assert!(!s.has_queued());
     }
 }

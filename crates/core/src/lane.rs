@@ -178,7 +178,6 @@ impl LaneCore {
     /// limits; empty while the gate is shut.
     pub fn next_batch(&mut self) -> Vec<RingFrame> {
         if self.unsynced {
-            // lint: allow(ring_hot_loop): an empty Vec holds no heap buffer
             return Vec::new();
         }
         let mut frames = self

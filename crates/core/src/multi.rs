@@ -12,7 +12,8 @@ use std::collections::{BTreeMap, VecDeque};
 
 use hts_types::{ClientId, ObjectId, Rejoin, RequestId, RingFrame, ServerId, Tag, Value};
 
-use crate::{Action, Config, RingView, ServerCore};
+use crate::ring::RingView;
+use crate::{Action, Config, ServerCore};
 
 /// What every register of a [`MultiObjectServer`] shares, held once and
 /// lent to a register for each event.
@@ -105,7 +106,7 @@ impl MultiObjectServer {
     ///
     /// # Panics
     ///
-    /// Panics if `me` is outside `0..n` (see [`RingView::new`]).
+    /// Panics if `n` is zero or `me` is outside `0..n`.
     pub fn new(me: ServerId, n: u16, config: Config) -> Self {
         MultiObjectServer {
             lane: Lane {
@@ -356,7 +357,6 @@ impl MultiObjectServer {
     /// depends on) is preserved because the batch is written
     /// sequentially on the same link in drain order.
     pub fn drain_frames(&mut self, max_frames: usize, max_bytes: usize) -> Vec<RingFrame> {
-        // lint: allow(ring_hot_loop): the batch handed to the caller, one allocation per batch
         let mut frames = Vec::new();
         let mut bytes = 0usize;
         while frames.len() < max_frames.max(1) && (frames.is_empty() || bytes < max_bytes) {
@@ -376,7 +376,8 @@ impl MultiObjectServer {
         // Alone in the ring, no register has anywhere to send.
         self.successor()?;
         // Start after the cursor, wrap once around all objects.
-        // lint: allow(ring_hot_loop): scans every object; ROADMAP item 4 removes it
+        // Collects every object id, one allocation per frame: the O(objects)
+        // scan that a ready set of objects with ring work would remove.
         let ids: Vec<ObjectId> = self.objects.keys().copied().collect();
         let start = match self.cursor {
             Some(c) => ids.iter().position(|&o| o > c).unwrap_or(0),

@@ -11,18 +11,23 @@ use hts_types::ServerId;
 ///
 /// # Examples
 ///
+/// The view is crate-private; a server's public successor is read from
+/// the one view its lane holds:
+///
 /// ```
-/// use hts_core::RingView;
+/// use hts_core::{Config, MultiObjectServer};
 /// use hts_types::ServerId;
 ///
-/// let mut ring = RingView::new(ServerId(1), 4);
-/// assert_eq!(ring.successor(), Some(ServerId(2)));
-/// ring.mark_crashed(ServerId(2));
-/// assert_eq!(ring.successor(), Some(ServerId(3)));
-/// assert_eq!(ring.alive_count(), 3);
+/// let mut s1 = MultiObjectServer::new(ServerId(1), 4, Config::default());
+/// assert_eq!(s1.successor(), Some(ServerId(2)));
+/// s1.on_server_crashed(ServerId(2));
+/// assert_eq!(s1.successor(), Some(ServerId(3)));
+/// s1.on_server_crashed(ServerId(3));
+/// s1.on_server_crashed(ServerId(0));
+/// assert_eq!(s1.successor(), None);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RingView {
+pub(crate) struct RingView {
     me: ServerId,
     alive: Vec<bool>,
 }
@@ -35,7 +40,7 @@ impl RingView {
     ///
     /// Panics if `me` is outside `0..n` or `n` is zero.
     #[expect(clippy::disallowed_macros, reason = "documented caller preconditions")]
-    pub fn new(me: ServerId, n: u16) -> Self {
+    pub(crate) fn new(me: ServerId, n: u16) -> Self {
         assert!(n > 0, "a ring needs at least one server");
         assert!(me.0 < n, "server {me} outside ring of {n}");
         RingView {
@@ -45,22 +50,22 @@ impl RingView {
     }
 
     /// This server's id.
-    pub fn me(&self) -> ServerId {
+    pub(crate) fn me(&self) -> ServerId {
         self.me
     }
 
     /// Total (initial) membership, alive or not.
-    pub fn n(&self) -> u16 {
+    pub(crate) fn n(&self) -> u16 {
         self.alive.len() as u16
     }
 
     /// Number of servers still believed alive.
-    pub fn alive_count(&self) -> usize {
+    pub(crate) fn alive_count(&self) -> usize {
         self.alive.iter().filter(|a| **a).count()
     }
 
     /// Whether `s` is still believed alive.
-    pub fn is_alive(&self, s: ServerId) -> bool {
+    pub(crate) fn is_alive(&self, s: ServerId) -> bool {
         self.alive.get(s.index()).copied().unwrap_or(false)
     }
 
@@ -68,7 +73,7 @@ impl RingView {
     ///
     /// Marking oneself crashed is a protocol bug and panics.
     #[expect(clippy::disallowed_macros, reason = "documented: a protocol bug")]
-    pub fn mark_crashed(&mut self, s: ServerId) -> bool {
+    pub(crate) fn mark_crashed(&mut self, s: ServerId) -> bool {
         assert_ne!(s, self.me, "{s} asked to mark itself crashed");
         if s.index() >= self.alive.len() {
             return false;
@@ -80,7 +85,7 @@ impl RingView {
     /// server announced itself back). Returns `true` if `s` was
     /// previously marked crashed. Rejoining oneself or an out-of-range
     /// id is a no-op.
-    pub fn mark_rejoined(&mut self, s: ServerId) -> bool {
+    pub(crate) fn mark_rejoined(&mut self, s: ServerId) -> bool {
         if s == self.me || s.index() >= self.alive.len() {
             return false;
         }
@@ -89,13 +94,13 @@ impl RingView {
 
     /// The next alive server after `me` in ring order, or `None` when this
     /// server is the only survivor.
-    pub fn successor(&self) -> Option<ServerId> {
+    pub(crate) fn successor(&self) -> Option<ServerId> {
         self.next_alive_after(self.me)
     }
 
     /// The next alive server after `s` (exclusive), or `None` if no *other*
     /// server is alive. `s` itself need not be alive.
-    pub fn next_alive_after(&self, s: ServerId) -> Option<ServerId> {
+    pub(crate) fn next_alive_after(&self, s: ServerId) -> Option<ServerId> {
         let n = self.alive.len();
         for step in 1..=n {
             let idx = (s.index() + step) % n;
@@ -114,7 +119,7 @@ impl RingView {
     /// by the crash of `origin`: the first alive server after it in ring
     /// order. All correct servers compute the same adopter once their
     /// failure detectors converge.
-    pub fn is_adopter_of(&self, origin: ServerId) -> bool {
+    pub(crate) fn is_adopter_of(&self, origin: ServerId) -> bool {
         !self.is_alive(origin) && self.next_alive_after(origin) == Some(self.me)
     }
 }
@@ -136,9 +141,11 @@ mod tests {
     #[test]
     fn crashes_splice_the_ring() {
         let mut r = RingView::new(ServerId(0), 4);
+        assert_eq!(r.successor(), Some(ServerId(1)));
         assert!(r.mark_crashed(ServerId(1)));
         assert!(!r.mark_crashed(ServerId(1))); // second report is stale
         assert_eq!(r.successor(), Some(ServerId(2)));
+        assert_eq!(r.alive_count(), 3);
         r.mark_crashed(ServerId(2));
         r.mark_crashed(ServerId(3));
         assert_eq!(r.successor(), None);

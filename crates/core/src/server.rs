@@ -27,9 +27,10 @@ use hts_types::{
     ClientId, ObjectId, PreWrite, RequestId, RingFrame, ServerId, Tag, Value, WriteNotice,
 };
 
+use crate::fairness::{ForwardScheduler, Selection};
 use crate::multi::Lane;
 use crate::small::{SmallMap, SmallQueue};
-use crate::{Config, ForwardScheduler, PendingSet, Selection};
+use crate::{Config, PendingSet};
 
 /// A client-visible effect produced by the server core; the transport
 /// layer turns these into reply messages.

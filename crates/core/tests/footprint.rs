@@ -13,11 +13,14 @@
 //!   4096th register costs what the 1024th did.
 //! * **In flight** the common case — one write per object — allocates
 //!   nothing of the core's own, so a hot object's write costs no more
-//!   allocations than it did at a7f22ad, and a crash report adds none
-//!   for the rest of the process.
+//!   allocations than it does now, and a crash report adds none for the
+//!   rest of the process.
 //! * **Contended**, with several writes to one object queued at every
 //!   server, the spilled queues and maps keep their heap until they
-//!   empty, so a write still costs no more allocations than at a7f22ad.
+//!   empty, so a write still costs no more allocations than it does now.
+//! * **Through the lane cores**, the path both runtimes drive (links,
+//!   batches and the release gate), a hot object's write costs no more
+//!   allocations than it does now.
 //!
 //! Everything runs in one `#[test]` so no parallel test thread pollutes
 //! the counts (this file is its own test binary, so the allocator hook
@@ -28,8 +31,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
 
-use hts_core::{Config, MultiObjectServer};
-use hts_types::{ClientId, ObjectId, RequestId, ServerId, Value};
+use hts_core::{Config, LaneCore, LinkOp, MultiObjectServer};
+use hts_types::{ClientId, Message, Nanos, ObjectId, RequestId, ServerId, Value};
 
 struct CountingAlloc;
 
@@ -69,15 +72,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Allocations per hot-object write that this test counted at commit
-/// a7f22ad (24 there once a crash had been reported). What is left now
-/// is outside the cores: the object list `MultiObjectServer` builds per
-/// pulled frame, six per write, and the acknowledgement's `Vec`.
-const ALLOCS_PER_WRITE_BEFORE: f64 = 17.0;
+/// Allocations per hot-object write that this test counts at commit
+/// 5df0c01, all outside the cores: the object list `MultiObjectServer`
+/// builds per pulled frame, six per write, and the acknowledgement's
+/// `Vec`.
+const ALLOCS_PER_WRITE_BEFORE: f64 = 7.0;
 
-/// Allocations per write that `contended_allocs_per_write` counted at
-/// commit a7f22ad, by the number of writes queued per server.
-const CONTENDED_ALLOCS_PER_WRITE_BEFORE: [(u32, f64); 2] = [(4, 9.75), (16, 7.125)];
+/// Allocations per write that `contended_allocs_per_write` counts at
+/// commit 5df0c01, by the number of writes queued per server.
+const CONTENDED_ALLOCS_PER_WRITE_BEFORE: [(u32, f64); 2] = [(4, 7.5), (16, 5.25)];
+
+/// Allocations per hot-object write through three lane cores
+/// ([`lane_write`]) at commit 5df0c01. Fifteen are the object list
+/// that every `next_frame` poll of a claim builds, the empty polls
+/// included; six are the batches' frame `Vec`s.
+const LANE_ALLOCS_PER_WRITE_BEFORE: f64 = 23.0;
 
 /// `n` servers in a ring; `None` marks a crashed one.
 struct Ring {
@@ -143,6 +152,55 @@ impl Ring {
         }
         self.settle();
     }
+}
+
+/// Ends a lane core's step, as the simulator's `SimServer` does: its
+/// commits are taken and made durable at once, and its replies taken.
+/// Returns how many replies it released.
+fn end_step(lane: &mut LaneCore) -> usize {
+    lane.take_commits();
+    lane.commits_durable();
+    lane.take_replies().count()
+}
+
+/// Hands a client write to lane core `origin` and drives the lanes the
+/// way `SimServer` does until a whole lap sends nothing: each visit ends
+/// the lane's step, then sends its successor what the link may claim,
+/// and the successor applies the batch and ends its step. A link comes
+/// up at once and a sent batch has drained. Returns how many replies
+/// left the lanes.
+fn lane_write(lanes: &mut [LaneCore], origin: usize, request: u64, value: Value) -> usize {
+    let (object, request) = (ObjectId(7), RequestId(request));
+    let msg = Message::WriteReq {
+        object,
+        request,
+        value,
+    };
+    lanes[origin].on_client(ClientId(0), msg);
+    let (n, mut s, mut idle, mut replies) = (lanes.len(), origin, 0, 0);
+    while idle < n {
+        idle += 1;
+        replies += end_step(&mut lanes[s]);
+        while let Some(op) = lanes[s].poll_links(Nanos::ZERO) {
+            if let LinkOp::Connect(peer) = op {
+                lanes[s].link_up(peer);
+            }
+        }
+        if let Some(next) = lanes[s]
+            .successor()
+            .filter(|&p| !lanes[s].claim(p).is_empty())
+        {
+            let batch = lanes[s].link_drained(next);
+            let successor = &mut lanes[next.index()];
+            batch
+                .into_iter()
+                .for_each(|frame| successor.on_frame(frame));
+            replies += end_step(successor);
+            idle = 0;
+        }
+        s = (s + 1) % n;
+    }
+    replies
 }
 
 fn value(i: u32) -> Value {
@@ -269,4 +327,28 @@ fn register_footprint_at_rest_and_in_flight() {
              above the {before} it cost before"
         );
     }
+
+    // --- (e) Through three volatile lane cores, the path both runtimes
+    // drive: 1000 writes to one hot object after a warm-up, origins
+    // alternating 0/1, values built outside the count. ---
+    let mut lanes: Vec<LaneCore> = (0..3)
+        .map(|s| LaneCore::new(ServerId(s), 3, 0, Config::default()))
+        .collect();
+    let mut counted = 0;
+    for i in 0..1008 {
+        let v = value(i);
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let replies = lane_write(&mut lanes, i as usize % 2, u64::from(i) + 1, v);
+        if i >= 8 {
+            counted += ALLOCS.load(Ordering::Relaxed) - before;
+        }
+        assert_eq!(replies, 1, "write {i} must be acknowledged once");
+    }
+    let through_lanes = counted as f64 / 1000.0;
+    let before = LANE_ALLOCS_PER_WRITE_BEFORE;
+    eprintln!("allocations per hot-object write through lane cores: {through_lanes} ({before})");
+    assert!(
+        through_lanes <= before,
+        "a write through the lane cores costs {through_lanes} allocations, above {before}"
+    );
 }

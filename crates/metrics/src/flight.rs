@@ -18,7 +18,7 @@
 //! snapshots are empty.
 
 #[cfg(feature = "metrics")]
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{MutexGuard, PoisonError};
 
 /// Ring capacity: the recorder keeps the most recent this-many events.
 pub const SLOTS: usize = 4096;
@@ -125,7 +125,8 @@ impl<const N: usize> Ring<N> {
 }
 
 #[cfg(feature = "metrics")]
-static RING: Mutex<Ring<SLOTS>> = Mutex::new(Ring::new());
+#[expect(clippy::disallowed_types, reason = "one ring behind one lock")]
+static RING: std::sync::Mutex<Ring<SLOTS>> = std::sync::Mutex::new(Ring::new());
 
 /// The global ring, locked. A poisoned lock only means a panic elsewhere
 /// while it was held; a slot is written in one assignment, so the ring is

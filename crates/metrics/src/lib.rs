@@ -41,13 +41,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
-// Protocol code propagates errors instead of panicking, never sleeps (the
-// lists are in clippy.toml) and names every enum variant it matches.
-// Tests are exempt.
+// Protocol code propagates errors instead of panicking, never sleeps,
+// holds no lock or atomic and reads no clock (the lists are in
+// clippy.toml), and names every enum variant it matches. Tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::disallowed_macros, clippy::disallowed_methods))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 #![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 #![warn(missing_docs)]
 
@@ -57,11 +58,7 @@ mod hist;
 pub use hist::{bucket_bound, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
 
 #[cfg(feature = "metrics")]
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-#[cfg(feature = "metrics")]
-use std::sync::Mutex;
-#[cfg(feature = "metrics")]
-use std::time::Instant;
+use std::sync::atomic::Ordering;
 
 /// A monotonically increasing event counter.
 ///
@@ -69,17 +66,25 @@ use std::time::Instant;
 /// (fine for exposition). With the `metrics` feature off this is a
 /// zero-sized no-op.
 #[derive(Debug, Default)]
+#[cfg_attr(
+    feature = "metrics",
+    expect(clippy::disallowed_types, reason = "one relaxed atomic")
+)]
 pub struct Counter {
     #[cfg(feature = "metrics")]
-    value: AtomicU64,
+    value: std::sync::atomic::AtomicU64,
 }
 
 impl Counter {
     /// A fresh counter at zero.
+    #[cfg_attr(
+        feature = "metrics",
+        expect(clippy::disallowed_types, reason = "one relaxed atomic")
+    )]
     pub const fn new() -> Counter {
         Counter {
             #[cfg(feature = "metrics")]
-            value: AtomicU64::new(0),
+            value: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -110,17 +115,25 @@ impl Counter {
 
 /// A signed instantaneous value (queue depths, in-flight windows).
 #[derive(Debug, Default)]
+#[cfg_attr(
+    feature = "metrics",
+    expect(clippy::disallowed_types, reason = "one relaxed atomic")
+)]
 pub struct Gauge {
     #[cfg(feature = "metrics")]
-    value: AtomicI64,
+    value: std::sync::atomic::AtomicI64,
 }
 
 impl Gauge {
     /// A fresh gauge at zero.
+    #[cfg_attr(
+        feature = "metrics",
+        expect(clippy::disallowed_types, reason = "one relaxed atomic")
+    )]
     pub const fn new() -> Gauge {
         Gauge {
             #[cfg(feature = "metrics")]
-            value: AtomicI64::new(0),
+            value: std::sync::atomic::AtomicI64::new(0),
         }
     }
 
@@ -163,9 +176,14 @@ impl Gauge {
 /// with the `metrics` feature off, so `now_nanos() - t0` stays 0 and the
 /// no-op recording sites never see a bogus duration.
 #[inline]
+#[cfg_attr(
+    feature = "metrics",
+    expect(clippy::disallowed_types, reason = "metrics timestamps")
+)]
 pub fn now_nanos() -> u64 {
     #[cfg(feature = "metrics")]
     {
+        use std::time::Instant;
         static EPOCH: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
         EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
     }
@@ -209,7 +227,8 @@ enum Slot {
 /// mutex + linear scan (cold: call sites cache the returned reference via
 /// the [`counter!`]-family macros); recording never touches it.
 #[cfg(feature = "metrics")]
-static REGISTRY: Mutex<Vec<(&'static str, Slot)>> = Mutex::new(Vec::new());
+#[expect(clippy::disallowed_types, reason = "cold registration")]
+static REGISTRY: std::sync::Mutex<Vec<(&'static str, Slot)>> = std::sync::Mutex::new(Vec::new());
 
 #[cfg(feature = "metrics")]
 fn register<T>(

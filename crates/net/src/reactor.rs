@@ -35,16 +35,21 @@
 //! requests go to the object's lane, replies to the client's home lane,
 //! which every lane computes from the client id alone.
 //!
-//! Shutdown is deterministic: `ReactorHandle::stop` flips the shared
-//! flag, wakes every lane, and joins them; each lane deregisters and
-//! closes every fd it owns — lane 0 the listener too — before exiting,
-//! so the listen port is immediately rebindable.
+//! Shutdown is deterministic: `ReactorHandle::stop` sends every lane an
+//! [`Inject::Stop`], wakes it, and joins them all; each lane deregisters
+//! and closes every fd it owns — lane 0 the listener too — before
+//! exiting, so the listen port is immediately rebindable. The lanes
+//! share no state: everything between them is an [`Inject`].
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "hello deadlines, the accept pause and the link timers read the monotonic clock"
+)]
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -73,20 +78,22 @@ const HELLO_TIMEOUT: Duration = Duration::from_secs(1);
 /// a fixed pause.
 const ACCEPT_PAUSE: Duration = Duration::from_millis(50);
 
-/// Handle to a running reactor: the shared shutdown flag plus one waker
-/// and join handle per lane thread.
+/// Handle to a running reactor: each lane thread's inject channel,
+/// waker and join handle.
 pub(crate) struct ReactorHandle {
-    shutdown: Arc<AtomicBool>,
-    wakers: Vec<Arc<Waker>>,
+    peers: Vec<(Sender<Inject>, Arc<Waker>)>,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl ReactorHandle {
-    /// Signals every thread and waits them out.
+    /// Tells every lane to stop and waits them out. A lane that already
+    /// exited (on a WAL failure) has dropped its receiver; its send fails
+    /// and is ignored.
     pub(crate) fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for waker in &self.wakers {
-            waker.wake();
+        for (tx, waker) in &self.peers {
+            if tx.send(Inject::Stop).is_ok() {
+                waker.wake();
+            }
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -106,8 +113,6 @@ pub(crate) fn spawn(config: ServerConfig) -> io::Result<(ReactorHandle, SocketAd
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
 
-    let shutdown = Arc::new(AtomicBool::new(false));
-
     let mut plumbing = Vec::with_capacity(lanes);
     let mut peers: Vec<(Sender<Inject>, Arc<Waker>)> = Vec::with_capacity(lanes);
     for _ in 0..lanes {
@@ -122,8 +127,6 @@ pub(crate) fn spawn(config: ServerConfig) -> io::Result<(ReactorHandle, SocketAd
         Token(LISTENER_TOKEN),
         Interest::READABLE,
     )?;
-    let wakers = peers.iter().map(|(_, waker)| Arc::clone(waker)).collect();
-
     let mut listener = Some(listener);
     let mut handles = Vec::with_capacity(lanes);
     for (lane, ((poller, waker, injects), wal_state)) in
@@ -142,7 +145,6 @@ pub(crate) fn spawn(config: ServerConfig) -> io::Result<(ReactorHandle, SocketAd
                 waker,
                 injects,
                 peers: peers.clone(),
-                shutdown: Arc::clone(&shutdown),
                 listener: listener.take(),
             },
             wal_state,
@@ -150,14 +152,7 @@ pub(crate) fn spawn(config: ServerConfig) -> io::Result<(ReactorHandle, SocketAd
         handles.push(thread::spawn(move || state.run()));
     }
 
-    Ok((
-        ReactorHandle {
-            shutdown,
-            wakers,
-            handles,
-        },
-        addr,
-    ))
+    Ok((ReactorHandle { peers, handles }, addr))
 }
 
 /// Work handed to a lane by lane 0's handshakes or by a sibling lane.
@@ -171,6 +166,8 @@ enum Inject {
     FromClient(ClientId, Message),
     /// A reply for client `c`, sent to its home lane.
     Reply(ClientId, Message),
+    /// The server is stopping: the lane exits once its injects drain.
+    Stop,
 }
 
 /// The lane that owns every connection of client `c` on a node of
@@ -238,7 +235,6 @@ struct LanePlumbing {
     waker: Arc<Waker>,
     injects: Receiver<Inject>,
     peers: Vec<(Sender<Inject>, Arc<Waker>)>,
-    shutdown: Arc<AtomicBool>,
     /// Lane 0's: the listen socket, already registered with its poller.
     listener: Option<TcpListener>,
 }
@@ -261,7 +257,8 @@ struct Lane {
     injects: Receiver<Inject>,
     peers: Vec<(Sender<Inject>, Arc<Waker>)>,
     map: LaneMap,
-    shutdown: Arc<AtomicBool>,
+    /// An [`Inject::Stop`] arrived: the loop exits after this wake.
+    stopping: bool,
     /// Lane 0 only; `None` elsewhere.
     listener: Option<TcpListener>,
     /// When the listener, unwatched after an accept error, is watched
@@ -302,7 +299,7 @@ impl Lane {
             injects: plumbing.injects,
             peers: plumbing.peers,
             map: LaneMap::new(lanes),
-            shutdown: plumbing.shutdown,
+            stopping: false,
             listener: plumbing.listener,
             accept_paused_until: None,
             hellos: HashMap::new(),
@@ -335,7 +332,7 @@ impl Lane {
                 self.dispatch_event(ev);
             }
             self.drain_injects();
-            if self.shutdown.load(Ordering::SeqCst) {
+            if self.stopping {
                 break;
             }
             self.resume_accepting();
@@ -748,6 +745,7 @@ impl Lane {
                 self.core.on_client(c, msg);
             }
             Inject::Reply(c, msg) => self.deliver_reply(c, msg),
+            Inject::Stop => self.stopping = true,
         }
     }
 

@@ -17,6 +17,11 @@
 //! server believed alive. The sequential [`Client`](crate::Client) is a
 //! session with a window of one.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "request deadlines and send stalls read the monotonic clock"
+)]
+
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -501,7 +506,6 @@ impl Session {
         let Some(earliest) = self.deadlines.values().copied().chain(stalls).min() else {
             return Ok(());
         };
-        // lint: allow(ring_hot_loop): one clock read per poller wait, beside a syscall anyway
         let budget = earliest.saturating_duration_since(Instant::now());
         let woken = self.poller.wait(&mut self.events, Some(budget))?;
         let mut replies = 0;

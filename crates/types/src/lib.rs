@@ -36,13 +36,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
-// Protocol code propagates errors instead of panicking, never sleeps (the
-// lists are in clippy.toml) and names every enum variant it matches.
-// Tests are exempt.
+// Protocol code propagates errors instead of panicking, never sleeps,
+// holds no lock or atomic and reads no clock (the lists are in
+// clippy.toml), and names every enum variant it matches. Tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::disallowed_macros, clippy::disallowed_methods))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 #![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 #![warn(missing_docs)]
 
