@@ -41,7 +41,7 @@ struct AblationRow {
 /// `hts_sim_server_*_nanos` ack-latency histograms (the process-global
 /// metrics registry is cumulative across the runs in this binary, so each
 /// run is isolated by a snapshot diff) plus the real CPU this process
-/// burns. Metrics-off builds see empty snapshots and render `null`s.
+/// burns.
 struct ServerProbe {
     write0: HistogramSnapshot,
     read0: HistogramSnapshot,
@@ -485,30 +485,27 @@ fn main() {
         window8.write_mbps,
         window1.write_mbps
     );
-    // The server-side columns must carry real samples whenever metrics are
-    // compiled in — smoke mode included, so CI catches silently-dead
-    // instrumentation. (Metrics off: snapshots are empty by construction.)
-    if cfg!(feature = "metrics") {
+    // The server-side columns must carry real samples — smoke mode
+    // included, so CI catches silently-dead instrumentation.
+    assert!(
+        baseline_server.write.count() > 0 && baseline_server.read.count() > 0,
+        "server-side ack-latency histograms are empty: the \
+         hts_sim_server_*_nanos instrumentation went dead"
+    );
+    for row in rows() {
         assert!(
-            baseline_server.write.count() > 0 && baseline_server.read.count() > 0,
-            "server-side ack-latency histograms are empty: the \
-             hts_sim_server_*_nanos instrumentation went dead"
+            row.server.write.count() > 0,
+            "ablation row (knob {}) has an empty server-side write histogram",
+            row.max_frames
         );
-        for row in rows() {
-            assert!(
-                row.server.write.count() > 0,
-                "ablation row (knob {}) has an empty server-side write histogram",
-                row.max_frames
-            );
-        }
-        if cfg!(target_os = "linux") {
-            let cpu = rows().map(|row| row.server.cpu_us_per_op);
-            assert!(
-                std::iter::once(baseline_server.cpu_us_per_op)
-                    .chain(cpu)
-                    .all(f64::is_finite),
-                "cpu_us_per_op must be measurable on linux, in every row"
-            );
-        }
+    }
+    if cfg!(target_os = "linux") {
+        let cpu = rows().map(|row| row.server.cpu_us_per_op);
+        assert!(
+            std::iter::once(baseline_server.cpu_us_per_op)
+                .chain(cpu)
+                .all(f64::is_finite),
+            "cpu_us_per_op must be measurable on linux, in every row"
+        );
     }
 }

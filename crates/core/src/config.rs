@@ -141,12 +141,6 @@ pub struct Config {
     /// *Paper ablation* (A3). Scheduling of local writes vs. forwarded
     /// traffic; anything but [`FairnessMode::Fair`] starves one side.
     pub fairness: FairnessMode,
-    /// *Paper ablation*. Complete writes orphaned by the crash of their
-    /// originating server: the dead origin's first alive successor
-    /// re-issues them under their original tags (surrogate-origin
-    /// adoption). Without it, readers can block forever on a pre-write
-    /// whose `write` phase died with its origin.
-    pub adopt_orphans: bool,
     /// *Operator knob*. Persistence of committed writes (crash-stop vs
     /// crash-recovery).
     pub durability: Durability,
@@ -174,18 +168,10 @@ impl Default for Config {
             write_carries_value: false,
             read_fast_path: false,
             fairness: FairnessMode::Fair,
-            adopt_orphans: true,
             durability: Durability::Volatile,
             batching: BatchConfig::default(),
             lanes: 1,
         }
-    }
-}
-
-impl Config {
-    /// The paper-faithful default configuration.
-    pub fn paper() -> Self {
-        Config::default()
     }
 }
 
@@ -199,11 +185,9 @@ mod tests {
         assert!(!c.write_carries_value);
         assert!(!c.read_fast_path);
         assert_eq!(c.fairness, FairnessMode::Fair);
-        assert!(c.adopt_orphans);
         assert_eq!(c.durability, Durability::Volatile);
         assert!(!c.durability.is_persistent());
         assert_eq!(c.lanes, 1);
-        assert_eq!(c, Config::paper());
     }
 
     #[test]

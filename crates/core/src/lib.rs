@@ -121,5 +121,5 @@ pub use lanes::LaneMap;
 pub use link::LinkOp;
 pub use multi::MultiObjectServer;
 pub use pending::PendingSet;
-pub use server::{Action, ServerCore, ServerStats};
+pub use server::{Action, ServerCore};
 pub use session::{Completion, SessionCore, REPROBE_PERIOD};

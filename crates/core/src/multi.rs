@@ -60,8 +60,8 @@ struct Resync {
 /// [`ObjectId::SINGLE`].
 ///
 /// A register costs its [`ServerCore`] (see what a core costs there),
-/// boxed, plus the object map's slot for the box: about 0.75 KiB per
-/// server with 64 B values, 2.2 KiB over a three-server ring
+/// boxed, plus the object map's slot for the box: about 0.67 KiB per
+/// server with 64 B values, 2.0 KiB over a three-server ring
 /// (`tests/footprint.rs`). The ring view, the configuration and the
 /// resync gate are one copy per server, lent to a core for each event.
 /// Routing a request or frame to an existing core allocates nothing

@@ -61,31 +61,6 @@ pub enum Action {
     },
 }
 
-/// Cumulative protocol counters (inspected by benchmarks and tests).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Writes this server initiated (its clients' writes + adoptions).
-    pub writes_initiated: u64,
-    /// Pre-writes forwarded for other origins.
-    pub prewrites_forwarded: u64,
-    /// Write notices forwarded or emitted.
-    pub notices_sent: u64,
-    /// Reads answered immediately.
-    pub reads_immediate: u64,
-    /// Reads that had to wait for a pending write.
-    pub reads_blocked: u64,
-    /// Duplicate or already-committed ring messages dropped, and those
-    /// whose tag names an origin outside the ring.
-    pub duplicates_dropped: u64,
-    /// Ring splices performed (successor crashes survived).
-    pub recoveries: u64,
-    /// Orphaned writes adopted from crashed origins.
-    pub adoptions: u64,
-    /// Rejoins served as the restarted server's new predecessor (each
-    /// re-sends the stored value and pending set, like a splice).
-    pub rejoins_served: u64,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     PreWrite,
@@ -96,8 +71,7 @@ enum Phase {
 struct Outstanding {
     client: Option<(ClientId, RequestId)>,
     phase: Phase,
-    /// [`hts_metrics::now_nanos`] when the pre-write was framed (0 with
-    /// metrics off — the phase histograms then record nothing).
+    /// [`hts_metrics::now_nanos`] when the pre-write was framed.
     begun_at: u64,
     /// When the own pre-write returned and the write phase started; 0
     /// while still in [`Phase::PreWrite`].
@@ -132,10 +106,10 @@ const WRITE: usize = 1;
 /// # What a register costs
 ///
 /// **At rest** a core is its stored tag and value, one pair of
-/// duplicate-suppression watermarks per ring member, its counters and
-/// the protocol's queues, all empty — and an emptied queue, set or map
-/// owns no heap. On a 64-bit target the core is 648 B; the heap adds the
-/// value and `16·n` B of watermarks.
+/// duplicate-suppression watermarks per ring member and the protocol's
+/// queues, all empty — and an emptied queue, set or map owns no heap.
+/// On a 64-bit target the core is 576 B; the heap adds the value and
+/// `16·n` B of watermarks.
 /// **In flight**, one write per register — the common case, since a
 /// client waits for its ack before writing the register again — keeps
 /// its pending entry, its outstanding entry and every queued frame
@@ -143,7 +117,7 @@ const WRITE: usize = 1;
 /// writes in flight spill a queue or map to the heap, and the spill is
 /// kept until that collection empties again. The crate's
 /// `tests/footprint.rs` pins both over three [`MultiObjectServer`]s in a
-/// ring with 64 B values: 2.2 KiB of live heap per register summed over
+/// ring with 64 B values: 2.0 KiB of live heap per register summed over
 /// the three servers, flat from 1024 to 4096 registers, and 7
 /// allocations per write to a hot register, none of them in a core: one
 /// object list per pulled frame and the acknowledgement's `Vec`.
@@ -170,7 +144,6 @@ pub struct ServerCore {
     /// Commits applied since the last [`drain_commits`](Self::drain_commits)
     /// (populated only under a persistent [`Durability`](crate::Durability)).
     commit_log: Vec<(Tag, Value)>,
-    stats: ServerStats,
 }
 
 impl ServerCore {
@@ -189,7 +162,6 @@ impl ServerCore {
             waiting_reads: Vec::new(),
             seen: vec![[0; 2]; usize::from(n)].into_boxed_slice(),
             commit_log: Vec::new(),
-            stats: ServerStats::default(),
         }
     }
 
@@ -201,11 +173,6 @@ impl ServerCore {
     /// The pending (pre-written, uncommitted) set.
     pub fn pending(&self) -> &PendingSet {
         &self.pending
-    }
-
-    /// Protocol counters.
-    pub fn stats(&self) -> &ServerStats {
-        &self.stats
     }
 
     /// Number of reads currently blocked on a pending write.
@@ -257,7 +224,6 @@ impl ServerCore {
     /// or still in our pending set, so the FIFO stream to the rejoiner
     /// covers all of it.
     pub(crate) fn on_successor_rejoined(&mut self) {
-        self.stats.rejoins_served += 1;
         self.resend_to_new_successor();
     }
 
@@ -301,7 +267,6 @@ impl ServerCore {
             // would order this write into the observed past.)
             let tag = self.next_tag(lane.me());
             self.apply(lane, tag, value);
-            self.stats.writes_initiated += 1;
             return vec![Action::WriteAck {
                 object: self.object,
                 client,
@@ -328,7 +293,6 @@ impl ServerCore {
             !(lane.config.read_fast_path && self.stored_tag >= max) && lane.ring.alive_count() > 1
         });
         let Some(target) = target else {
-            self.stats.reads_immediate += 1;
             return vec![Action::ReadReply {
                 object: self.object,
                 client,
@@ -337,7 +301,6 @@ impl ServerCore {
                 tag: self.stored_tag,
             }];
         };
-        self.stats.reads_blocked += 1;
         self.waiting_reads.push(WaitingRead {
             client,
             request,
@@ -359,12 +322,12 @@ impl ServerCore {
         // Commit before announce: a piggybacked frame carries an older
         // write notice next to a newer pre-write.
         if let Some(notice) = frame.write {
-            if self.admits_origin(lane, notice.tag) {
+            if Self::admits_origin(lane, notice.tag) {
                 self.process_write_notice(lane, notice, &mut actions);
             }
         }
         if let Some(pw) = frame.pre_write {
-            if self.admits_origin(lane, pw.tag) {
+            if Self::admits_origin(lane, pw.tag) {
                 self.process_pre_write(lane, pw, &mut actions);
             }
         }
@@ -398,13 +361,12 @@ impl ServerCore {
         }
 
         if was_successor {
-            self.stats.recoveries += 1;
             // Everything forwarded to the dead successor may be lost
             // (paper lines 85–92).
             self.resend_to_new_successor();
         }
 
-        if lane.config.adopt_orphans && lane.ring.is_adopter_of(s) {
+        if lane.ring.is_adopter_of(s) {
             // Writes initiated by the dead server that never committed
             // would block readers forever; as its first alive successor we
             // complete them under their original tags.
@@ -412,7 +374,6 @@ impl ServerCore {
             let mut resend = Vec::new();
             for (tag, value) in orphans {
                 self.adopted.insert(tag, value.clone());
-                self.stats.adoptions += 1;
                 if !was_successor {
                     resend.push(PreWrite {
                         tag,
@@ -431,7 +392,6 @@ impl ServerCore {
             if !queued.is_empty() {
                 for pw in &queued {
                     self.adopted.insert(pw.tag, pw.value.clone());
-                    self.stats.adoptions += 1;
                 }
                 self.sched.enqueue_front(queued);
             }
@@ -480,7 +440,6 @@ impl ServerCore {
                     );
                     self.note_prewrite_seen(tag);
                     self.sched.record_initiation(me);
-                    self.stats.writes_initiated += 1;
                     frame.pre_write = Some(PreWrite {
                         tag,
                         value,
@@ -490,20 +449,17 @@ impl ServerCore {
                 Some(Selection::Forward(pw)) => {
                     // Late guard: the tag may have committed while queued.
                     if pw.tag <= self.stored_tag || self.write_seen_ts(pw.tag.origin) >= pw.tag.ts {
-                        self.stats.duplicates_dropped += 1;
                         continue;
                     }
                     // Paper line 71: the tag becomes pending at forward
                     // time (with its value cached for the tag-only commit).
                     self.pending.insert(pw.tag, pw.value.clone());
-                    self.stats.prewrites_forwarded += 1;
                     frame.pre_write = Some(pw);
                 }
                 None => {}
             }
             // Piggyback at most one write notice (§4.2 "(2)").
             if let Some(notice) = self.notice_queue.pop_front() {
-                self.stats.notices_sent += 1;
                 frame.write = Some(notice);
             }
             if frame.is_empty() {
@@ -558,13 +514,9 @@ impl ServerCore {
 
     /// Whether `tag`'s origin is a ring member. Only a misbehaving peer
     /// sends one that is not; having no watermark to check it against,
-    /// it is dropped and counted with the duplicates.
-    fn admits_origin(&mut self, lane: &Lane, tag: Tag) -> bool {
-        let member = tag.origin.0 < lane.ring.n();
-        if !member {
-            self.stats.duplicates_dropped += 1;
-        }
-        member
+    /// it is dropped.
+    fn admits_origin(lane: &Lane, tag: Tag) -> bool {
+        tag.origin.0 < lane.ring.n()
     }
 
     fn process_pre_write(&mut self, lane: &Lane, pw: PreWrite, actions: &mut Vec<Action>) {
@@ -572,7 +524,6 @@ impl ServerCore {
 
         // Already committed (here or anywhere upstream): never re-pend.
         if tag <= self.stored_tag || self.write_seen_ts(tag.origin) >= tag.ts {
-            self.stats.duplicates_dropped += 1;
             return;
         }
 
@@ -615,7 +566,8 @@ impl ServerCore {
                     .then_some(pw.value);
                     self.notice_queue.push_back(WriteNotice { tag, value });
                 }
-                Some(_) => self.stats.duplicates_dropped += 1,
+                // A duplicate: its write phase has started already.
+                Some(_) => {}
                 None => {
                     // Our own pre-write, but no outstanding entry: it was
                     // issued by a previous incarnation of this server
@@ -640,14 +592,11 @@ impl ServerCore {
         }
 
         // Foreign pre-write: suppress duplicates unless it is a recovery
-        // re-circulation (which must pass through servers that saw it to
-        // reach whoever consumes it — the alive origin, or the adopter of
-        // a dead one). A recovery frame nobody will consume must fall back
-        // to normal suppression or it would circle the ring forever.
-        let consumable = lane.ring.is_alive(tag.origin) || lane.config.adopt_orphans;
-        let bypass = pw.recovery && consumable;
-        if !bypass && self.prewrite_seen_ts(tag.origin) >= tag.ts {
-            self.stats.duplicates_dropped += 1;
+        // re-circulation, which must pass through servers that saw it to
+        // reach whoever consumes it. Every recovery frame has a consumer:
+        // the alive origin, or the adopter of a dead one, which claims it
+        // on arrival (below) and ends its turn when it comes back.
+        if !pw.recovery && self.prewrite_seen_ts(tag.origin) >= tag.ts {
             return;
         }
         self.note_prewrite_seen(tag);
@@ -655,9 +604,8 @@ impl ServerCore {
         // If the origin is already known to be dead and we are its
         // designated adopter, claim the orphan now; its forwarding below
         // doubles as the adoption circulation.
-        if lane.config.adopt_orphans && lane.ring.is_adopter_of(tag.origin) {
+        if lane.ring.is_adopter_of(tag.origin) {
             self.adopted.insert(tag, pw.value.clone());
-            self.stats.adoptions += 1;
         }
 
         self.sched.enqueue(pw);
@@ -673,7 +621,6 @@ impl ServerCore {
         let mine = tag.origin == lane.me();
 
         if !mine && self.write_seen_ts(tag.origin) >= tag.ts {
-            self.stats.duplicates_dropped += 1;
             return;
         }
         self.note_write_seen(tag);
@@ -818,7 +765,6 @@ impl ServerCore {
         while let Some((client, value)) = self.write_queue.pop_front() {
             let tag = self.next_tag(lane.me());
             self.apply(lane, tag, value);
-            self.stats.writes_initiated += 1;
             if let Some((client, request)) = client {
                 actions.push(Action::WriteAck {
                     object: self.object,

@@ -2,8 +2,6 @@
 //! a write's begin and complete events are `(request, tag.ts,
 //! tag.origin)`, recorded at its origin server.
 
-#![cfg(feature = "metrics")]
-
 use hts_core::{Config, LaneCore};
 use hts_metrics::flight::{self, KIND_OP_BEGIN, KIND_OP_COMPLETE};
 use hts_types::{ClientId, Message, ObjectId, RequestId, ServerId, Value};

@@ -50,7 +50,7 @@ pub use history::{History, Op, OpId, OpRecord};
 /// Exhaustive Wing–Gong search; additionally dumps the
 /// process-wide per-op flight recorder to stderr on a non-linearizable
 /// verdict, so the trace of recent protocol events survives next to the
-/// witness (a no-op when the recorder is empty or metrics are off).
+/// witness (a no-op when the recorder is empty).
 pub fn check_exhaustive(history: &History) -> Outcome {
     dump_flight_on_violation(wg::check_exhaustive(history))
 }

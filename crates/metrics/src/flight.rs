@@ -14,10 +14,8 @@
 //!
 //! Events are three `u64`s of caller payload with a kind tag; each
 //! `KIND_*` code documents what its recording sites put in `a`, `b` and
-//! `c`. With the `metrics` feature off, recording is a no-op and
-//! snapshots are empty.
+//! `c`.
 
-#[cfg(feature = "metrics")]
 use std::sync::{MutexGuard, PoisonError};
 
 /// Ring capacity: the recorder keeps the most recent this-many events.
@@ -78,20 +76,17 @@ pub struct FlightEvent {
 /// Bits of a slot's first word that hold the timestamp; the kind tag
 /// sits in the top byte (monotonic nanos fit 56 bits for ~2 years of
 /// process uptime).
-#[cfg(feature = "metrics")]
 const AT_MASK: u64 = (1 << 56) - 1;
 
 /// An event ring of `N` slots. Slot `seq % N` holds event `seq` as
 /// `[at_nanos | kind << 56, a, b, c]`, so a slot costs 32 bytes and the
 /// sequence number is implied by `recorded`.
-#[cfg(feature = "metrics")]
 struct Ring<const N: usize> {
     /// Events recorded so far, which is also the next event's `seq`.
     recorded: u64,
     slots: [[u64; 4]; N],
 }
 
-#[cfg(feature = "metrics")]
 impl<const N: usize> Ring<N> {
     const fn new() -> Ring<N> {
         Ring {
@@ -124,47 +119,34 @@ impl<const N: usize> Ring<N> {
     }
 }
 
-#[cfg(feature = "metrics")]
 #[expect(clippy::disallowed_types, reason = "one ring behind one lock")]
 static RING: std::sync::Mutex<Ring<SLOTS>> = std::sync::Mutex::new(Ring::new());
 
 /// The global ring, locked. A poisoned lock only means a panic elsewhere
 /// while it was held; a slot is written in one assignment, so the ring is
 /// still coherent, and recording must never panic the data path.
-#[cfg(feature = "metrics")]
 fn ring() -> MutexGuard<'static, Ring<SLOTS>> {
     RING.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Records one event into the global ring (allocation-free; no-op with
-/// the `metrics` feature off). The clock is read before the lock is
+/// Records one event into the global ring (allocation-free). The clock is read before the lock is
 /// taken, so the lock covers only the slot write.
 #[inline]
 pub fn record(kind: u8, a: u64, b: u64, c: u64) {
-    #[cfg(feature = "metrics")]
-    {
-        let at_nanos = crate::now_nanos();
-        ring().push(at_nanos, kind, a, b, c);
-    }
-    #[cfg(not(feature = "metrics"))]
-    let _ = (kind, a, b, c);
+    let at_nanos = crate::now_nanos();
+    ring().push(at_nanos, kind, a, b, c);
 }
 
 /// The recorded tail, oldest first: at most [`SLOTS`] events, each one
 /// as it was recorded, copied out under the lock.
 pub fn snapshot() -> Vec<FlightEvent> {
-    #[cfg(feature = "metrics")]
-    {
-        ring().events()
-    }
-    #[cfg(not(feature = "metrics"))]
-    Vec::new()
+    ring().events()
 }
 
 /// Dumps the recorded tail to stderr with a reason header — called on
 /// lincheck failures and crash verdicts so a failing run leaves its
-/// recent per-op trace behind. Silent when the recorder is empty (e.g.
-/// the `metrics` feature is off, or nothing instrumented ran).
+/// recent per-op trace behind. Silent when the recorder is empty
+/// (nothing instrumented ran).
 pub fn dump_to_stderr(reason: &str) {
     let events = snapshot();
     if events.is_empty() {
@@ -192,7 +174,6 @@ pub fn dump_to_stderr(reason: &str) {
 mod tests {
     use super::*;
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn events_come_back_in_order_with_payload() {
         record(KIND_OP_BEGIN, 1, 100, 7);
@@ -210,7 +191,6 @@ mod tests {
         assert_eq!((begin.a, begin.c), (1, 7));
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn tiny_ring_wraps_keeping_the_tail() {
         let mut ring: Ring<2> = Ring::new();
@@ -224,13 +204,6 @@ mod tests {
             vec![3, 4],
             "the ring keeps the most recent events"
         );
-    }
-
-    #[cfg(not(feature = "metrics"))]
-    #[test]
-    fn disabled_recorder_is_empty() {
-        record(KIND_OP_BEGIN, 1, 2, 3);
-        assert!(snapshot().is_empty());
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! p50/p99/p99.9 latency reporting, at the cost of one relaxed
 //! `fetch_add` per recording.
 
-#[cfg(feature = "metrics")]
 use std::sync::atomic::Ordering;
 
 /// Number of buckets in every [`Histogram`].
@@ -45,16 +44,10 @@ pub fn bucket_bound(i: usize) -> u64 {
 
 /// A fixed-size log-bucketed histogram; see [`bucket_index`] for the
 /// buckets.
-/// Zero-sized no-op with the `metrics` feature off.
 #[derive(Debug)]
-#[cfg_attr(
-    feature = "metrics",
-    expect(clippy::disallowed_types, reason = "atomic buckets")
-)]
+#[expect(clippy::disallowed_types, reason = "atomic buckets")]
 pub struct Histogram {
-    #[cfg(feature = "metrics")]
     buckets: [std::sync::atomic::AtomicU64; BUCKETS],
-    #[cfg(feature = "metrics")]
     sum: std::sync::atomic::AtomicU64,
 }
 
@@ -66,17 +59,12 @@ impl Default for Histogram {
 
 impl Histogram {
     /// A fresh, empty histogram.
-    #[cfg_attr(
-        feature = "metrics",
-        expect(clippy::disallowed_types, reason = "atomic buckets")
-    )]
+    #[expect(clippy::disallowed_types, reason = "atomic buckets")]
     pub const fn new() -> Histogram {
         Histogram {
-            #[cfg(feature = "metrics")]
             // `AtomicU64::new(0)` is const but not Copy; splat via the
             // inline-const array repetition.
             buckets: [const { std::sync::atomic::AtomicU64::new(0) }; BUCKETS],
-            #[cfg(feature = "metrics")]
             sum: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -85,34 +73,24 @@ impl Histogram {
     /// value's bucket (plus one into the running sum).
     #[inline]
     pub fn record(&self, v: u64) {
-        #[cfg(feature = "metrics")]
-        {
-            self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-            // Wrapping by design: a u64 of summed nanoseconds wraps after
-            // ~584 years of accumulated latency.
-            self.sum.fetch_add(v, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "metrics"))]
-        let _ = v;
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        // Wrapping by design: a u64 of summed nanoseconds wraps after
+        // ~584 years of accumulated latency.
+        self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the bucket counts. Concurrent recordings
     /// may be torn *across* buckets (each bucket is individually
     /// coherent) — fine for exposition and quantiles.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        #[cfg(feature = "metrics")]
-        {
-            let mut counts = [0u64; BUCKETS];
-            for (c, b) in counts.iter_mut().zip(self.buckets.iter()) {
-                *c = b.load(Ordering::Relaxed);
-            }
-            HistogramSnapshot {
-                counts,
-                sum: self.sum.load(Ordering::Relaxed),
-            }
+        let mut counts = [0u64; BUCKETS];
+        for (c, b) in counts.iter_mut().zip(self.buckets.iter()) {
+            *c = b.load(Ordering::Relaxed);
         }
-        #[cfg(not(feature = "metrics"))]
-        HistogramSnapshot::empty()
+        HistogramSnapshot {
+            counts,
+            sum: self.sum.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -128,7 +106,7 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot (what a disabled histogram reports).
+    /// An empty snapshot.
     pub fn empty() -> HistogramSnapshot {
         HistogramSnapshot {
             counts: [0; BUCKETS],
@@ -264,7 +242,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn quantiles_of_a_known_distribution() {
         let h = Histogram::new();
@@ -282,7 +259,6 @@ mod tests {
         assert_eq!(snap.quantile(1.0), Some(bucket_bound(bucket_index(1000))));
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn since_isolates_a_window() {
         let h = Histogram::new();
@@ -294,15 +270,5 @@ mod tests {
         assert_eq!(window.count(), 2);
         assert_eq!(window.sum(), 2000);
         assert_eq!(window.counts()[bucket_index(10)], 0);
-    }
-
-    #[cfg(not(feature = "metrics"))]
-    #[test]
-    fn disabled_histogram_is_empty() {
-        let h = Histogram::new();
-        h.record(123);
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 0);
-        assert_eq!(snap.quantile(0.5), None);
     }
 }

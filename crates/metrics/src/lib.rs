@@ -22,10 +22,6 @@
 //! with the [`counter!`]/[`gauge!`]/[`histogram!`] macros, so the steady
 //! state is one atomic load plus one relaxed atomic RMW.
 //!
-//! Everything is gated behind the default-on `metrics` feature. With the
-//! feature off, the same API compiles to no-ops ([`now_nanos`] returns 0,
-//! [`render`] returns an empty registry) — consumers carry **no** `cfg`s.
-//!
 //! # Examples
 //!
 //! ```
@@ -36,8 +32,7 @@
 //! // ... do the work being timed ...
 //! histogram!("hts_doc_request_nanos").record(hts_metrics::now_nanos() - t0);
 //! let text = hts_metrics::render();
-//! // Empty only when built with the `metrics` feature off.
-//! assert!(text.is_empty() || text.contains("hts_doc_requests_total"));
+//! assert!(text.contains("hts_doc_requests_total"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,33 +52,23 @@ mod hist;
 
 pub use hist::{bucket_bound, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
 
-#[cfg(feature = "metrics")]
 use std::sync::atomic::Ordering;
 
 /// A monotonically increasing event counter.
 ///
 /// Recording is one relaxed `fetch_add`; reads are racy-but-coherent
-/// (fine for exposition). With the `metrics` feature off this is a
-/// zero-sized no-op.
+/// (fine for exposition).
 #[derive(Debug, Default)]
-#[cfg_attr(
-    feature = "metrics",
-    expect(clippy::disallowed_types, reason = "one relaxed atomic")
-)]
+#[expect(clippy::disallowed_types, reason = "one relaxed atomic")]
 pub struct Counter {
-    #[cfg(feature = "metrics")]
     value: std::sync::atomic::AtomicU64,
 }
 
 impl Counter {
     /// A fresh counter at zero.
-    #[cfg_attr(
-        feature = "metrics",
-        expect(clippy::disallowed_types, reason = "one relaxed atomic")
-    )]
+    #[expect(clippy::disallowed_types, reason = "one relaxed atomic")]
     pub const fn new() -> Counter {
         Counter {
-            #[cfg(feature = "metrics")]
             value: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -97,42 +82,28 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "metrics")]
         self.value.fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "metrics"))]
-        let _ = n;
     }
 
-    /// The current count (0 with the feature off).
+    /// The current count.
     #[inline]
     pub fn get(&self) -> u64 {
-        #[cfg(feature = "metrics")]
-        return self.value.load(Ordering::Relaxed);
-        #[cfg(not(feature = "metrics"))]
-        0
+        self.value.load(Ordering::Relaxed)
     }
 }
 
 /// A signed instantaneous value (queue depths, in-flight windows).
 #[derive(Debug, Default)]
-#[cfg_attr(
-    feature = "metrics",
-    expect(clippy::disallowed_types, reason = "one relaxed atomic")
-)]
+#[expect(clippy::disallowed_types, reason = "one relaxed atomic")]
 pub struct Gauge {
-    #[cfg(feature = "metrics")]
     value: std::sync::atomic::AtomicI64,
 }
 
 impl Gauge {
     /// A fresh gauge at zero.
-    #[cfg_attr(
-        feature = "metrics",
-        expect(clippy::disallowed_types, reason = "one relaxed atomic")
-    )]
+    #[expect(clippy::disallowed_types, reason = "one relaxed atomic")]
     pub const fn new() -> Gauge {
         Gauge {
-            #[cfg(feature = "metrics")]
             value: std::sync::atomic::AtomicI64::new(0),
         }
     }
@@ -140,19 +111,13 @@ impl Gauge {
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: i64) {
-        #[cfg(feature = "metrics")]
         self.value.store(v, Ordering::Relaxed);
-        #[cfg(not(feature = "metrics"))]
-        let _ = v;
     }
 
     /// Adds `d` (may be negative via `sub`).
     #[inline]
     pub fn add(&self, d: i64) {
-        #[cfg(feature = "metrics")]
         self.value.fetch_add(d, Ordering::Relaxed);
-        #[cfg(not(feature = "metrics"))]
-        let _ = d;
     }
 
     /// Subtracts `d`.
@@ -161,34 +126,21 @@ impl Gauge {
         self.add(-d);
     }
 
-    /// The current value (0 with the feature off).
+    /// The current value.
     #[inline]
     pub fn get(&self) -> i64 {
-        #[cfg(feature = "metrics")]
-        return self.value.load(Ordering::Relaxed);
-        #[cfg(not(feature = "metrics"))]
-        0
+        self.value.load(Ordering::Relaxed)
     }
 }
 
 /// Nanoseconds on the process-wide monotonic clock (first call is the
-/// epoch). Pair with [`Histogram::record`] for latency timings. Returns 0
-/// with the `metrics` feature off, so `now_nanos() - t0` stays 0 and the
-/// no-op recording sites never see a bogus duration.
+/// epoch). Pair with [`Histogram::record`] for latency timings.
 #[inline]
-#[cfg_attr(
-    feature = "metrics",
-    expect(clippy::disallowed_types, reason = "metrics timestamps")
-)]
+#[expect(clippy::disallowed_types, reason = "metrics timestamps")]
 pub fn now_nanos() -> u64 {
-    #[cfg(feature = "metrics")]
-    {
-        use std::time::Instant;
-        static EPOCH: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
-        EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-    }
-    #[cfg(not(feature = "metrics"))]
-    0
+    use std::time::Instant;
+    static EPOCH: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
 /// Total CPU time (user + system) consumed by this process, in
@@ -196,8 +148,7 @@ pub fn now_nanos() -> u64 {
 ///
 /// Linux only (parsed from `/proc/self/stat`; the workspace links no
 /// libc for `getrusage`): returns `None` elsewhere or when the file is
-/// unreadable. Available regardless of the `metrics` feature — it reads
-/// kernel accounting, not this crate's registry.
+/// unreadable. It reads kernel accounting, not this crate's registry.
 pub fn process_cpu_nanos() -> Option<u64> {
     #[cfg(target_os = "linux")]
     {
@@ -216,7 +167,6 @@ pub fn process_cpu_nanos() -> Option<u64> {
     None
 }
 
-#[cfg(feature = "metrics")]
 enum Slot {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
@@ -226,11 +176,9 @@ enum Slot {
 /// The process-global registry: name → leaked metric. Registration is a
 /// mutex + linear scan (cold: call sites cache the returned reference via
 /// the [`counter!`]-family macros); recording never touches it.
-#[cfg(feature = "metrics")]
 #[expect(clippy::disallowed_types, reason = "cold registration")]
 static REGISTRY: std::sync::Mutex<Vec<(&'static str, Slot)>> = std::sync::Mutex::new(Vec::new());
 
-#[cfg(feature = "metrics")]
 fn register<T>(
     name: &'static str,
     find: impl Fn(&Slot) -> Option<&'static T>,
@@ -262,74 +210,47 @@ fn register<T>(
 /// Looks up (or creates) the counter `name` in the global registry.
 /// Prefer the [`counter!`] macro on hot paths — it caches this lookup.
 pub fn counter(name: &'static str) -> &'static Counter {
-    #[cfg(feature = "metrics")]
-    {
-        register(
-            name,
-            |slot| match slot {
-                Slot::Counter(c) => Some(*c),
-                Slot::Gauge(_) | Slot::Histogram(_) => None,
-            },
-            || {
-                let c: &'static Counter = Box::leak(Box::new(Counter::new()));
-                (c, Slot::Counter(c))
-            },
-        )
-    }
-    #[cfg(not(feature = "metrics"))]
-    {
-        let _ = name;
-        static NOOP: Counter = Counter::new();
-        &NOOP
-    }
+    register(
+        name,
+        |slot| match slot {
+            Slot::Counter(c) => Some(*c),
+            Slot::Gauge(_) | Slot::Histogram(_) => None,
+        },
+        || {
+            let c: &'static Counter = Box::leak(Box::new(Counter::new()));
+            (c, Slot::Counter(c))
+        },
+    )
 }
 
 /// Looks up (or creates) the gauge `name` in the global registry.
 pub fn gauge(name: &'static str) -> &'static Gauge {
-    #[cfg(feature = "metrics")]
-    {
-        register(
-            name,
-            |slot| match slot {
-                Slot::Gauge(g) => Some(*g),
-                Slot::Counter(_) | Slot::Histogram(_) => None,
-            },
-            || {
-                let g: &'static Gauge = Box::leak(Box::new(Gauge::new()));
-                (g, Slot::Gauge(g))
-            },
-        )
-    }
-    #[cfg(not(feature = "metrics"))]
-    {
-        let _ = name;
-        static NOOP: Gauge = Gauge::new();
-        &NOOP
-    }
+    register(
+        name,
+        |slot| match slot {
+            Slot::Gauge(g) => Some(*g),
+            Slot::Counter(_) | Slot::Histogram(_) => None,
+        },
+        || {
+            let g: &'static Gauge = Box::leak(Box::new(Gauge::new()));
+            (g, Slot::Gauge(g))
+        },
+    )
 }
 
 /// Looks up (or creates) the histogram `name` in the global registry.
 pub fn histogram(name: &'static str) -> &'static Histogram {
-    #[cfg(feature = "metrics")]
-    {
-        register(
-            name,
-            |slot| match slot {
-                Slot::Histogram(h) => Some(*h),
-                Slot::Counter(_) | Slot::Gauge(_) => None,
-            },
-            || {
-                let h: &'static Histogram = Box::leak(Box::new(Histogram::new()));
-                (h, Slot::Histogram(h))
-            },
-        )
-    }
-    #[cfg(not(feature = "metrics"))]
-    {
-        let _ = name;
-        static NOOP: Histogram = Histogram::new();
-        &NOOP
-    }
+    register(
+        name,
+        |slot| match slot {
+            Slot::Histogram(h) => Some(*h),
+            Slot::Counter(_) | Slot::Gauge(_) => None,
+        },
+        || {
+            let h: &'static Histogram = Box::leak(Box::new(Histogram::new()));
+            (h, Slot::Histogram(h))
+        },
+    )
 }
 
 /// Caches a [`counter()`] registry lookup in a call-site static: the steady
@@ -367,66 +288,60 @@ macro_rules! histogram {
 /// counters and gauges as `name value`, histograms as cumulative
 /// `name_bucket{le="..."}` series plus `name_sum`/`name_count`. Sorted by
 /// name for stable output; empty histogram buckets are elided (the
-/// `+Inf` bucket always appears). Returns the empty string with the
-/// `metrics` feature off.
+/// `+Inf` bucket always appears).
 pub fn render() -> String {
-    #[cfg(feature = "metrics")]
+    use std::fmt::Write as _;
+    let mut entries: Vec<(String, String)> = Vec::new();
     {
-        use std::fmt::Write as _;
-        let mut entries: Vec<(String, String)> = Vec::new();
-        {
-            let reg = match REGISTRY.lock() {
-                Ok(reg) => reg,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            let mut seen: Vec<&str> = Vec::new();
-            for (name, slot) in reg.iter() {
-                if seen.contains(name) {
-                    continue; // shadowed kind-mismatch re-registration
-                }
-                seen.push(name);
-                let mut body = String::new();
-                match slot {
-                    Slot::Counter(c) => {
-                        let _ = writeln!(body, "# TYPE {name} counter");
-                        let _ = writeln!(body, "{name} {}", c.get());
-                    }
-                    Slot::Gauge(g) => {
-                        let _ = writeln!(body, "# TYPE {name} gauge");
-                        let _ = writeln!(body, "{name} {}", g.get());
-                    }
-                    Slot::Histogram(h) => {
-                        let snap = h.snapshot();
-                        let _ = writeln!(body, "# TYPE {name} histogram");
-                        let mut cum = 0u64;
-                        for (i, &n) in snap.counts().iter().enumerate() {
-                            if n == 0 {
-                                continue;
-                            }
-                            cum += n;
-                            let _ = writeln!(
-                                body,
-                                "{name}_bucket{{le=\"{}\"}} {cum}",
-                                hist::bucket_bound(i)
-                            );
-                        }
-                        let _ = writeln!(body, "{name}_bucket{{le=\"+Inf\"}} {}", snap.count());
-                        let _ = writeln!(body, "{name}_sum {}", snap.sum());
-                        let _ = writeln!(body, "{name}_count {}", snap.count());
-                    }
-                }
-                entries.push((name.to_string(), body));
+        let reg = match REGISTRY.lock() {
+            Ok(reg) => reg,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        let mut seen: Vec<&str> = Vec::new();
+        for (name, slot) in reg.iter() {
+            if seen.contains(name) {
+                continue; // shadowed kind-mismatch re-registration
             }
+            seen.push(name);
+            let mut body = String::new();
+            match slot {
+                Slot::Counter(c) => {
+                    let _ = writeln!(body, "# TYPE {name} counter");
+                    let _ = writeln!(body, "{name} {}", c.get());
+                }
+                Slot::Gauge(g) => {
+                    let _ = writeln!(body, "# TYPE {name} gauge");
+                    let _ = writeln!(body, "{name} {}", g.get());
+                }
+                Slot::Histogram(h) => {
+                    let snap = h.snapshot();
+                    let _ = writeln!(body, "# TYPE {name} histogram");
+                    let mut cum = 0u64;
+                    for (i, &n) in snap.counts().iter().enumerate() {
+                        if n == 0 {
+                            continue;
+                        }
+                        cum += n;
+                        let _ = writeln!(
+                            body,
+                            "{name}_bucket{{le=\"{}\"}} {cum}",
+                            hist::bucket_bound(i)
+                        );
+                    }
+                    let _ = writeln!(body, "{name}_bucket{{le=\"+Inf\"}} {}", snap.count());
+                    let _ = writeln!(body, "{name}_sum {}", snap.sum());
+                    let _ = writeln!(body, "{name}_count {}", snap.count());
+                }
+            }
+            entries.push((name.to_string(), body));
         }
-        entries.sort();
-        let mut out = String::new();
-        for (_, body) in entries {
-            out.push_str(&body);
-        }
-        out
     }
-    #[cfg(not(feature = "metrics"))]
-    String::new()
+    entries.sort();
+    let mut out = String::new();
+    for (_, body) in entries {
+        out.push_str(&body);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -442,22 +357,15 @@ mod tests {
         g.set(7);
         g.add(3);
         g.sub(2);
-        if cfg!(feature = "metrics") {
-            assert_eq!(c.get(), 5);
-            assert_eq!(g.get(), 8);
-        } else {
-            assert_eq!(c.get(), 0);
-            assert_eq!(g.get(), 0);
-        }
+        assert_eq!(c.get(), 5);
+        assert_eq!(g.get(), 8);
     }
 
     #[test]
     fn registry_is_keyed_by_name() {
         counter("hts_test_lib_same").inc();
         counter("hts_test_lib_same").inc();
-        if cfg!(feature = "metrics") {
-            assert_eq!(counter("hts_test_lib_same").get(), 2);
-        }
+        assert_eq!(counter("hts_test_lib_same").get(), 2);
     }
 
     #[test]
@@ -467,11 +375,9 @@ mod tests {
         }
         histogram!("hts_test_lib_macro_hist").record(42);
         gauge!("hts_test_lib_macro_gauge").set(-3);
-        if cfg!(feature = "metrics") {
-            assert_eq!(counter("hts_test_lib_macro").get(), 3);
-            assert_eq!(histogram("hts_test_lib_macro_hist").snapshot().count(), 1);
-            assert_eq!(gauge("hts_test_lib_macro_gauge").get(), -3);
-        }
+        assert_eq!(counter("hts_test_lib_macro").get(), 3);
+        assert_eq!(histogram("hts_test_lib_macro_hist").snapshot().count(), 1);
+        assert_eq!(gauge("hts_test_lib_macro_gauge").get(), -3);
     }
 
     #[test]
@@ -480,17 +386,13 @@ mod tests {
         gauge("hts_test_render_gauge").set(-5);
         histogram("hts_test_render_hist").record(100);
         let text = render();
-        if cfg!(feature = "metrics") {
-            assert!(text.contains("# TYPE hts_test_render_counter counter"));
-            assert!(text.contains("hts_test_render_counter 2"));
-            assert!(text.contains("hts_test_render_gauge -5"));
-            assert!(text.contains("# TYPE hts_test_render_hist histogram"));
-            assert!(text.contains("hts_test_render_hist_count 1"));
-            assert!(text.contains("hts_test_render_hist_sum 100"));
-            assert!(text.contains("_bucket{le=\"+Inf\"} 1"));
-        } else {
-            assert!(text.is_empty());
-        }
+        assert!(text.contains("# TYPE hts_test_render_counter counter"));
+        assert!(text.contains("hts_test_render_counter 2"));
+        assert!(text.contains("hts_test_render_gauge -5"));
+        assert!(text.contains("# TYPE hts_test_render_hist histogram"));
+        assert!(text.contains("hts_test_render_hist_count 1"));
+        assert!(text.contains("hts_test_render_hist_sum 100"));
+        assert!(text.contains("_bucket{le=\"+Inf\"} 1"));
     }
 
     #[test]
@@ -500,9 +402,7 @@ mod tests {
         // stay parseable (the first registration wins).
         histogram("hts_test_kind_clash").record(1);
         let text = render();
-        if cfg!(feature = "metrics") {
-            assert_eq!(text.matches("# TYPE hts_test_kind_clash ").count(), 1);
-        }
+        assert_eq!(text.matches("# TYPE hts_test_kind_clash ").count(), 1);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! wraparound and concurrent writers, every event a snapshot returns is
 //! one that was actually recorded, intact.
 
-#![cfg(feature = "metrics")]
-
 use hts_metrics::flight;
 use hts_metrics::{bucket_bound, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
 use proptest::prelude::*;

@@ -6,8 +6,6 @@
 //! This binary is the only user of the global flight ring in its
 //! process, so the flight test may check the ring's exact contents.
 
-#![cfg(feature = "metrics")]
-
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;

@@ -104,8 +104,7 @@ impl Client {
     }
 
     /// Fetches `server`'s live metrics registry as Prometheus-style text
-    /// exposition (the server-side [`hts_metrics::render`]; empty when
-    /// the server was built with the `metrics` feature off).
+    /// exposition (the server-side [`hts_metrics::render`]).
     ///
     /// Stats deliberately bypass the retry rotation: the caller asks ONE
     /// server for ITS process-wide registry — a different server

@@ -55,28 +55,22 @@ fn durable_cluster_serves_live_stats_with_nonzero_histograms() {
     // A client can probe through its own connection too.
     let via_client = client.stats(ServerId(1)).expect("client stats");
 
-    if cfg!(feature = "metrics") {
-        // Ring batching: every lane records each outbound batch.
-        let batches = sample(&text, "hts_net_ring_batch_frames_count").unwrap_or(0);
-        assert!(batches > 0, "no ring batches recorded:\n{text}");
-        // Durability: SyncAlways fsyncs on the commit path.
-        let fsyncs = sample(&text, "hts_wal_fsync_nanos_count").unwrap_or(0);
-        assert!(fsyncs > 0, "no WAL fsyncs recorded:\n{text}");
-        // Per-phase op latency: pre-write and commit halves plus totals.
-        for hist in [
-            "hts_core_write_prewrite_nanos_count",
-            "hts_core_write_commit_nanos_count",
-            "hts_core_write_total_nanos_count",
-        ] {
-            let n = sample(&text, hist).unwrap_or(0);
-            assert!(n > 0, "{hist} is empty:\n{text}");
-        }
-        assert!(via_client.contains("hts_net_ring_batch_frames_count"));
-    } else {
-        // Metrics off: the endpoint still answers, with an empty registry.
-        assert!(text.is_empty());
-        assert!(via_client.is_empty());
+    // Ring batching: every lane records each outbound batch.
+    let batches = sample(&text, "hts_net_ring_batch_frames_count").unwrap_or(0);
+    assert!(batches > 0, "no ring batches recorded:\n{text}");
+    // Durability: SyncAlways fsyncs on the commit path.
+    let fsyncs = sample(&text, "hts_wal_fsync_nanos_count").unwrap_or(0);
+    assert!(fsyncs > 0, "no WAL fsyncs recorded:\n{text}");
+    // Per-phase op latency: pre-write and commit halves plus totals.
+    for hist in [
+        "hts_core_write_prewrite_nanos_count",
+        "hts_core_write_commit_nanos_count",
+        "hts_core_write_total_nanos_count",
+    ] {
+        let n = sample(&text, hist).unwrap_or(0);
+        assert!(n > 0, "{hist} is empty:\n{text}");
     }
+    assert!(via_client.contains("hts_net_ring_batch_frames_count"));
 
     cluster.shutdown();
     let _ = fs::remove_dir_all(&base);

@@ -238,8 +238,7 @@ pub enum Message {
     /// Server → client: the metrics registry in Prometheus-style text
     /// exposition, answering a [`Message::StatsRequest`]. The payload
     /// rides in a [`Value`] so the codec's length-prefixed byte-slab
-    /// machinery applies unchanged; servers built without the `metrics`
-    /// feature answer with an empty payload.
+    /// machinery applies unchanged.
     StatsReply {
         /// Correlation id of the answered request.
         request: RequestId,
